@@ -1,49 +1,96 @@
 """Memoized exact evaluation of the recursive arc-diagram counts.
 
-Six count families share one memo table, keyed by a canonical sorted
-boundary vector (all counts are symmetric in the boundary labels):
+The memo is keyed by ``(family, g, n, b)``, with ``b`` sorted decreasingly
+since every count is symmetric in the boundary labels.  Families: ``G``
+(all diagrams), ``N`` (no boundary-parallel arcs), ``Gr`` (all diagrams by
+number r of complementary regions), ``Nt`` (parallel-free diagrams by the
+stable region parameter t = r - (2 - 2g - n) - half the boundary points),
+``LatticeN`` (the rational lattice-count twin of the normalized
+parallel-free count), and ``Gt``, which ``count_G_t`` assembles from ``Nt``.
 
-* ``count_G``      — all arc diagrams;
-* ``count_N``      — diagrams with no boundary-parallel arcs;
-* ``count_G_r``    — all diagrams refined by the number of complementary
-                     regions r;
-* ``count_N_t``    — parallel-free diagrams refined by the stable region
-                     parameter t = r - (2 - 2g - n) - half the boundary
-                     points;
-* ``count_G_t``    — all diagrams refined by t, computed by convolving the
-                     collar counts against ``count_N_t`` (with an
-                     independent route through ``count_G_r`` for
-                     cross-checking);
-* ``count_lattice``— the rational lattice-point twin of the normalized
-                     parallel-free count, sharing its recursion shape with
-                     the bar factors dropped.
+Each step removes the arc at the first (maximal) entry: it cuts a handle,
+joins another boundary, or separates the surface (summed over the genus
+and boundary subsets of the pieces).  The step has two shapes, each written
+once: A (``G``, ``Gr``) splits the other points with unit weights; B
+(``N``, ``Nt``, ``LatticeN``) lets the arc take a run of m points along,
+weighted by the family's coefficient rule, admits no disc or annulus piece,
+and reads the join difference term as is (never negative on a maximal
+entry).  ``G`` and ``N`` carry an ``int``.  ``Gr`` and ``Nt`` carry the
+whole refinement in one entry, as a ``_Grades`` polynomial in the grading
+variable r or t: the pieces of a split multiply (their grades add), and a
+join onto an empty boundary multiplies by the variable.  ``LatticeN``
+carries a ``Fraction`` and divides by the first entry at the end.
 
-Each recursion removes the arc at a chosen positive boundary entry and
-sorts the results into: a cut that lowers the genus, a join of two
-boundaries, and a separating split over genus and boundary-subset choices.
-The parallel-free recursions exclude disc and annulus factors from the
-split and carry a sign convention ("read the sum as is") on the
-boundary-join difference term; since we always recurse on a maximal entry,
-that difference is never negative here.
+Bodies are generators yielding each child key missing from the memo;
+``_eval`` runs them on an explicit stack, so no input meets Python's
+recursion limit.  Every edge lowers ``(2g + n - 2, sum(b))``
+lexicographically; a key met again on its own stack raises RuntimeError.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
+from typing import Callable, NamedTuple
 
-from .closed import (
-    bar,
-    catalan,
-    closed_N,
-    closed_refined,
-)
-from .exact import binomial, frac_str, parse_frac
+try:  # CPython's own SHA-256: hashlib would load OpenSSL, 3.7 MB per process
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
-_MEMO: dict = {}
+from .closed import bar, catalan, closed_N, closed_refined
+from .exact import binomial, ordered_splits
 
 _DISC_OR_ANNULUS = {(0, 1), (0, 2)}
+_CLOSED_N = {(0, 1), (0, 2), (0, 3)}
+
+
+class _Grades(tuple):
+    """Coefficients c[k] of a polynomial in the grading variable (r or t),
+    without trailing zeros: scalars scale it, and the product of two glued
+    pieces is the convolution, since their grades add."""
+
+    __slots__ = ()
+
+    def __add__(self, other: _Grades) -> _Grades:
+        return _trim([a + c for a, c in zip_longest(self, other, fillvalue=0)])
+
+    def __mul__(self, other) -> _Grades:
+        if not isinstance(other, _Grades):
+            return _trim([c * other for c in self])
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            if a:
+                for j, c in enumerate(other, i):
+                    out[j] += a * c
+        return _trim(out)
+
+    __rmul__ = __mul__
+
+    def coeff(self, k: int) -> int:
+        return self[k] if 0 <= k < len(self) else 0
+
+    def __str__(self) -> str:  # the cache text
+        return ",".join(map(str, self)) or "-"
+
+
+def _trim(coeffs: list) -> _Grades:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return _Grades(coeffs)
+
+
+class _Memo(dict):
+    """The memo table.  A missing key answers with its family's base value,
+    or None when its body has to run; base values are never stored."""
+
+    def __missing__(self, key):
+        return _FAMILIES[key[0]].base(*key[1:])
+
+
+_MEMO = _Memo()
 
 
 def clear_memo() -> None:
@@ -58,8 +105,10 @@ def _canon(b) -> tuple[int, ...]:
     return tuple(sorted(b, reverse=True))
 
 
-def _check(g: int, n: int, b) -> tuple[int, ...]:
-    b = tuple(int(x) for x in b)
+def _check(g: int, n: int, b, *grades: int) -> tuple[int, ...]:
+    b = tuple(b)
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (g, n, *b, *grades)):
+        raise TypeError("g, n, the boundary point counts, r and t must be ints")
     if g < 0:
         raise ValueError("genus must be >= 0")
     if n < 1 or len(b) != n:
@@ -69,314 +118,245 @@ def _check(g: int, n: int, b) -> tuple[int, ...]:
     return b
 
 
-def _splits(rest: tuple[int, ...]):
-    """Ordered (left, right) subset pairs of the trailing boundary entries."""
-    k = len(rest)
-    for mask in range(1 << k):
-        left = tuple(rest[i] for i in range(k) if mask >> i & 1)
-        right = tuple(rest[i] for i in range(k) if not mask >> i & 1)
-        yield left, right
+# -- base values; None sends the key to its family's body ---------------------
+
+def _base_G(g, n, b):
+    if g < 0 or sum(b) % 2:
+        return 0
+    return None if b[0] else 1  # all entries zero: the empty diagram
 
 
-# -- all arc diagrams --------------------------------------------------------
+def _base_Gr(g, n, b):
+    if g < 0 or sum(b) % 2:
+        return _Grades()
+    return None if b[0] else _Grades((0, 1))  # one region
+
+
+def _base_N(g, n, b):
+    if g < 0 or sum(b) % 2:
+        return 0
+    if (g, n) in _CLOSED_N:
+        return closed_N(g, n, b)
+    return None if b[0] else 1
+
+
+def _base_Nt(g, n, b):
+    if g < 0 or sum(b) % 2:
+        return _Grades()
+    if (g, n) in _CLOSED_N:
+        return _trim([closed_refined("N", g, n, b, t) for t in range(2 * g + n)])
+    return None if b[0] else _Grades((0,) * (2 * g + n - 1) + (1,))
+
+
+def _base_lattice(g, n, b):
+    if (g, n) == (0, 3):
+        return Fraction(1)
+    if (g, n) == (1, 1):
+        return Fraction(b[0] ** 2, 48) - Fraction(1, 12) if b[0] % 2 == 0 else Fraction(0)
+    return None
+
+
+# -- the two recursion shapes -------------------------------------------------
+
+def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
+    """All arc diagrams: the arc's ends split the other b1 - 2 points."""
+    memo = _MEMO
+    b1, rest = b[0], b[1:]
+    acc = fam.zero
+    if g:  # cut along the arc: the genus drops
+        for i in range(b1 - 1):
+            key = (name, g - 1, n + 1, _canon((i, b1 - 2 - i) + rest))
+            if (v := memo[key]) is None:
+                v = yield key
+            acc += v
+    for idx, bk in enumerate(rest):  # the arc runs to another boundary
+        if bk:
+            key = (name, g, n - 1, _canon((b1 + bk - 2,) + rest[:idx] + rest[idx + 1 :]))
+            if (v := memo[key]) is None:
+                v = yield key
+            acc += bk * v
+    for left, right in ordered_splits(rest):  # the arc separates
+        for g1 in range(g + 1):
+            for i in range(sum(left) % 2, b1 - 1, 2):  # pieces with odd totals are empty
+                key = (name, g1, 1 + len(left), _canon((i,) + left))
+                if (u := memo[key]) is None:
+                    u = yield key
+                if u:
+                    key = (name, g - g1, 1 + len(right), _canon((b1 - 2 - i,) + right))
+                    if (v := memo[key]) is None:
+                        v = yield key
+                    acc += u * v
+    return acc
+
+
+def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
+    """Parallel-free shape: the arc takes a run of m points with it."""
+    memo, arc_w, join_w = _MEMO, fam.arc_w, fam.join_w
+    b1, rest = b[0], b[1:]
+    acc = fam.zero
+    if g:  # the arc and its run are cut away: the genus drops
+        for m in range(2, b1 + 1, 2):
+            for i in range(b1 - m + 1):
+                if w := arc_w(i, b1 - m - i, m):
+                    key = (name, g - 1, n + 1, _canon((i, b1 - m - i) + rest))
+                    if (v := memo[key]) is None:
+                        v = yield key
+                    acc += w * v
+    for idx, bj in enumerate(rest):  # the arc joins boundary j: sum and difference
+        others = rest[:idx] + rest[idx + 1 :]
+        for s in (b1 + bj, b1 - bj):
+            for m in range(2, s + 1, 2):
+                if w := join_w(bj, s - m, m):
+                    key = (name, g, n - 1, _canon((s - m,) + others))
+                    if (v := memo[key]) is None:
+                        v = yield key
+                    # joining an empty boundary creates a region
+                    acc += (w if bj else w * fam.region) * v
+    for left, right in ordered_splits(rest):  # the arc separates
+        start, step = (sum(left) % 2, 2) if fam.odd_empty else (0, 1)  # skip empty pieces
+        for g1 in range(g + 1):
+            g2 = g - g1
+            if (g1, 1 + len(left)) in _DISC_OR_ANNULUS or (g2, 1 + len(right)) in _DISC_OR_ANNULUS:
+                continue
+            for m in range(2, b1 + 1, 2):
+                for i in range(start, b1 - m + 1, step):
+                    if w := arc_w(i, b1 - m - i, m):
+                        key = (name, g1, 1 + len(left), _canon((i,) + left))
+                        if (u := memo[key]) is None:
+                            u = yield key
+                        if u:
+                            key = (name, g2, 1 + len(right), _canon((b1 - m - i,) + right))
+                            if (v := memo[key]) is None:
+                                v = yield key
+                            acc += w * u * v
+    return acc / b1 if fam.per_b1 else acc
+
+
+class _Family(NamedTuple):
+    body: Callable  # _shape_a or _shape_b
+    base: Callable  # (g, n, b) -> base value, or None
+    zero: object  # the value of an empty sum
+    region: object = 1  # the factor for one more region: the grading variable
+    arc_w: Callable | None = None
+    join_w: Callable | None = None
+    per_b1: bool = False
+    odd_empty: bool = True  # odd totals count nothing (shape A assumes it)
+
+
+# Coefficient rules of shape B: arc_w(i, j, m) weighs an arc that takes m
+# points and leaves runs of i and j on its sides, join_w(bj, i, m) a join onto
+# a boundary with bj points that leaves i.  The lattice weights vanish on an
+# empty run, so its zero entries are never queried.
+_N_RULE = (lambda i, j, m: m // 2, lambda bj, i, m: (m // 2) * bar(bj))
+_LATTICE_RULE = (lambda i, j, m: Fraction(i * j * m, 2), lambda bj, i, m: Fraction(i * m, 2))
+
+_FAMILIES = {
+    "G": _Family(_shape_a, _base_G, 0),
+    "Gr": _Family(_shape_a, _base_Gr, _Grades()),
+    "N": _Family(_shape_b, _base_N, 0, 1, *_N_RULE),
+    "Nt": _Family(_shape_b, _base_Nt, _Grades(), _Grades((0, 1)), *_N_RULE),
+    "LatticeN": _Family(
+        _shape_b, _base_lattice, Fraction(0), 1, *_LATTICE_RULE, per_b1=True, odd_empty=False
+    ),
+}
+
+
+def _body(key):
+    fam = _FAMILIES[key[0]]
+    return fam.body(fam, *key)
+
+
+def _eval(key):
+    """The value of one key: bodies of missing entries run on an explicit
+    stack, each resumed with the value of the child it yielded."""
+    value = _MEMO[key]
+    if value is not None:
+        return value
+    stack = [(key, _body(key))]
+    active = {key}
+    while stack:
+        key, body = stack[-1]
+        try:
+            child = body.send(value)
+        except StopIteration as done:
+            value = _MEMO[key] = done.value
+            stack.pop()
+            active.discard(key)
+            continue
+        if child in active:
+            raise RuntimeError(f"engine recursion revisits {child} on its own stack")
+        stack.append((child, _body(child)))
+        active.add(child)
+        value = None
+    return value
+
+
+# -- public counts --------------------------------------------------------------
 
 def count_G(g: int, n: int, b) -> int:
     """Number of arc diagrams, every arc type allowed."""
-    b = _check(g, n, b)
-    return _G(g, n, _canon(b))
+    return _eval(("G", g, n, _canon(_check(g, n, b))))
 
-
-def _G(g: int, n: int, b: tuple[int, ...]) -> int:
-    if g < 0 or sum(b) % 2:
-        return 0
-    if b[0] == 0:  # canonical order: all entries are zero — empty diagram
-        return 1
-    key = ("G", g, n, b, None)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    b1, rest = b[0], b[1:]
-    total = 0
-    for i in range(b1 - 1):  # cut along the new arc: genus drops
-        total += _G(g - 1, n + 1, _canon((i, b1 - 2 - i) + rest))
-    for idx, bk in enumerate(rest):  # the arc runs to another boundary
-        if bk:
-            merged = (b1 + bk - 2,) + rest[:idx] + rest[idx + 1 :]
-            total += bk * _G(g, n - 1, _canon(merged))
-    parent = (2 * g + n - 2, sum(b))
-    for left, right in _splits(rest):  # the arc separates
-        for g1 in range(g + 1):
-            g2 = g - g1
-            c1 = 2 * g1 + len(left) - 1
-            c2 = 2 * g2 + len(right) - 1
-            # lexicographic termination measure: a factor may keep the
-            # parent's complexity only when its partner is a disc, and even
-            # then its boundary total has strictly dropped
-            assert (c1, sum(left) + b1 - 2) < parent or (g2, len(right) + 1) == (0, 1)
-            assert (c2, sum(right) + b1 - 2) < parent or (g1, len(left) + 1) == (0, 1)
-            for i in range(b1 - 1):
-                j = b1 - 2 - i
-                lhs = _G(g1, 1 + len(left), _canon((i,) + left))
-                if lhs:
-                    total += lhs * _G(g2, 1 + len(right), _canon((j,) + right))
-    _MEMO[key] = total
-    return total
-
-
-# -- no boundary-parallel arcs ----------------------------------------------
 
 def count_N(g: int, n: int, b) -> int:
     """Number of arc diagrams with no boundary-parallel arcs."""
-    b = _check(g, n, b)
-    return _N(g, n, _canon(b))
+    return _eval(("N", g, n, _canon(_check(g, n, b))))
 
-
-def _N(g: int, n: int, b: tuple[int, ...]) -> int:
-    if g < 0 or sum(b) % 2:
-        return 0
-    if (g, n) in {(0, 1), (0, 2), (0, 3)}:
-        return closed_N(g, n, b)
-    if b[0] == 0:
-        return 1
-    key = ("N", g, n, b, None)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    b1, rest = b[0], b[1:]
-    total = 0
-    # the arc together with a run of m boundary points is cut away; the
-    # weight m/2 counts the cut positions
-    for m in range(2, b1 + 1, 2):
-        w = m // 2
-        for i in range(b1 - m + 1):
-            total += w * _N(g - 1, n + 1, _canon((i, b1 - m - i) + rest))
-    for idx, bj in enumerate(rest):
-        others = rest[:idx] + rest[idx + 1 :]
-        bj_bar = bar(bj)
-        s = b1 + bj
-        for m in range(2, s + 1, 2):
-            total += (m // 2) * bj_bar * _N(g, n - 1, _canon((s - m,) + others))
-        d = b1 - bj  # >= 0: we recurse on a maximal entry
-        for m in range(2, d + 1, 2):
-            total += (m // 2) * bj_bar * _N(g, n - 1, _canon((d - m,) + others))
-    parent = (2 * g + n - 2, sum(b))
-    for left, right in _splits(rest):
-        for g1 in range(g + 1):
-            g2 = g - g1
-            if (g1, len(left) + 1) in _DISC_OR_ANNULUS:
-                continue
-            if (g2, len(right) + 1) in _DISC_OR_ANNULUS:
-                continue
-            assert (2 * g1 + len(left) - 1, sum(left) + b1 - 2) < parent
-            assert (2 * g2 + len(right) - 1, sum(right) + b1 - 2) < parent
-            for m in range(2, b1 + 1, 2):
-                w = m // 2
-                for i in range(b1 - m + 1):
-                    lhs = _N(g1, 1 + len(left), _canon((i,) + left))
-                    if lhs:
-                        total += (
-                            w * lhs * _N(g2, 1 + len(right), _canon((b1 - m - i,) + right))
-                        )
-    _MEMO[key] = total
-    return total
-
-
-# -- refinement by number of regions ----------------------------------------
 
 def count_G_r(g: int, n: int, b, r: int) -> int:
     """Arc diagrams whose complement has exactly r regions."""
-    b = _check(g, n, b)
-    return _Gr(g, n, _canon(b), r)
-
-
-def _Gr(g: int, n: int, b: tuple[int, ...], r: int) -> int:
-    if g < 0 or r < 1 or sum(b) % 2:
-        return 0
-    if 2 * (r - 1) > sum(b):  # every diagram satisfies r <= 1 + sum(b)/2
-        return 0
-    if b[0] == 0:
-        return 1 if r == 1 else 0
-    key = ("Gr", g, n, b, r)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    b1, rest = b[0], b[1:]
-    total = 0
-    for i in range(b1 - 1):
-        total += _Gr(g - 1, n + 1, _canon((i, b1 - 2 - i) + rest), r)
-    for idx, bk in enumerate(rest):
-        if bk:
-            merged = (b1 + bk - 2,) + rest[:idx] + rest[idx + 1 :]
-            total += bk * _Gr(g, n - 1, _canon(merged), r)
-    for left, right in _splits(rest):
-        for g1 in range(g + 1):
-            g2 = g - g1
-            for i in range(b1 - 1):
-                j = b1 - 2 - i
-                for r1 in range(1, r):  # the separating arc joins two pieces
-                    lhs = _Gr(g1, 1 + len(left), _canon((i,) + left), r1)
-                    if lhs:
-                        total += lhs * _Gr(g2, 1 + len(right), _canon((j,) + right), r - r1)
-    _MEMO[key] = total
-    return total
+    return _eval(("Gr", g, n, _canon(_check(g, n, b, r)))).coeff(r)
 
 
 def count_N_t(g: int, n: int, b, t: int) -> int:
     """Parallel-free arc diagrams with stable region parameter t."""
-    b = _check(g, n, b)
-    return _Nt(g, n, _canon(b), t)
+    return _eval(("Nt", g, n, _canon(_check(g, n, b, t)))).coeff(t)
 
 
-def _Nt(g: int, n: int, b: tuple[int, ...], t: int) -> int:
-    if g < 0 or sum(b) % 2:
-        return 0
-    if t < 0 or t > 2 * g + n - 1:
-        return 0
-    if (g, n) in {(0, 1), (0, 2), (0, 3)}:
-        return closed_refined("N", g, n, b, t)
-    if b[0] == 0:
-        return 1 if t == 2 * g + n - 1 else 0
-    key = ("Nt", g, n, b, t)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    b1, rest = b[0], b[1:]
-    total = 0
-    for m in range(2, b1 + 1, 2):
-        w = m // 2
-        for i in range(b1 - m + 1):
-            total += w * _Nt(g - 1, n + 1, _canon((i, b1 - m - i) + rest), t)
-    for idx, bj in enumerate(rest):
-        others = rest[:idx] + rest[idx + 1 :]
-        bj_bar = bar(bj)
-        # joining onto an empty boundary creates a region: t shifts
-        t_sub = t - (1 if bj == 0 else 0)
-        s = b1 + bj
-        for m in range(2, s + 1, 2):
-            total += (m // 2) * bj_bar * _Nt(g, n - 1, _canon((s - m,) + others), t_sub)
-        d = b1 - bj
-        for m in range(2, d + 1, 2):
-            total += (m // 2) * bj_bar * _Nt(g, n - 1, _canon((d - m,) + others), t_sub)
-    for left, right in _splits(rest):
-        for g1 in range(g + 1):
-            g2 = g - g1
-            if (g1, len(left) + 1) in _DISC_OR_ANNULUS:
-                continue
-            if (g2, len(right) + 1) in _DISC_OR_ANNULUS:
-                continue
-            for m in range(2, b1 + 1, 2):
-                w = m // 2
-                for i in range(b1 - m + 1):
-                    j = b1 - m - i
-                    for t1 in range(t + 1):
-                        lhs = _Nt(g1, 1 + len(left), _canon((i,) + left), t1)
-                        if lhs:
-                            total += (
-                                w * lhs * _Nt(g2, 1 + len(right), _canon((j,) + right), t - t1)
-                            )
-    _MEMO[key] = total
-    return total
+def _collars(b):
+    """(ways to fill the boundary collars, canonical core) pairs."""
+    for a in product(*(range(x % 2, x + 1, 2) for x in b)):
+        w = 1
+        for x, y in zip(b, a):
+            w *= binomial(x, (x - y) // 2)
+        yield w, _canon(a)
 
 
 def count_G_t(g: int, n: int, b, t: int) -> int:
     """All-diagram counts refined by t, assembled from the parallel-free
     refined counts by filling boundary collars (collar filling preserves t).
     """
-    b = _check(g, n, b)
+    b = _check(g, n, b, t)
     if sum(b) % 2:
         return 0
     if (g, n) == (0, 1):  # every disc diagram has t = 0
         return catalan(b[0] // 2) if t == 0 else 0
-    if t < 0 or t > 2 * g + n - 1:
-        return 0
-    key = ("Gt", g, n, _canon(b), t)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    total = 0
-    for a in product(*(range(x % 2, x + 1, 2) for x in b)):
-        w = 1
-        for x, y in zip(b, a):
-            w *= binomial(x, (x - y) // 2)
-        if w:
-            total += w * _Nt(g, n, _canon(a), t)
-    _MEMO[key] = total
-    return total
+    key = ("Gt", g, n, _canon(b))
+    if (vec := _MEMO.get(key)) is None:
+        vec = _MEMO[key] = sum((w * _eval(("Nt", g, n, a)) for w, a in _collars(b)), _Grades())
+    return vec.coeff(t)
 
 
 def count_G_t_via_r(g: int, n: int, b, t: int) -> int:
     """Independent route to the same refined count through the region-count
     recursion, via r = t + (2 - 2g - n) + half the boundary points."""
-    b = _check(g, n, b)
-    if sum(b) % 2:
-        return 0
+    b = _check(g, n, b, t)
     r = t + (2 - 2 * g - n) + sum(b) // 2
-    return _Gr(g, n, _canon(b), r)
+    return _eval(("Gr", g, n, _canon(b))).coeff(r)
 
-
-# -- lattice-count twin ------------------------------------------------------
 
 def count_lattice(g: int, n: int, b) -> Fraction:
     """The rational lattice-count twin of the normalized parallel-free
     count: same recursion with the bar factors dropped, so zero entries are
     annihilated by the weights and are never queried."""
     b = _check(g, n, b)
-    if any(x == 0 for x in b):
+    if 2 * g - 2 + n < 1:
+        raise ValueError("lattice counts need 2g - 2 + n >= 1: no disc or annulus")
+    if not all(b):
         raise ValueError("lattice counts require strictly positive entries")
     if sum(b) % 2:
         return Fraction(0)
-    return _LAT(g, n, _canon(b))
-
-
-def _LAT(g: int, n: int, b: tuple[int, ...]) -> Fraction:
-    assert g >= 0 and all(x > 0 for x in b), "lattice recursion hit a zero entry"
-    if (g, n) == (0, 3):
-        return Fraction(1)
-    if (g, n) == (1, 1):
-        b1 = b[0]
-        if b1 % 2:
-            return Fraction(0)
-        return Fraction(b1 * b1, 48) - Fraction(1, 12)
-    assert 2 * g - 2 + n >= 2, f"lattice recursion reached ({g}, {n})"
-    key = ("LatticeN", g, n, b, None)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    b1, rest = b[0], b[1:]
-    total = Fraction(0)
-    if g >= 1:
-        for m in range(2, b1 + 1, 2):
-            for i in range(1, b1 - m):  # i, j >= 1: zero weights dropped
-                j = b1 - m - i
-                total += Fraction(i * j * m, 2) * _LAT(g - 1, n + 1, _canon((i, j) + rest))
-    for idx, bj in enumerate(rest):
-        others = rest[:idx] + rest[idx + 1 :]
-        s = b1 + bj
-        for m in range(2, s, 2):  # i = s - m >= 1
-            total += Fraction((s - m) * m, 2) * _LAT(g, n - 1, _canon((s - m,) + others))
-        d = b1 - bj
-        for m in range(2, d, 2):
-            total += Fraction((d - m) * m, 2) * _LAT(g, n - 1, _canon((d - m,) + others))
-    for left, right in _splits(rest):
-        for g1 in range(g + 1):
-            g2 = g - g1
-            if (g1, len(left) + 1) in _DISC_OR_ANNULUS:
-                continue
-            if (g2, len(right) + 1) in _DISC_OR_ANNULUS:
-                continue
-            for m in range(2, b1 + 1, 2):
-                for i in range(1, b1 - m):
-                    j = b1 - m - i
-                    lhs = _LAT(g1, 1 + len(left), _canon((i,) + left))
-                    if lhs:
-                        total += (
-                            Fraction(i * j * m, 2)
-                            * lhs
-                            * _LAT(g2, 1 + len(right), _canon((j,) + right))
-                        )
-    value = total / b1
-    _MEMO[key] = value
-    return value
+    return _eval(("LatticeN", g, n, _canon(b)))
 
 
 # -- relations ---------------------------------------------------------------
@@ -388,69 +368,83 @@ def convolve_G_from_N(g: int, n: int, b) -> int:
     b = _check(g, n, b)
     if (g, n) == (0, 1):
         raise ValueError("collar convolution does not apply to the disc")
-    if sum(b) % 2:
-        return 0
-    total = 0
-    for a in product(*(range(x % 2, x + 1, 2) for x in b)):
-        w = 1
-        for x, y in zip(b, a):
-            w *= binomial(x, (x - y) // 2)
-        if w:
-            total += w * _N(g, n, _canon(a))
-    return total
+    return sum(w * _eval(("N", g, n, a)) for w, a in _collars(b))
 
 
 def dilaton_reduce(g: int, n: int, b, r: int) -> int:
     """Fill in an unmarked boundary: with b1 = 0 and n >= 2, the refined
     count equals r times the count with that boundary forgotten."""
-    b = _check(g, n, b)
+    b = _check(g, n, b, r)
     if n < 2:
         raise ValueError("need n >= 2")
     if b[0] != 0:
         raise ValueError("first entry must be 0")
-    if r < 1:
-        return 0
-    return r * _Gr(g, n - 1, _canon(b[1:]), r)
+    return r * _eval(("Gr", g, n - 1, _canon(b[1:]))).coeff(r)
 
 
 # -- optional persistent cache ------------------------------------------------
 
-CACHE_HEADER = "surfcount-cache v1"
-_INT_MODES = {"G", "N", "Gr", "Nt", "Gt"}
+CACHE_HEADER = "surfcount-cache v2"
+
+
+def _read_grades(text: str) -> _Grades:
+    return _Grades(() if text == "-" else map(int, text.split(",")))
+
+
+_READ = dict(G=int, N=int, LatticeN=Fraction, Gr=_read_grades, Nt=_read_grades, Gt=_read_grades)
 
 
 def save_cache(path: str) -> int:
-    """Write the memo table to a line-based cache file; returns the number
-    of records written."""
-    lines = [CACHE_HEADER]
-    for (mode, g, n, b, ref) in sorted(_MEMO, key=lambda k: (k[0], k[1], k[2], k[3], k[4] or 0)):
-        value = _MEMO[(mode, g, n, b, ref)]
-        ref_txt = "-" if ref is None else str(ref)
-        val_txt = str(value) if isinstance(value, int) else frac_str(value)
-        lines.append(f"{mode} {g} {n} {ref_txt} {','.join(map(str, b))} {val_txt}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return len(lines) - 1
+    """Write the memo table to a line-based cache file, replacing it
+    atomically; the header carries the record count and the SHA-256 of the
+    body.  Returns the number of records written."""
+    body = "".join(
+        f"{name} {g} {n} {','.join(map(str, b))} {v}\n"
+        for (name, g, n, b), v in sorted(_MEMO.items())
+    )
+    digest = sha256(body.encode("ascii")).hexdigest()
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(f"{CACHE_HEADER} {len(_MEMO)} {digest}\n{body}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return len(_MEMO)
 
 
 def load_cache(path: str) -> int:
-    """Load a cache file into the memo table; entries are trusted only when
-    the header version matches, otherwise the file is ignored with a
-    warning.  Returns the number of records loaded."""
+    """Load a cache file into the memo table.  A file of another version, or
+    with a wrong digest, record count or record, is ignored as a whole with a
+    warning on stderr.  Returns the number of records loaded."""
     try:
-        with open(path, encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         return 0
-    if not lines or lines[0] != CACHE_HEADER:
-        print(f"warning: ignoring cache {path!r} (unknown version)", file=sys.stderr)
+    try:
+        head, _, body = data.partition(b"\n")
+        fields = head.decode("ascii").rsplit(" ", 2)
+        if len(fields) != 3 or fields[0] != CACHE_HEADER:
+            raise ValueError("unknown version")
+        if sha256(body).hexdigest() != fields[2]:
+            raise ValueError("digest mismatch")
+        lines = body.decode("ascii").splitlines()
+        if len(lines) != int(fields[1]):
+            raise ValueError("record count mismatch")
+        entries = {}
+        for no, line in enumerate(lines, 2):
+            parts = line.split(" ")
+            if len(parts) != 5 or parts[0] not in _READ:
+                raise ValueError(f"malformed record on line {no}")
+            name, g, n, b, v = parts
+            b = tuple(map(int, b.split(",")))
+            if len(b) != int(n):
+                raise ValueError(f"malformed record on line {no}")
+            entries[(name, int(g), int(n), b)] = _READ[name](v)
+    except (ValueError, ZeroDivisionError) as exc:  # UnicodeDecodeError is a ValueError
+        print(f"warning: ignoring cache {path!r} ({exc})", file=sys.stderr)
         return 0
-    loaded = 0
-    for ln in lines[1:]:
-        mode, g, n, ref_txt, b_txt, val_txt = ln.split(" ")
-        ref = None if ref_txt == "-" else int(ref_txt)
-        b = tuple(int(x) for x in b_txt.split(",")) if b_txt else ()
-        value = int(val_txt) if mode in _INT_MODES else parse_frac(val_txt)
-        _MEMO[(mode, int(g), int(n), b, ref)] = value
-        loaded += 1
-    return loaded
+    _MEMO.update(entries)
+    return len(entries)

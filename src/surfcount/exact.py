@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -47,6 +47,26 @@ def frac_str(x: Scalar) -> str:
 
 def parse_frac(s: str) -> Fraction:
     return Fraction(s)
+
+
+def ordered_splits(items: Sequence) -> Iterator[tuple[tuple, tuple]]:
+    """All ordered pairs of disjoint tuples covering ``items``."""
+    m = len(items)
+    for mask in range(1 << m):
+        left = tuple(items[i] for i in range(m) if mask >> i & 1)
+        right = tuple(items[i] for i in range(m) if not mask >> i & 1)
+        yield left, right
+
+
+def vectors_with_sum_at_most(n: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of n nonnegative integers with sum <= bound."""
+    if n == 0:
+        if bound >= 0:
+            yield ()
+        return
+    for head in range(bound + 1):
+        for tail in vectors_with_sum_at_most(n - 1, bound - head):
+            yield (head,) + tail
 
 
 class DegenerateGridError(ValueError):
@@ -452,4 +472,6 @@ def interpolate_tensor(grid: Mapping[tuple, Scalar], degree_bound: int) -> Multi
             acc = acc + MultiPoly(rest, lifted)
         return acc
 
-    return fit(0, ())
+    poly = fit(0, ())
+    del fit  # fit's closure refers to itself: without this the grid waits for a GC pass
+    return poly

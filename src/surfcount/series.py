@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 from .engine import count_G, count_G_r, count_G_t, count_N, count_N_t
-from .exact import binomial, frac_str
+from .exact import binomial, frac_str, ordered_splits, vectors_with_sum_at_most
 
 
 class SeriesIdentityError(ValueError):
@@ -27,17 +27,6 @@ class SeriesIdentityError(ValueError):
 
 def _graded_lex(key, nvars):
     return (sum(key[:nvars]), key)
-
-
-def _vectors_with_sum_at_most(n, bound):
-    """All tuples of n nonnegative integers with sum <= bound."""
-    if n == 0:
-        if bound >= 0:
-            yield ()
-        return
-    for head in range(bound + 1):
-        for tail in _vectors_with_sum_at_most(n - 1, bound - head):
-            yield (head,) + tail
 
 
 class TruncSeries:
@@ -325,7 +314,7 @@ def build_fN(g, n, T, t=None):
     if T < 0:
         raise ValueError("truncation order must be nonnegative")
     terms = {}
-    for nu in _vectors_with_sum_at_most(n, T + n):
+    for nu in vectors_with_sum_at_most(n, T + n):
         c = count_N(g, n, nu) if t is None else count_N_t(g, n, nu, t)
         if c:
             terms[tuple(v - 1 for v in nu)] = Fraction(c)
@@ -341,7 +330,7 @@ def build_fG(g, n, T, t=None):
     if T < 0:
         raise ValueError("truncation order must be nonnegative")
     terms = {}
-    for mu in _vectors_with_sum_at_most(n, T - n):
+    for mu in vectors_with_sum_at_most(n, T - n):
         c = count_G(g, n, mu) if t is None else count_G_t(g, n, mu, t)
         if c:
             terms[tuple(v + 1 for v in mu)] = Fraction(c)
@@ -353,7 +342,7 @@ def build_frak_f(g, n, T, alpha_bound):
     if alpha_bound < 1:
         raise ValueError("alpha_bound must be at least 1")
     terms = {}
-    for mu in _vectors_with_sum_at_most(n, T - n):
+    for mu in vectors_with_sum_at_most(n, T - n):
         rmax = min(alpha_bound, 1 + sum(mu) // 2)
         for r in range(1, rmax + 1):
             c = count_G_r(g, n, mu, r)
@@ -368,7 +357,7 @@ def build_bold_fN(g, n, T, beta_bound=None):
     if beta_bound is None:
         beta_bound = tmax
     terms = {}
-    for nu in _vectors_with_sum_at_most(n, T + n):
+    for nu in vectors_with_sum_at_most(n, T + n):
         for t in range(0, min(beta_bound, tmax) + 1):
             c = count_N_t(g, n, nu, t)
             if c:
@@ -445,7 +434,7 @@ def pullback_check(g, n, T, t=None):
 
     terms = {}
     mins = (-1,) * n
-    for mu in _vectors_with_sum_at_most(n, T + n):
+    for mu in vectors_with_sum_at_most(n, T + n):
         c = count_G(g, n, mu) if t is None else count_G_t(g, n, mu, t)
         if not c:
             continue
@@ -693,15 +682,6 @@ def _plain_embedded(g, n_sub, order, nvars, slots, t=None):
     return base.embed(nvars, slots, (0,) * nvars)
 
 
-def _ordered_splits(items):
-    """All ordered pairs of disjoint tuples covering `items`."""
-    m = len(items)
-    for mask in range(1 << m):
-        left = tuple(items[i] for i in range(m) if mask >> i & 1)
-        right = tuple(items[i] for i in range(m) if not mask >> i & 1)
-        yield left, right
-
-
 def diff_recursion_residual(g, n, T, alpha_bound=None):
     """Residual of the region-graded differential recursion at (g, n).
 
@@ -744,7 +724,7 @@ def diff_recursion_residual(g, n, T, alpha_bound=None):
     rest = tuple(range(1, n))
     for g1 in range(g + 1):
         g2 = g - g1
-        for left, right in _ordered_splits(rest):
+        for left, right in ordered_splits(rest):
             f1 = _frak_embedded(g1, len(left) + 1, work, safe_alpha, n, (0,) + left)
             f2 = _frak_embedded(g2, len(right) + 1, work, safe_alpha, n, (0,) + right)
             t3 = t3 + f1 * f2
@@ -801,7 +781,7 @@ def first_diff_residual(g, n, T):
     rest = tuple(range(1, n))
     for g1 in range(g + 1):
         g2 = g - g1
-        for left, right in _ordered_splits(rest):
+        for left, right in ordered_splits(rest):
             f1 = _plain_embedded(g1, len(left) + 1, work, n, (0,) + left)
             f2 = _plain_embedded(g2, len(right) + 1, work, n, (0,) + right)
             t3 = t3 + f1 * f2
@@ -826,7 +806,7 @@ def scaling_check(g, n, T):
     shift = 2 - 2 * g - n
     tmax = 2 * g + n - 1
 
-    for nu in _vectors_with_sum_at_most(n, T + n):
+    for nu in vectors_with_sum_at_most(n, T + n):
         s = sum(nu)
         if s % 2:
             continue
@@ -840,7 +820,7 @@ def scaling_check(g, n, T):
                     f"profile {nu} at grade {t} re-indexes to illegal region count {r}"
                 )
 
-    for mu in _vectors_with_sum_at_most(n, max(T - n, 0)):
+    for mu in vectors_with_sum_at_most(n, max(T - n, 0)):
         s = sum(mu)
         if s % 2:
             continue

@@ -27,7 +27,7 @@ from .engine import (
     count_N_t,
     dilaton_reduce,
 )
-from .exact import EVEN, MultiPoly, ODD, ZERO, binomial
+from .exact import EVEN, MultiPoly, ODD, ZERO, binomial, vectors_with_sum_at_most
 from .fitlab import compare_top_degree, extract_psi, fit_G_poly, fit_Nhat, fit_Nhat_refined
 from .oracles import all_arrow_labellings, arrows_to_arcs, enumerate_disc, pants_search
 from .series import (
@@ -54,20 +54,6 @@ class CheckFailure(AssertionError):
 
 def _fail(msg: str) -> None:
     raise CheckFailure(msg)
-
-
-def _vectors(n: int, total_max: int):
-    """All vectors in Z_{>=0}^n with entry sum <= total_max."""
-    if n == 0:
-        yield ()
-        return
-    for head in range(total_max + 1):
-        for rest in _vectors(n - 1, total_max - head):
-            yield (head,) + rest
-
-
-def _frac(s) -> Fraction:
-    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +112,7 @@ _MOMENT_REFERENCE: dict[tuple[str, int], Callable[[int], int]] = {
 
 
 def _poly1(coeffs: dict[int, str]) -> MultiPoly:
-    return MultiPoly(1, {(e,): _frac(c) for e, c in coeffs.items()})
+    return MultiPoly(1, {(e,): Fraction(c) for e, c in coeffs.items()})
 
 
 def _quarter_squares(nfree: int, const) -> MultiPoly:
@@ -136,14 +122,14 @@ def _quarter_squares(nfree: int, const) -> MultiPoly:
         e = [0] * nfree
         e[i] = 2
         terms[tuple(e)] = Fraction(1, 4)
-    c = _frac(const)
+    c = Fraction(const)
     if c:
         terms[(0,) * nfree] = c
     return MultiPoly(nfree, terms)
 
 
 def _const_poly(nfree: int, value) -> MultiPoly:
-    v = _frac(value)
+    v = Fraction(value)
     return MultiPoly(nfree, {(0,) * nfree: v} if v else {})
 
 
@@ -249,7 +235,7 @@ def check_disc_catalan() -> str:
 def check_closed_vs_recursion_G() -> str:
     cases = 0
     for g, n in ((0, 1), (0, 2), (0, 3), (1, 1)):
-        for b in _vectors(n, 14):
+        for b in vectors_with_sum_at_most(n, 14):
             want = closed_G(g, n, b)
             got = count_G(g, n, b)
             if got != want:
@@ -261,7 +247,7 @@ def check_closed_vs_recursion_G() -> str:
 def check_closed_vs_recursion_N() -> str:
     cases = 0
     for g, n in ((0, 1), (0, 2), (0, 3), (0, 4), (1, 1)):
-        for b in _vectors(n, 14):
+        for b in vectors_with_sum_at_most(n, 14):
             want = closed_N(g, n, b)
             got = count_N(g, n, b)
             if got != want:
@@ -277,7 +263,7 @@ def check_closed_vs_recursion_N() -> str:
 def check_collar_convolution() -> str:
     cases = 0
     for g, n in ((0, 2), (0, 3), (0, 4), (1, 1), (1, 2)):
-        for b in _vectors(n, 12):
+        for b in vectors_with_sum_at_most(n, 12):
             want = count_G(g, n, b)
             got = convolve_G_from_N(g, n, b)
             if got != want:
@@ -290,7 +276,7 @@ def check_refinement_sums() -> str:
     cases = 0
     for g, n in ((0, 3), (0, 4), (1, 1), (1, 2)):
         tmax = 2 * g + n - 1
-        for b in _vectors(n, 12):
+        for b in vectors_with_sum_at_most(n, 12):
             if sum(count_N_t(g, n, b, t) for t in range(tmax + 1)) != count_N(g, n, b):
                 _fail(f"sum_t count_N_t != count_N at ({g},{n},{b})")
             total = 0
@@ -312,7 +298,7 @@ def check_refinement_sums() -> str:
 def check_dilaton() -> str:
     cases = 0
     for g, n in ((0, 2), (0, 3), (0, 4), (1, 2)):
-        for rest in _vectors(n - 1, 10):
+        for rest in vectors_with_sum_at_most(n - 1, 10):
             b = (0,) + rest
             rmax = 1 + sum(rest) // 2 + (3 * g + n)  # beyond any achievable r
             for r in range(1, rmax + 1):
@@ -388,7 +374,7 @@ def check_refined_window() -> str:
     cases = 0
     for g, n in ((0, 3), (0, 4), (1, 1), (1, 2)):
         tmax = 2 * g + n - 1
-        for b in _vectors(n, 12):
+        for b in vectors_with_sum_at_most(n, 12):
             k = sum(1 for x in b if x == 0)
             if sum(b) % 2:
                 for t in range(tmax + 1):
@@ -568,7 +554,7 @@ def check_psi_values() -> str:
     cases = 0
     for (g, n), table in _PSI_EXPECTED.items():
         got = extract_psi(g, n)
-        want = {d: _frac(v) for d, v in table.items()}
+        want = {d: Fraction(v) for d, v in table.items()}
         if got != want:
             _fail(f"intersection numbers ({g},{n}): {got} != {want}")
         cases += len(want)
@@ -658,7 +644,7 @@ def check_disc_oracle() -> str:
 
 def check_pants_oracle() -> str:
     cases = 0
-    for b in _vectors(3, 30):
+    for b in vectors_with_sum_at_most(3, 30):
         if sum(b) % 2:
             continue
         found = pants_search(*b)

@@ -1,10 +1,12 @@
 """Command-line surface: outputs, exit codes, cache, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
 from surfcount.cli import main
+from surfcount.engine import clear_memo
 
 
 def run(capsys, *argv):
@@ -188,6 +190,34 @@ def test_cache_io_error(tmp_path, capsys):
         "--cache", str(bad),
     )
     assert rc == 4 and "i/o" in err
+
+
+TORUS_40 = ("count", "--mode", "G", "--g", "1", "--n", "1", "--b", "40")
+
+
+def test_truncated_cache_line_cannot_change_the_output(tmp_path, capsys):
+    path = tmp_path / "memo.cache"
+    rc, out, _ = run(capsys, *TORUS_40, "--cache", str(path))
+    assert rc == 0 and out.strip() == "5881451896320"
+    lines = path.read_text().splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("G 1 1 40 "))
+    lines[k] = lines[k][:-1]  # the value loses its last digit
+    path.write_text("\n".join(lines) + "\n")
+    clear_memo()
+    rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
+    assert rc == 0 and out.strip() == "5881451896320"
+    assert "ignoring cache" in err
+
+
+def test_malformed_cache_record_is_not_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "memo.cache"
+    body = "G 1 1 40 5881451896320 extra\n"
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(f"surfcount-cache v2 1 {digest}\n{body}")
+    clear_memo()
+    rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
+    assert rc == 0 and out.strip() == "5881451896320"
+    assert "malformed record" in err
 
 
 def test_usage_error_exits_2():

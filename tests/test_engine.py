@@ -1,10 +1,17 @@
 """Recursion engine: traces, symmetries, refinements, convolution, cache."""
 
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfcount import engine
 from surfcount.closed import closed_G, closed_N
 from surfcount.engine import (
     clear_memo,
@@ -125,7 +132,9 @@ def test_cache_roundtrip(tmp_path):
     written = save_cache(str(path))
     assert written == memo_size()
     text = path.read_text()
-    assert text.startswith("surfcount-cache v1\n")
+    head, body = text.split("\n", 1)
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    assert head == f"surfcount-cache v2 {written} {digest}"
     clear_memo()
     assert memo_size() == 0
     loaded = load_cache(str(path))
@@ -137,3 +146,177 @@ def test_cache_rejects_unknown_header(tmp_path, capsys):
     path = tmp_path / "bad.cache"
     path.write_text("surfcount-cache v99\nG 0 1 - 2 1\n")
     assert load_cache(str(path)) == 0
+    assert "unknown version" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (count_G, (0, 1, (2.7,))),
+        (count_G, (0, 1, ("4",))),
+        (count_G, (True, 1, (2,))),
+        (count_N, (0, True, (2,))),
+        (count_N, (0, 1, (Fraction(4),))),
+        (count_G_r, (0, 1, (4,), 2.5)),
+        (count_N_t, (1, 1, (4,), True)),
+        (count_G_t, (1, 1, (4,), 1.0)),
+        (count_G_t_via_r, (1, 1, (4,), "1")),
+        (dilaton_reduce, (0, 2, (0, 2), 2.0)),
+        (count_lattice, (1, 1, (4.0,))),
+        (convolve_G_from_N, (1, 1, (False,))),
+    ],
+    ids=lambda x: getattr(x, "__name__", repr(x)),
+)
+def test_non_int_inputs_are_rejected(fn, args):
+    with pytest.raises(TypeError):
+        fn(*args)
+
+
+def test_lattice_rejects_disc_and_annulus():
+    for g, n, b in ((0, 1, (4,)), (0, 2, (2, 2)), (0, 1, (3,))):
+        with pytest.raises(ValueError):
+            count_lattice(g, n, b)
+
+
+def test_every_edge_lowers_the_termination_measure(monkeypatch):
+    edges = []
+    real_body = engine._body
+
+    def spy(key):
+        body, value = real_body(key), None
+        while True:
+            try:
+                child = body.send(value)
+            except StopIteration as done:
+                return done.value
+            edges.append((key, child))
+            value = yield child
+
+    def measure(key):
+        _, g, n, b = key
+        return (2 * g + n - 2, sum(b))
+
+    monkeypatch.setattr(engine, "_body", spy)
+    clear_memo()
+    try:
+        count_G(1, 2, (6, 4))
+        count_G(0, 1, (12,))
+        count_G_r(1, 2, (4, 2), 3)
+        count_N(2, 1, (10,))
+        count_N_t(1, 3, (4, 2, 0), 1)
+        count_lattice(1, 3, (4, 2, 2))
+        count_lattice(0, 5, (2, 2, 2, 1, 1))
+    finally:
+        clear_memo()
+    assert {parent[0] for parent, _ in edges} == {"G", "Gr", "N", "Nt", "LatticeN"}
+    for parent, child in edges:
+        assert child[0] == parent[0]
+        assert measure(child) < measure(parent), (parent, child)
+
+
+def test_driver_rejects_a_cycle(monkeypatch):
+    bodies = []
+
+    def looping(key):
+        bodies.append(key)
+        if len(bodies) > 50:  # the driver followed the cycle
+            raise AssertionError("cycle not detected")
+        yield key
+
+    monkeypatch.setattr(engine, "_body", looping)
+    clear_memo()
+    with pytest.raises(RuntimeError):
+        count_G(1, 1, (4,))
+    assert bodies == [("G", 1, 1, (4,))]
+    assert memo_size() == 0
+
+
+def test_deep_disc_needs_no_recursion_limit_or_asserts():
+    # python -O strips assert statements, so the child prints its checks
+    code = textwrap.dedent(
+        """
+        import sys
+        sys.setrecursionlimit(200)
+        from surfcount import catalan, count_G, count_G_r, count_lattice
+        want = catalan(300)
+        print(count_G(0, 1, (600,)) == want)
+        print(sum(count_G_r(0, 1, (600,), r) for r in range(303)) == want)
+        for b in ((4,), (2, 2)):
+            try:
+                count_lattice(0, len(b), b)
+            except ValueError:
+                print(True)
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 4
+
+
+def _write_cache(path, body):
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(f"surfcount-cache v2 {body.count(chr(10))} {digest}\n{body}")
+
+
+def test_cache_with_a_truncated_line_is_ignored(tmp_path, capsys):
+    path = tmp_path / "memo.cache"
+    clear_memo()
+    want = count_G(1, 1, (40,))
+    save_cache(str(path))
+    lines = path.read_text().splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("G 1 1 40 "))
+    lines[k] = lines[k][:-1]  # drop the last digit of the value
+    path.write_text("\n".join(lines) + "\n")
+    clear_memo()
+    assert load_cache(str(path)) == 0
+    assert "digest mismatch" in capsys.readouterr().err
+    assert memo_size() == 0
+    assert count_G(1, 1, (40,)) == want == 5881451896320
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "G 0 1 2 1\nG 0 1 4\n",  # a record short of a field
+        "G 0 1 2 1\nG 0 1 4 2 2\n",  # a record with a field too many
+        "G 0 2 4 2\n",  # boundary vector of the wrong length
+        "Q 0 1 4 2\n",  # unknown family
+        "G 0 1 4 two\n",
+        "LatticeN 1 1 4 1/0\n",
+    ],
+)
+def test_cache_with_a_malformed_record_is_ignored(tmp_path, capsys, body):
+    path = tmp_path / "memo.cache"
+    _write_cache(path, body)
+    clear_memo()
+    assert load_cache(str(path)) == 0
+    assert "ignoring cache" in capsys.readouterr().err
+    assert memo_size() == 0
+
+
+def test_cache_record_count_and_old_version_are_checked(tmp_path, capsys):
+    path = tmp_path / "memo.cache"
+    body = "G 0 1 2 1\n"
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(f"surfcount-cache v2 2 {digest}\n{body}")
+    assert load_cache(str(path)) == 0
+    assert "record count" in capsys.readouterr().err
+    path.write_text("surfcount-cache v1\nG 0 1 - 2 1\n")
+    assert load_cache(str(path)) == 0
+    assert "unknown version" in capsys.readouterr().err
+
+
+def test_cache_save_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "memo.cache"
+    count_G_r(1, 2, (4, 2), 3)
+    count_lattice(1, 2, (3, 1))
+    written = save_cache(str(path))
+    assert os.listdir(tmp_path) == ["memo.cache"]
+    clear_memo()
+    assert load_cache(str(path)) == written
+    assert count_G_r(1, 2, (4, 2), 3) == 66

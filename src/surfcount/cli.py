@@ -20,7 +20,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from itertools import product
 
@@ -123,15 +122,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_table(args) -> int:
     grid = list(product(range(args.b_max + 1), repeat=args.n))
-
-    def row(b):
-        return _one_count(args.mode, args.g, args.n, b, args.r, args.t, False)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            values = list(pool.map(row, grid))
-    else:
-        values = [row(b) for b in grid]
+    values = [_one_count(args.mode, args.g, args.n, b, args.r, args.t, False) for b in grid]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow([f"b{i+1}" for i in range(args.n)] + ["count"])
     for b, v in zip(grid, values):
@@ -139,14 +130,18 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _free_names(report, sig: str) -> list[str]:
+    """Names of the variables of a fit's branch: m_i for the stripped
+    all-diagram fits, b_i otherwise, without the slots pinned to zero."""
+    letter = "m" if report.target.startswith("G_poly") else "b"
+    return [f"{letter}{i+1}" for i, ch in enumerate(sig) if ch != ZERO]
+
+
 def _report_json(report) -> dict:
-    names = None
-    if report.target.startswith("G_poly"):
-        names = [f"m{i+1}" for i in range(report.n)]
-    branches = {}
-    for sig, poly in sorted(report.branches.branches.items()):
-        free = [nm for nm, ch in zip(names or [f"b{i+1}" for i in range(report.n)], sig) if ch != ZERO]
-        branches[sig] = poly.to_json_dict(free)
+    branches = {
+        sig: poly.to_json_dict(_free_names(report, sig))
+        for sig, poly in sorted(report.branches.branches.items())
+    }
     out = {
         "target": report.target,
         "g": report.g,
@@ -171,7 +166,6 @@ def _cmd_fit(args) -> int:
         report = fit_Nhat_refined(args.g, args.n, args.t, args.k)
     else:  # gpoly
         report = fit_G_poly(args.g, args.n, args.t)
-    varnames = [f"m{i+1}" for i in range(args.n)] if args.mode == "gpoly" else None
     if args.json:
         print(_dumps(_report_json(report)))
         return EXIT_OK
@@ -180,20 +174,10 @@ def _cmd_fit(args) -> int:
         poly = report.branch(sig)
         if poly is None:
             raise Unsupported(f"no branch {sig!r} in this fit")
-        free = [
-            nm
-            for nm, ch in zip(varnames or [f"b{i+1}" for i in range(args.n)], sig)
-            if ch != ZERO
-        ]
-        print(poly.pretty(free))
+        print(poly.pretty(_free_names(report, sig)))
         return EXIT_OK
     for sig, poly in sorted(report.branches.branches.items()):
-        free = [
-            nm
-            for nm, ch in zip(varnames or [f"b{i+1}" for i in range(args.n)], sig)
-            if ch != ZERO
-        ]
-        print(f"{sig}: {poly.pretty(free)}")
+        print(f"{sig}: {poly.pretty(_free_names(report, sig))}")
     return EXIT_OK
 
 
@@ -260,12 +244,17 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(args.suite, threads=args.threads)
+    results = run_suite(args.suite)
     print(format_report(results))
     return EXIT_OK if all_passed(results) else EXIT_VERIFY
 
 
 # -- parser ------------------------------------------------------------------
+
+# Kept so that existing command lines still parse; a thread pool only adds
+# contention under the interpreter lock.
+_THREADS_HELP = "accepted for compatibility; has no effect (work runs sequentially)"
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -307,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--r", type=int)
     grp.add_argument("--t", type=int)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("fit", parents=[common], help="quasi-polynomial fits")
@@ -352,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(fn=_cmd_verify)
 
     return top

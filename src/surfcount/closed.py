@@ -213,7 +213,8 @@ def pants_classify(b1: int, b2: int, b3: int) -> PantsProfile:
         t[tkey(i, k)] = b[i]
         t[tkey(j, k)] = b[j]
     profile = PantsProfile(p[0], p[1], p[2], t[(0, 1)], t[(1, 2)], t[(2, 0)])
-    assert profile.admissible() and profile.boundary_points() == b
+    if not profile.admissible() or profile.boundary_points() != b:
+        raise RuntimeError(f"pants classification of {b} gave {profile}")
     return profile
 
 

@@ -149,10 +149,12 @@ def _base_Nt(g, n, b):
 
 
 def _base_lattice(g, n, b):
+    if sum(b) % 2:
+        return Fraction(0)
     if (g, n) == (0, 3):
         return Fraction(1)
     if (g, n) == (1, 1):
-        return Fraction(b[0] ** 2, 48) - Fraction(1, 12) if b[0] % 2 == 0 else Fraction(0)
+        return Fraction(b[0] ** 2, 48) - Fraction(1, 12)
     return None
 
 
@@ -213,13 +215,12 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
                     # joining an empty boundary creates a region
                     acc += (w if bj else w * fam.region) * v
     for left, right in ordered_splits(rest):  # the arc separates
-        start, step = (sum(left) % 2, 2) if fam.odd_empty else (0, 1)  # skip empty pieces
         for g1 in range(g + 1):
             g2 = g - g1
             if (g1, 1 + len(left)) in _DISC_OR_ANNULUS or (g2, 1 + len(right)) in _DISC_OR_ANNULUS:
                 continue
             for m in range(2, b1 + 1, 2):
-                for i in range(start, b1 - m + 1, step):
+                for i in range(sum(left) % 2, b1 - m + 1, 2):  # pieces with odd totals are empty
                     if w := arc_w(i, b1 - m - i, m):
                         key = (name, g1, 1 + len(left), _canon((i,) + left))
                         if (u := memo[key]) is None:
@@ -240,7 +241,6 @@ class _Family(NamedTuple):
     arc_w: Callable | None = None
     join_w: Callable | None = None
     per_b1: bool = False
-    odd_empty: bool = True  # odd totals count nothing (shape A assumes it)
 
 
 # Coefficient rules of shape B: arc_w(i, j, m) weighs an arc that takes m
@@ -256,7 +256,7 @@ _FAMILIES = {
     "N": _Family(_shape_b, _base_N, 0, 1, *_N_RULE),
     "Nt": _Family(_shape_b, _base_Nt, _Grades(), _Grades((0, 1)), *_N_RULE),
     "LatticeN": _Family(
-        _shape_b, _base_lattice, Fraction(0), 1, *_LATTICE_RULE, per_b1=True, odd_empty=False
+        _shape_b, _base_lattice, Fraction(0), 1, *_LATTICE_RULE, per_b1=True
     ),
 }
 
@@ -348,14 +348,13 @@ def count_G_t_via_r(g: int, n: int, b, t: int) -> int:
 def count_lattice(g: int, n: int, b) -> Fraction:
     """The rational lattice-count twin of the normalized parallel-free
     count: same recursion with the bar factors dropped, so zero entries are
-    annihilated by the weights and are never queried."""
+    annihilated by the weights and are never queried.  Odd totals count
+    zero, as lattice points of an odd total do not exist."""
     b = _check(g, n, b)
     if 2 * g - 2 + n < 1:
         raise ValueError("lattice counts need 2g - 2 + n >= 1: no disc or annulus")
     if not all(b):
         raise ValueError("lattice counts require strictly positive entries")
-    if sum(b) % 2:
-        return Fraction(0)
     return _eval(("LatticeN", g, n, _canon(b)))
 
 

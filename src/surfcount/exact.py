@@ -1,7 +1,9 @@
 """Exact arithmetic kernel.
 
 Big integers, reduced rationals, sparse multivariate polynomials,
-parity-indexed quasi-polynomials, and tensor-grid Lagrange interpolation.
+parity-indexed quasi-polynomials, tensor-grid Lagrange interpolation
+(solved axis by axis, one univariate basis per axis), and ``certify``, the
+held-out check every fit and every claimed zero branch goes through.
 Everything in this module is pure and exact; no floating point enters the
 computation path anywhere in the package.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -440,8 +442,6 @@ def interpolate_tensor(grid: Mapping[tuple, Scalar], degree_bound: int) -> Multi
     nvars = len(keys[0])
     if any(len(k) != nvars for k in keys):
         raise DegenerateGridError("degenerate grid: ragged keys")
-    if nvars == 0:
-        return MultiPoly.constant(0, grid[()])
     axes = [sorted({k[i] for k in keys}) for i in range(nvars)]
     for ax in axes:
         if len(ax) < degree_bound + 1:
@@ -452,26 +452,35 @@ def interpolate_tensor(grid: Mapping[tuple, Scalar], degree_bound: int) -> Multi
     if len(grid) != expected or any(pt not in grid for pt in product(*axes)):
         raise DegenerateGridError("degenerate grid: not a full tensor product")
 
-    def fit(axis_idx: int, prefix: tuple) -> MultiPoly:
-        # polynomial in variables axis_idx .. nvars-1 through the sub-grid
-        rest = nvars - axis_idx
-        if rest == 0:
-            return MultiPoly.constant(0, grid[prefix])
-        nodes = axes[axis_idx]
-        basis = _lagrange_basis(nodes)
-        acc = MultiPoly.zero(rest)
-        for node, coeffs in zip(nodes, basis):
-            sub = fit(axis_idx + 1, prefix + (node,))
-            # lift sub (rest-1 vars) into rest vars, times the basis poly in var 0
-            lifted = {}
-            for e, c in sub.terms.items():
-                for p, bc in enumerate(coeffs):
-                    if bc:
-                        key = (p,) + e
-                        lifted[key] = lifted.get(key, Fraction(0)) + c * bc
-            acc = acc + MultiPoly(rest, lifted)
-        return acc
+    # Separable solve: on each axis in turn, replace the node coordinate of
+    # every entry by the power coefficients of its Lagrange basis polynomial.
+    coeffs: Mapping[tuple, Scalar] = grid
+    for i, nodes in enumerate(axes):
+        basis = dict(zip(nodes, _lagrange_basis(nodes)))
+        nxt: dict[tuple, Fraction] = {}
+        for pt, v in coeffs.items():
+            if v:
+                head, tail = pt[:i], pt[i + 1 :]
+                for p, c in enumerate(basis[pt[i]]):
+                    if c:
+                        key = head + (p,) + tail
+                        nxt[key] = nxt.get(key, 0) + v * c
+        coeffs = nxt
+    return MultiPoly(nvars, coeffs)
 
-    poly = fit(0, ())
-    del fit  # fit's closure refers to itself: without this the grid waits for a GC pass
-    return poly
+
+def certify(
+    ctx: str, poly: MultiPoly, value: Callable[[tuple], Scalar], points: Iterable[tuple]
+) -> int:
+    """Check a fit against the function it claims to be on held-out points.
+
+    Raises FitInvalid at the first point where ``poly`` and ``value``
+    disagree; a claimed zero branch is certified as the zero polynomial.
+    Returns the number of points checked.
+    """
+    checked = 0
+    for p in points:
+        if poly.evaluate(p) != value(p):
+            raise FitInvalid(f"{ctx}: held-out mismatch at {p}")
+        checked += 1
+    return checked

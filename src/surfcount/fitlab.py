@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import factorial
 
@@ -32,7 +33,9 @@ from .exact import (
     QuasiPoly,
     ZERO,
     binomial,
+    certify,
     interpolate_tensor,
+    vectors_with_sum_at_most,
 )
 
 
@@ -145,10 +148,7 @@ def fit_Nhat(g: int, n: int) -> FitReport:
     for sig in _signatures(n):
         ctx = f"Nhat({g},{n}) branch {sig}"
         if sig.count(ODD) % 2:
-            for p in _validation_free(sig, D, rng, 10):
-                if count_N(g, n, p) != 0:
-                    raise FitInvalid(f"{ctx}: expected zero at {p}")
-                checked += 1
+            checked += certify(ctx, MultiPoly.zero(n), nhat, _validation_free(sig, D, rng, 10))
             qp.set_branch(sig, MultiPoly.zero(n))
             continue
         poly = interpolate_tensor({p: nhat(p) for p in _grid_points(sig, D)}, D)
@@ -158,10 +158,7 @@ def fit_Nhat(g: int, n: int) -> FitReport:
         if any(c <= 0 for c in poly.homogeneous_part(D).terms.values()):
             raise FitInvalid(f"{ctx}: top-degree part is not positive")
         _assert_symmetric(poly, sig, ctx)
-        for p in _validation_free(sig, D, rng, 10):
-            if poly.evaluate(p) != nhat(p):
-                raise FitInvalid(f"{ctx}: held-out mismatch at {p}")
-            checked += 1
+        checked += certify(ctx, poly, nhat, _validation_free(sig, D, rng, 10))
         qp.set_branch(sig, poly)
     report = FitReport("Nhat", g, n, None, None, D, qp, checked)
     _NHAT_CACHE[(g, n)] = report
@@ -197,25 +194,22 @@ def fit_Nhat_refined(g: int, n: int, t: int, k: int) -> FitReport:
     D = 2 * (3 * g - 3 + n - t + k)
     feasible = k <= t <= min(2 * g + n - 1, k + 3 * g - 3 + n)
 
-    def nhat_t(bfull) -> Fraction:
+    def nhat_t(sig: str, free_pt) -> Fraction:
         den = 1
-        for x in bfull:
+        for x in free_pt:
             den *= bar(x)
-        return Fraction(count_N_t(g, n, bfull, t), den)
+        return Fraction(count_N_t(g, n, _embed(sig, free_pt), t), den)
 
     for freesig in _signatures(n - k):
         sig = freesig + ZERO * k
         ctx = f"Nhat_t({g},{n},t={t},k={k}) branch {sig}"
+        value = partial(nhat_t, sig)
         if freesig.count(ODD) % 2 or not feasible:
-            for p in _validation_free(freesig, max(D, 0), rng, 8):
-                if count_N_t(g, n, _embed(sig, p), t) != 0:
-                    raise FitInvalid(f"{ctx}: expected zero at {p}")
-                checked += 1
-            qp.set_branch(sig, MultiPoly.zero(n - k))
+            zero = MultiPoly.zero(n - k)
+            checked += certify(ctx, zero, value, _validation_free(freesig, max(D, 0), rng, 8))
+            qp.set_branch(sig, zero)
             continue
-        poly = interpolate_tensor(
-            {p: nhat_t(_embed(sig, p)) for p in _grid_points(freesig, D)}, D
-        )
+        poly = interpolate_tensor({p: value(p) for p in _grid_points(freesig, D)}, D)
         _assert_even_exponents(poly, ctx)
         if poly.total_degree() > D:
             raise FitInvalid(f"{ctx}: degree {poly.total_degree()} > {D}")
@@ -229,10 +223,7 @@ def fit_Nhat_refined(g: int, n: int, t: int, k: int) -> FitReport:
             if poly.homogeneous_part(full) != want_top:
                 raise FitInvalid(f"{ctx}: top-degree part differs from unrefined")
         _assert_symmetric(poly, freesig, ctx)
-        for p in _validation_free(freesig, D, rng, 10):
-            if poly.evaluate(p) != nhat_t(_embed(sig, p)):
-                raise FitInvalid(f"{ctx}: held-out mismatch at {p}")
-            checked += 1
+        checked += certify(ctx, poly, value, _validation_free(freesig, D, rng, 10))
         qp.set_branch(sig, poly)
     return FitReport("Nhat_t", g, n, t, k, D, qp, checked)
 
@@ -253,7 +244,7 @@ def fit_G_poly(g: int, n: int, t: int | None = None) -> FitReport:
     qp = QuasiPoly(n)
     checked = 0
 
-    def value(sig: str, m) -> Fraction:
+    def stripped(sig: str, m) -> Fraction:
         b = tuple(2 * mi + (1 if ch == ODD else 0) for mi, ch in zip(m, sig))
         den = 1
         for mi in m:
@@ -278,14 +269,12 @@ def fit_G_poly(g: int, n: int, t: int | None = None) -> FitReport:
 
     for sig in _signatures(n):
         ctx = f"Gpoly({g},{n},t={t}) branch {sig}"
+        value = partial(stripped, sig)
         if sig.count(ODD) % 2 or D < 0:
-            for p in m_validation(max(D, 1), 10):
-                if value(sig, p) != 0:
-                    raise FitInvalid(f"{ctx}: expected zero at {p}")
-                checked += 1
+            checked += certify(ctx, MultiPoly.zero(n), value, m_validation(max(D, 1), 10))
             qp.set_branch(sig, MultiPoly.zero(n))
             continue
-        poly = interpolate_tensor({p: value(sig, p) for p in m_points(D)}, D)
+        poly = interpolate_tensor({p: value(p) for p in m_points(D)}, D)
         if t is None:
             if poly.total_degree() != D:
                 raise FitInvalid(f"{ctx}: degree {poly.total_degree()} != {D}")
@@ -297,21 +286,9 @@ def fit_G_poly(g: int, n: int, t: int | None = None) -> FitReport:
             if sig.count(EVEN) >= t and poly.total_degree() != D:
                 raise FitInvalid(f"{ctx}: degree {poly.total_degree()} != {D}")
         _assert_symmetric(poly, sig, ctx)
-        for p in m_validation(D, 10):
-            if poly.evaluate(p) != value(sig, p):
-                raise FitInvalid(f"{ctx}: held-out mismatch at {p}")
-            checked += 1
+        checked += certify(ctx, poly, value, m_validation(D, 10))
         qp.set_branch(sig, poly)
     return FitReport("G_poly" if t is None else "G_poly_t", g, n, t, None, D, qp, checked)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def extract_psi(g: int, n: int) -> dict[tuple[int, ...], Fraction]:
@@ -340,8 +317,8 @@ def extract_psi(g: int, n: int) -> dict[tuple[int, ...], Fraction]:
         if v <= 0:
             raise FitInvalid(f"psi({g},{n}): nonpositive value at {d}")
         out[d] = v
-    for d in _compositions(3 * g - 3 + n, n):
-        if d not in out:
+    for d in vectors_with_sum_at_most(n, 3 * g - 3 + n):
+        if sum(d) == 3 * g - 3 + n and d not in out:
             raise FitInvalid(f"psi({g},{n}): missing top coefficient at {d}")
     return out
 
@@ -358,9 +335,7 @@ def compare_top_degree(g: int, n: int) -> bool:
         latt = interpolate_tensor(
             {p: count_lattice(g, n, p) for p in _grid_points(sig, D)}, D
         )
-        for p in _validation_free(sig, D, rng, 6):
-            if latt.evaluate(p) != count_lattice(g, n, p):
-                raise FitInvalid(f"{ctx}: held-out mismatch at {p}")
+        certify(ctx, latt, lambda p: count_lattice(g, n, p), _validation_free(sig, D, rng, 6))
         if latt.homogeneous_part(D) != report.branch(sig).homogeneous_part(D):
             return False
     return True

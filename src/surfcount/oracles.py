@@ -115,7 +115,8 @@ def arrows_to_arcs(labels) -> ArcStructure:
             matched_out[i] for i in range(size) if labels[i] == "out"
         ):
             break
-    assert not opened and len(arcs) == m, "scan failed to pair all labels"
+    if opened or len(arcs) != m:
+        raise RuntimeError("scan failed to pair all labels")
     return ArcStructure(tuple(sorted(arcs)))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed import bar
-from .exact import FitInvalid, MultiPoly, QuasiPoly, binomial, interpolate_tensor
+from .exact import FitInvalid, MultiPoly, QuasiPoly, binomial, certify, interpolate_tensor
 
 _ONE_INDEX = {"A", "S"}
 _TWO_INDEX = {"B", "B0", "B1", "R", "R0", "R1"}
@@ -98,10 +98,8 @@ def fit_sum(fam: SumFamily) -> QuasiPoly:
         poly = interpolate_tensor(grid, deg)
         if poly.total_degree() > deg:
             raise FitInvalid(f"{fam}: degree exceeds {deg}")
-        hold = [grid_pts[-1] + 2 * (i + 1) for i in range(5)]
-        for x in hold:
-            if poly.evaluate((x,)) != sum_direct(fam, x):
-                raise FitInvalid(f"{fam}: held-out mismatch at k={x}")
+        hold = [(grid_pts[-1] + 2 * (i + 1),) for i in range(5)]
+        certify(str(fam), poly, lambda k: sum_direct(fam, k[0]), hold)
         qp.set_branch(sig, poly)
     return qp
 
@@ -143,10 +141,10 @@ def norbury_pq(alpha: int) -> NorburyPolyPair:
         q_prev = _shift_back(q)
         p = 4 * u * u * (p - p_prev) + 4 * u * p_prev
         q = 4 * u * u * (q - q_prev) + (4 * u + 1) * q
-    pair = NorburyPolyPair(alpha, p, q)
-    assert p.total_degree() == alpha and q.total_degree() == alpha
-    assert p.coefficient((alpha,)) > 0 and q.coefficient((alpha,)) > 0
-    return pair
+    for poly in (p, q):
+        if poly.total_degree() != alpha or poly.coefficient((alpha,)) <= 0:
+            raise ArithmeticError(f"moment polynomial of degree {alpha} has a wrong top term")
+    return NorburyPolyPair(alpha, p, q)
 
 
 def tilde_sum(which: str, alpha: int, n: int) -> int:
@@ -187,5 +185,6 @@ def tilde_sum_factored(which: str, alpha: int, n: int) -> int:
         val = Fraction(cc * (2 * n + 1)) * pair.q.evaluate((n,))
     else:
         raise ValueError(f"unknown moment sum {which!r}")
-    assert Fraction(val).denominator == 1
-    return int(val)
+    if val.denominator != 1:
+        raise ArithmeticError(f"factored {which}~_{alpha}({n}) = {val} is not an integer")
+    return val.numerator

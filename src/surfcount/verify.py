@@ -4,14 +4,14 @@ Every check re-derives a quantity along two independent routes (closed form
 vs recursion, convolution vs direct count, fitted polynomial vs frozen
 table, series expansion vs count-built series, brute-force oracle vs
 formula) and demands exact agreement.  Checks are grouped into named
-suites; ``run_suite`` executes one suite (or ``"all"``) and returns one
-:class:`CheckResult` per check, in definition order regardless of thread
-count, so that reports are byte-identical at any parallelism.
+suites; ``run_suite`` executes one suite (or ``"all"``) sequentially and
+returns one :class:`CheckResult` per check, in definition order.  A check
+depends only on its own inputs, never on which checks ran before it, so
+every report is the same byte for byte.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 from typing import Callable, NamedTuple
@@ -721,7 +721,7 @@ def _run_one(entry: tuple[str, str, Callable[[], str]]) -> CheckResult:
         return CheckResult(suite, check, False, f"{type(exc).__name__}: {exc}")
 
 
-def run_suite(suite: str, threads: int = 1) -> list[CheckResult]:
+def run_suite(suite: str) -> list[CheckResult]:
     """Run one suite (or ``"all"``); results come back in definition order."""
     if suite == "all":
         chosen = list(_REGISTRY)
@@ -729,10 +729,7 @@ def run_suite(suite: str, threads: int = 1) -> list[CheckResult]:
         chosen = [e for e in _REGISTRY if e[0] == suite]
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    if threads <= 1:
-        return [_run_one(e) for e in chosen]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_one, chosen))
+    return [_run_one(e) for e in chosen]
 
 
 def format_report(results: list[CheckResult]) -> str:

@@ -1,16 +1,20 @@
 """Exact arithmetic and interpolation layer."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfcount import exact
 from surfcount.exact import (
     DegenerateGridError,
+    FitInvalid,
     MultiPoly,
     QuasiPoly,
     binomial,
+    certify,
     frac_str,
     interpolate_tensor,
     parity_signature,
@@ -120,6 +124,33 @@ def _cartesian(nodes, n):
         return [(x,) for x in nodes]
     rest = _cartesian(nodes, n - 1)
     return [(x,) + r for x in nodes for r in rest]
+
+
+def test_interpolation_builds_one_basis_per_axis(monkeypatch):
+    calls = []
+    basis = exact._lagrange_basis
+    monkeypatch.setattr(exact, "_lagrange_basis", lambda nodes: calls.append(nodes) or basis(nodes))
+    p = MultiPoly(3, {(2, 0, 1): Fraction(3, 4), (0, 1, 2): Fraction(-2), (0, 0, 0): Fraction(5)})
+    nodes = [(1, 2, 3), (2, 4, 6), (1, 3, 5)]
+    grid = {pt: p.evaluate(pt) for pt in product(*nodes)}
+    assert interpolate_tensor(grid, 2) == p
+    assert calls == [list(ax) for ax in nodes]
+
+
+def test_certify_counts_points_and_stops_at_the_first_mismatch():
+    p = MultiPoly(1, {(1,): Fraction(1)})
+    seen = []
+
+    def value(pt):
+        seen.append(pt)
+        return pt[0] if pt[0] < 3 else 0
+
+    assert certify("id", p, value, [(0,), (1,), (2,)]) == 3
+    seen.clear()
+    with pytest.raises(FitInvalid, match=r"id: held-out mismatch at \(3,\)"):
+        certify("id", p, value, [(1,), (3,), (4,)])
+    assert seen == [(1,), (3,)]
+    assert certify("zero", MultiPoly.zero(2), lambda pt: 0, [(1, 2), (3, 4)]) == 2
 
 
 def test_interpolation_rejects_ragged_grid():

@@ -1,11 +1,15 @@
 """Quasi-polynomial fits, intersection numbers, lattice twin."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from surfcount.exact import FitInvalid, MultiPoly
+from surfcount.engine import count_lattice
+from surfcount.exact import FitInvalid, MultiPoly, certify, interpolate_tensor
 from surfcount.fitlab import (
+    _grid_points,
+    _validation_free,
     compare_top_degree,
     extract_psi,
     fit_G_poly,
@@ -101,3 +105,23 @@ def test_psi_small_values():
 def test_lattice_top_degree_agreement():
     assert compare_top_degree(0, 3)
     assert compare_top_degree(1, 1)
+
+
+def test_lattice_0_5_even_branch_is_norburys_polynomial():
+    """Lattice counts vanish at odd totals, so the all-even (0,5) branch is
+    N_{0,5} = 1/32 sum b_i^4 + 1/8 sum_{i<j} b_i^2 b_j^2 - 5/8 sum b_i^2 + 2,
+    whose constant term is the Euler characteristic of M_{0,5}."""
+    terms = {(0,) * 5: Fraction(2)}
+    for i in range(5):
+        e2, e4 = [0] * 5, [0] * 5
+        e2[i], e4[i] = 2, 4
+        terms[tuple(e2)] = Fraction(-5, 8)
+        terms[tuple(e4)] = Fraction(1, 32)
+        for j in range(i + 1, 5):
+            e = [0] * 5
+            e[i] = e[j] = 2
+            terms[tuple(e)] = Fraction(1, 8)
+    fit = interpolate_tensor({p: count_lattice(0, 5, p) for p in _grid_points("eeeee", 4)}, 4)
+    assert fit == MultiPoly(5, terms)
+    held_out = _validation_free("eeeee", 4, random.Random("lattice 0 5"), 10)
+    assert certify("lattice(0,5)", fit, lambda p: count_lattice(0, 5, p), held_out) >= 10

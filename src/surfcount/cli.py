@@ -7,7 +7,8 @@ oracles (``oracle``), and the verification suites (``verify``).
 
 Conventions: every count is exact; big integers appear in JSON as decimal
 strings, never as native numbers.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 unsupported request, 4 I/O error.  The optional
+failure (a fit that fails certification included), 2 usage error,
+3 unsupported request, 4 I/O error, 5 internal error.  The optional
 persistent memo cache is enabled with ``--cache [PATH]``; without an
 explicit path it falls back to the ``SURFCOUNT_CACHE`` environment
 variable.  Cached values never change any output.
@@ -33,7 +34,7 @@ from .engine import (
     load_cache,
     save_cache,
 )
-from .exact import EVEN, ODD, ZERO, frac_str
+from .exact import EVEN, ODD, ZERO, FitInvalid, frac_str
 from .fitlab import extract_psi, fit_G_poly, fit_Nhat, fit_Nhat_refined
 from .oracles import all_arrow_labellings, arrows_to_arcs, enumerate_disc, pants_search
 from .series import (
@@ -51,6 +52,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 class Unsupported(Exception):
@@ -372,12 +374,18 @@ def main(argv=None) -> int:
     except Unsupported as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except FitInvalid as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,6 +9,14 @@ the region-refined counts with a prescribed number of zero entries, and
 ``fit_G_poly`` for the all-diagram counts stripped of their central
 binomial prefactor (a polynomial family in the half-entries m_i).
 
+Every count fitted here is symmetric in its boundary entries, so branches
+whose parity signatures are permutations of each other carry one polynomial
+up to a relabelling of the variables.  Each fit interpolates only the sorted
+representative of a signature orbit (evens first, e.g. ``eeeoo``) and
+derives the other branches by permuting variables; every branch, derived or
+not, still passes its structural checks and is certified on its own seeded
+held-out points.
+
 Two consumers sit on top: ``extract_psi`` reads intersection numbers off
 the top-degree coefficients, and ``compare_top_degree`` checks that the
 lattice-count twin shares exactly that top-degree data.
@@ -17,6 +25,7 @@ lattice-count twin shares exactly that top-degree data.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -92,12 +101,6 @@ def _validation_free(freesig: str, degree: int, rng: random.Random, minimum: int
     return sorted(pts)
 
 
-def _embed(sig: str, free_pt) -> tuple[int, ...]:
-    """Splice a point over the free slots into the full vector (zeros at 'z')."""
-    it = iter(free_pt)
-    return tuple(0 if ch == ZERO else next(it) for ch in sig)
-
-
 def _assert_even_exponents(poly: MultiPoly, context: str) -> None:
     for exps in poly.terms:
         if any(e % 2 for e in exps):
@@ -118,17 +121,47 @@ def _signatures(n: int):
     return ("".join(w) for w in product((EVEN, ODD), repeat=n))
 
 
+def _orbit_fitter(
+    grid: Callable[[str], dict[tuple, Fraction]], degree: int
+) -> Callable[[str], MultiPoly]:
+    """Branch interpolation, done once per orbit of parity signatures.
+
+    ``grid(sig)`` gives the values of a branch on its tensor grid, from a
+    count symmetric under permuting the slots of the signature and the
+    point together.  The returned ``fit(sig)`` interpolates the grid of the
+    sorted representative of ``sig`` (evens first), once, and relabels its
+    variables for ``sig``.  It certifies nothing: the callers check and
+    certify every branch they get from it.
+    """
+    fitted: dict[str, MultiPoly] = {}
+
+    def fit(sig: str) -> MultiPoly:
+        rep = "".join(sorted(sig))
+        if rep not in fitted:
+            fitted[rep] = interpolate_tensor(grid(rep), degree)
+        # slot order[j] of sig sits at slot j of rep; sig's variable i reads
+        # rep's variable perm[i], the inverse of order
+        order = sorted(range(len(sig)), key=sig.__getitem__)
+        perm = sorted(range(len(sig)), key=order.__getitem__)
+        return fitted[rep].permute_vars(perm)
+
+    return fit
+
+
 _NHAT_CACHE: dict[tuple[int, int], FitReport] = {}
 
 
 def fit_Nhat(g: int, n: int) -> FitReport:
     """Fit the normalized parallel-free count on every parity class.
 
-    Certifies: even exponents only, total degree exactly 6g-6+2n on the
-    even-total classes (odd-total classes are confirmed identically zero by
-    sampling, never assumed), symmetry within parity classes, a strictly
-    positive top-degree part, and exact agreement on >= 10 held-out points
-    per branch.
+    Only the sorted representative of each orbit of even-total signatures
+    is interpolated; the other branches are its variable permutations.
+    Every branch, derived or not, is checked and certified on its own
+    held-out points.  Certifies: even exponents only, total degree exactly
+    6g-6+2n on the even-total classes (odd-total classes are confirmed
+    identically zero by sampling, never assumed), symmetry within parity
+    classes, a strictly positive top-degree part, and exact agreement on
+    >= 10 held-out points per branch.
     """
     if (g, n) in _NHAT_CACHE:
         return _NHAT_CACHE[(g, n)]
@@ -145,13 +178,14 @@ def fit_Nhat(g: int, n: int) -> FitReport:
             den *= bar(x)
         return Fraction(count_N(g, n, b), den)
 
+    fit = _orbit_fitter(lambda sig: {p: nhat(p) for p in _grid_points(sig, D)}, D)
     for sig in _signatures(n):
         ctx = f"Nhat({g},{n}) branch {sig}"
         if sig.count(ODD) % 2:
             checked += certify(ctx, MultiPoly.zero(n), nhat, _validation_free(sig, D, rng, 10))
             qp.set_branch(sig, MultiPoly.zero(n))
             continue
-        poly = interpolate_tensor({p: nhat(p) for p in _grid_points(sig, D)}, D)
+        poly = fit(sig)
         _assert_even_exponents(poly, ctx)
         if poly.total_degree() != D:
             raise FitInvalid(f"{ctx}: degree {poly.total_degree()} != {D}")
@@ -194,22 +228,23 @@ def fit_Nhat_refined(g: int, n: int, t: int, k: int) -> FitReport:
     D = 2 * (3 * g - 3 + n - t + k)
     feasible = k <= t <= min(2 * g + n - 1, k + 3 * g - 3 + n)
 
-    def nhat_t(sig: str, free_pt) -> Fraction:
+    def nhat_t(freesig: str, free_pt) -> Fraction:
         den = 1
         for x in free_pt:
             den *= bar(x)
-        return Fraction(count_N_t(g, n, _embed(sig, free_pt), t), den)
+        return Fraction(count_N_t(g, n, tuple(free_pt) + (0,) * k, t), den)
 
+    fit = _orbit_fitter(lambda fs: {p: nhat_t(fs, p) for p in _grid_points(fs, D)}, D)
     for freesig in _signatures(n - k):
         sig = freesig + ZERO * k
         ctx = f"Nhat_t({g},{n},t={t},k={k}) branch {sig}"
-        value = partial(nhat_t, sig)
+        value = partial(nhat_t, freesig)
         if freesig.count(ODD) % 2 or not feasible:
             zero = MultiPoly.zero(n - k)
             checked += certify(ctx, zero, value, _validation_free(freesig, max(D, 0), rng, 8))
             qp.set_branch(sig, zero)
             continue
-        poly = interpolate_tensor({p: value(p) for p in _grid_points(freesig, D)}, D)
+        poly = fit(freesig)
         _assert_even_exponents(poly, ctx)
         if poly.total_degree() > D:
             raise FitInvalid(f"{ctx}: degree {poly.total_degree()} > {D}")
@@ -267,6 +302,7 @@ def fit_G_poly(g: int, n: int, t: int | None = None) -> FitReport:
             pts.add(tuple(rng.randrange(0, degree + minimum + 9) for _ in range(n)))
         return sorted(pts)
 
+    fit = _orbit_fitter(lambda sig: {m: stripped(sig, m) for m in m_points(D)}, D)
     for sig in _signatures(n):
         ctx = f"Gpoly({g},{n},t={t}) branch {sig}"
         value = partial(stripped, sig)
@@ -274,7 +310,7 @@ def fit_G_poly(g: int, n: int, t: int | None = None) -> FitReport:
             checked += certify(ctx, MultiPoly.zero(n), value, m_validation(max(D, 1), 10))
             qp.set_branch(sig, MultiPoly.zero(n))
             continue
-        poly = interpolate_tensor({p: value(p) for p in m_points(D)}, D)
+        poly = fit(sig)
         if t is None:
             if poly.total_degree() != D:
                 raise FitInvalid(f"{ctx}: degree {poly.total_degree()} != {D}")
@@ -326,16 +362,22 @@ def extract_psi(g: int, n: int) -> dict[tuple[int, ...], Fraction]:
 def compare_top_degree(g: int, n: int) -> bool:
     """Whether the lattice-count twin matches the normalized parallel-free
     count in top degree, branch by parity branch.  The lattice fits are
-    validated on held-out points before the comparison."""
+    validated on held-out points before the comparison; the twin vanishes
+    at odd totals, so those branches are certified as zero."""
     report = fit_Nhat(g, n)
     D = 6 * g - 6 + 2 * n
     rng = random.Random(f"lattice {g} {n}")
+    lattice = partial(count_lattice, g, n)
+    fit = _orbit_fitter(lambda sig: {p: lattice(p) for p in _grid_points(sig, D)}, D)
     for sig in _signatures(n):
         ctx = f"lattice({g},{n}) branch {sig}"
-        latt = interpolate_tensor(
-            {p: count_lattice(g, n, p) for p in _grid_points(sig, D)}, D
-        )
-        certify(ctx, latt, lambda p: count_lattice(g, n, p), _validation_free(sig, D, rng, 6))
+        if sig.count(ODD) % 2:
+            certify(ctx, MultiPoly.zero(n), lattice, _validation_free(sig, D, rng, 6))
+            if not report.branch(sig).is_zero():
+                return False
+            continue
+        latt = fit(sig)
+        certify(ctx, latt, lattice, _validation_free(sig, D, rng, 6))
         if latt.homogeneous_part(D) != report.branch(sig).homogeneous_part(D):
             return False
     return True

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from surfcount import cli, fitlab
 from surfcount.cli import main
-from surfcount.engine import clear_memo
+from surfcount.engine import clear_memo, count_N
 
 
 def run(capsys, *argv):
@@ -85,6 +86,39 @@ def test_fit_json(capsys):
     assert rc == 0
     assert d["degree"] == 2
     assert d["branches"]["e"]["terms"][-1]["coeff"] == "1/48"
+
+
+def test_fit_nhat_0_5_json_is_frozen(capsys):
+    """All 32 branches of the (0,5) fit, 16 of them derived by permuting
+    variables and 16 certified zero, byte for byte."""
+    rc, out, _ = run(capsys, "fit", "--mode", "nhat", "--g", "0", "--n", "5", "--json")
+    assert rc == 0 and len(out.encode()) == 13720
+    d = json.loads(out)
+    assert len(d["branches"]) == 32 and d["validation_points"] == 320
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "dbf58ce7119ed92dbf7941f9d7b611948ddeb6983776c36aebe83da8e1c4b749"
+
+
+def test_fit_that_fails_certification_exits_1(capsys, monkeypatch):
+    def skewed(g, n, b):
+        return count_N(g, n, b) + (sum(b) % 2 == 0 and b[0] % 2 == 1)
+
+    monkeypatch.setattr(fitlab, "count_N", skewed)
+    monkeypatch.setattr(fitlab, "_NHAT_CACHE", {})
+    rc, out, err = run(capsys, "fit", "--mode", "nhat", "--g", "0", "--n", "4")
+    assert rc == 1 and out == ""
+    assert err.startswith("verification failed: Nhat(0,4) branch oeeo")
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("cycle at ('G', 1, 1, (4,))"), ZeroDivisionError("x")])
+def test_internal_error_exits_5_without_traceback(capsys, monkeypatch, exc):
+    def broken(g, n, b):
+        raise exc
+
+    monkeypatch.setattr(cli, "count_G", broken)
+    rc, out, err = run(capsys, "count", "--mode", "G", "--g", "1", "--n", "1", "--b", "4")
+    assert rc == 5 and out == ""
+    assert err == f"internal error: {exc}\n"
 
 
 def test_table_csv(capsys):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from surfcount.engine import count_lattice
+from surfcount import fitlab
+from surfcount.engine import count_lattice, count_N
 from surfcount.exact import FitInvalid, MultiPoly, certify, interpolate_tensor
 from surfcount.fitlab import (
     _grid_points,
@@ -125,3 +126,42 @@ def test_lattice_0_5_even_branch_is_norburys_polynomial():
     assert fit == MultiPoly(5, terms)
     held_out = _validation_free("eeeee", 4, random.Random("lattice 0 5"), 10)
     assert certify("lattice(0,5)", fit, lambda p: count_lattice(0, 5, p), held_out) >= 10
+
+
+def test_fits_interpolate_one_grid_per_signature_orbit(monkeypatch):
+    """Branches whose signatures are permutations of each other share one
+    interpolation: (0,5) has the orbits eeeee, eeeoo, eoooo among its 16
+    even-total branches, (0,4) has eeee, eeoo, oooo, and the (0,3) stripped
+    all-diagram fit has eee, eoo."""
+    grids = []
+
+    def spy(grid, degree):
+        grids.append(len(grid))
+        return interpolate_tensor(grid, degree)
+
+    monkeypatch.setattr(fitlab, "interpolate_tensor", spy)
+    monkeypatch.setattr(fitlab, "_NHAT_CACHE", {})
+    rep = fit_Nhat(0, 5)
+    assert (len(grids), sum(grids)) == (3, 9375)
+    assert len(rep.branches.branches) == 32 and rep.validation_points == 320
+    grids.clear()
+    fit_Nhat(0, 4)
+    assert len(grids) == 3
+    grids.clear()
+    fit_G_poly(0, 3)
+    assert len(grids) == 2
+
+
+def test_derived_branches_are_certified_on_their_own_points(monkeypatch):
+    """A count that breaks the symmetry on the branches with an odd first
+    entry is caught at the first such branch, which is derived from eeoo
+    by permuting variables and never interpolated."""
+
+    def skewed(g, n, b):
+        bump = sum(b) % 2 == 0 and b[0] % 2 == 1
+        return count_N(g, n, b) + bump
+
+    monkeypatch.setattr(fitlab, "count_N", skewed)
+    monkeypatch.setattr(fitlab, "_NHAT_CACHE", {})
+    with pytest.raises(FitInvalid, match=r"Nhat\(0,4\) branch oeeo: held-out mismatch"):
+        fit_Nhat(0, 4)

@@ -123,6 +123,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.b_max < 0:
+        raise argparse.ArgumentTypeError(f"--b-max must be nonnegative, got {args.b_max}")
     grid = list(product(range(args.b_max + 1), repeat=args.n))
     values = [_one_count(args.mode, args.g, args.n, b, args.r, args.t, False) for b in grid]
     writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -21,6 +21,17 @@ variable r or t: the pieces of a split multiply (their grades add), and a
 join onto an empty boundary multiplies by the variable.  ``LatticeN``
 carries a ``Fraction`` and divides by the first entry at the end.
 
+Each body reads each distinct child about once.  A cut leaving runs (i, j)
+and one leaving (j, i) name one key, read once and counted twice.  Shape B's
+two join sums (around the sum and the difference of the two boundaries) are
+one pass over the points left behind.  A separation and its mirror image
+(pieces swapped) give the same term, so a body sums only the separations
+whose first piece keeps the second entry of b, and counts each twice; with
+one boundary it sums the genus splits g1 <= g - g1, and counts a split into
+equal genera once (shape A also folds its runs i <-> j there).  Per separation
+the values of the two pieces are read once into lists, and shape B's double
+sum over the runs on both sides of the arc is formed from them.
+
 Bodies are generators yielding each child key missing from the memo;
 ``_eval`` runs them on an explicit stack, so no input meets Python's
 recursion limit.  Every edge lowers ``(2g + n - 2, sum(b))``
@@ -33,6 +44,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import product, zip_longest
+from operator import mul
 from typing import Callable, NamedTuple
 
 try:  # CPython's own SHA-256: hashlib would load OpenSSL, 3.7 MB per process
@@ -160,76 +172,121 @@ def _base_lattice(g, n, b):
 
 # -- the two recursion shapes -------------------------------------------------
 
+def _pieces(name: str, g: int, side: tuple[int, ...], runs: range):
+    """The values of the pieces (g, (x,) + side) for x in runs, as a list;
+    each key is read once and yielded to the driver when missing."""
+    memo, n = _MEMO, 1 + len(side)
+    values = []
+    for x in runs:
+        key = (name, g, n, _canon((x,) + side))
+        if (v := memo[key]) is None:
+            v = yield key
+        values.append(v)
+    return values
+
+
+def _halves(g: int, rest: tuple[int, ...]):
+    """The arc's separations up to mirror image, as (g1, left, right, own):
+    the piece of genus g1 keeps the entries left, the other piece the entries
+    right.  Swapping the two pieces (and the runs beside the arc) gives the
+    same term, so each separation stands for two, except one that is its own
+    mirror image (own: n = 1 and g1 = g - g1)."""
+    if rest:  # the left piece holds rest[0]
+        for left, right in ordered_splits(rest[1:]):
+            for g1 in range(g + 1):
+                yield g1, rest[:1] + left, right, False
+    else:
+        for g1 in range(g // 2 + 1):
+            yield g1, (), (), 2 * g1 == g
+
+
 def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
     """All arc diagrams: the arc's ends split the other b1 - 2 points."""
     memo = _MEMO
     b1, rest = b[0], b[1:]
     acc = fam.zero
-    if g:  # cut along the arc: the genus drops
-        for i in range(b1 - 1):
-            key = (name, g - 1, n + 1, _canon((i, b1 - 2 - i) + rest))
+    if g:  # cut along the arc: the genus drops; runs (i, j) and (j, i) are one key
+        for i in range(b1 // 2):
+            j = b1 - 2 - i
+            key = (name, g - 1, n + 1, _canon((i, j) + rest))
             if (v := memo[key]) is None:
                 v = yield key
-            acc += v
+            acc += v if i == j else 2 * v
     for idx, bk in enumerate(rest):  # the arc runs to another boundary
         if bk:
             key = (name, g, n - 1, _canon((b1 + bk - 2,) + rest[:idx] + rest[idx + 1 :]))
             if (v := memo[key]) is None:
                 v = yield key
             acc += bk * v
-    for left, right in ordered_splits(rest):  # the arc separates
-        for g1 in range(g + 1):
-            for i in range(sum(left) % 2, b1 - 1, 2):  # pieces with odd totals are empty
-                key = (name, g1, 1 + len(left), _canon((i,) + left))
-                if (u := memo[key]) is None:
-                    u = yield key
-                if u:
-                    key = (name, g - g1, 1 + len(right), _canon((b1 - 2 - i,) + right))
-                    if (v := memo[key]) is None:
-                        v = yield key
-                    acc += u * v
+    for g1, left, right, own in _halves(g, rest):  # the arc separates, runs i + j = b1 - 2
+        # pieces with odd totals are empty
+        U = yield from _pieces(name, g1, left, range(sum(left) % 2, b1 - 1, 2))
+        if own:  # fold i <-> j as well; the middle run pairs with itself once
+            half, middle = divmod(len(U), 2)
+            pairs = zip(U[:half], reversed(U))
+            if middle:
+                acc += U[half] * U[half]
+        else:
+            V = yield from _pieces(name, g - g1, right, range(sum(right) % 2, b1 - 1, 2))
+            pairs = zip(U, reversed(V))
+        for u, v in pairs:
+            acc += 2 * u * v
     return acc
+
+
+def _lowest_run(run_w: Callable, total: int) -> int:
+    """The shortest run of the parity of total that has a nonzero weight."""
+    x = total % 2
+    return x if run_w(x) else x + 2
 
 
 def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
     """Parallel-free shape: the arc takes a run of m points with it."""
-    memo, arc_w, join_w = _MEMO, fam.arc_w, fam.join_w
+    memo, run_w, join_w = _MEMO, fam.run_w, fam.join_w
     b1, rest = b[0], b[1:]
     acc = fam.zero
     if g:  # the arc and its run are cut away: the genus drops
         for m in range(2, b1 + 1, 2):
-            for i in range(b1 - m + 1):
-                if w := arc_w(i, b1 - m - i, m):
-                    key = (name, g - 1, n + 1, _canon((i, b1 - m - i) + rest))
+            for i in range((b1 - m) // 2 + 1):  # runs (i, j) and (j, i) are one key
+                j = b1 - m - i
+                if w := run_w(i) * run_w(j) * (m // 2):
+                    key = (name, g - 1, n + 1, _canon((i, j) + rest))
                     if (v := memo[key]) is None:
                         v = yield key
-                    acc += w * v
+                    acc += (w if i == j else 2 * w) * v
     for idx, bj in enumerate(rest):  # the arc joins boundary j: sum and difference
         others = rest[:idx] + rest[idx + 1 :]
-        for s in (b1 + bj, b1 - bj):
-            for m in range(2, s + 1, 2):
-                if w := join_w(bj, s - m, m):
-                    key = (name, g, n - 1, _canon((s - m,) + others))
-                    if (v := memo[key]) is None:
-                        v = yield key
-                    # joining an empty boundary creates a region
-                    acc += (w if bj else w * fam.region) * v
-    for left, right in ordered_splits(rest):  # the arc separates
-        for g1 in range(g + 1):
-            g2 = g - g1
-            if (g1, 1 + len(left)) in _DISC_OR_ANNULUS or (g2, 1 + len(right)) in _DISC_OR_ANNULUS:
-                continue
-            for m in range(2, b1 + 1, 2):
-                for i in range(sum(left) % 2, b1 - m + 1, 2):  # pieces with odd totals are empty
-                    if w := arc_w(i, b1 - m - i, m):
-                        key = (name, g1, 1 + len(left), _canon((i,) + left))
-                        if (u := memo[key]) is None:
-                            u = yield key
-                        if u:
-                            key = (name, g2, 1 + len(right), _canon((b1 - m - i,) + right))
-                            if (v := memo[key]) is None:
-                                v = yield key
-                            acc += w * u * v
+        for x in range(b1 + bj - 2, -1, -2):  # x points stay on the joined boundary
+            w = join_w(bj, x, b1 + bj - x)
+            if x <= b1 - bj - 2:  # the difference leaves x points as well
+                w += join_w(bj, x, b1 - bj - x)
+            if w:
+                key = (name, g, n - 1, _canon((x,) + others))
+                if (v := memo[key]) is None:
+                    v = yield key
+                # joining an empty boundary creates a region
+                acc += (w if bj else w * fam.region) * v
+    for g1, left, right, own in _halves(g, rest):  # the arc separates
+        g2 = g - g1
+        if (g1, 1 + len(left)) in _DISC_OR_ANNULUS or (g2, 1 + len(right)) in _DISC_OR_ANNULUS:
+            continue
+        # runs i | m | j along b1 with i + m + j = b1; pieces with odd totals
+        # are empty, and runs that weigh nothing are not read
+        lo, ro = _lowest_run(run_w, sum(left)), _lowest_run(run_w, sum(right))
+        U = yield from _pieces(name, g1, left, range(lo, b1 - 1 - ro, 2))
+        if own:  # the double sum below holds both (i, j) and its mirror (j, i)
+            V = U
+        else:
+            V = yield from _pieces(name, g2, right, range(ro, b1 - 1 - lo, 2))
+        # with i = lo + 2p and j = ro + 2q, the arc takes m = 2(k - p - q) points
+        k = len(U)
+        weighted = [run_w(ro + 2 * q) * v for q, v in enumerate(V)]
+        sep = fam.zero
+        for p, u in enumerate(U):
+            if u:
+                inner = sum(map(mul, range(k - p, 0, -1), weighted), fam.zero)
+                sep += run_w(lo + 2 * p) * u * inner
+        acc += sep if own else 2 * sep
     return acc / b1 if fam.per_b1 else acc
 
 
@@ -238,17 +295,19 @@ class _Family(NamedTuple):
     base: Callable  # (g, n, b) -> base value, or None
     zero: object  # the value of an empty sum
     region: object = 1  # the factor for one more region: the grading variable
-    arc_w: Callable | None = None
+    run_w: Callable | None = None
     join_w: Callable | None = None
     per_b1: bool = False
 
 
-# Coefficient rules of shape B: arc_w(i, j, m) weighs an arc that takes m
-# points and leaves runs of i and j on its sides, join_w(bj, i, m) a join onto
-# a boundary with bj points that leaves i.  The lattice weights vanish on an
+# Coefficient rules of shape B: an arc that takes m points and leaves runs of
+# i and j on its sides weighs run_w(i) * run_w(j) * m/2, and join_w(bj, x, m)
+# weighs a join onto a boundary with bj points that takes m points and leaves
+# x.  The arc weight is symmetric in i and j, so a body reads the key of the
+# runs (i, j) once and counts it twice.  The lattice weights vanish on an
 # empty run, so its zero entries are never queried.
-_N_RULE = (lambda i, j, m: m // 2, lambda bj, i, m: (m // 2) * bar(bj))
-_LATTICE_RULE = (lambda i, j, m: Fraction(i * j * m, 2), lambda bj, i, m: Fraction(i * m, 2))
+_N_RULE = (lambda x: 1, lambda bj, x, m: (m // 2) * bar(bj))
+_LATTICE_RULE = (lambda x: x, lambda bj, x, m: x * (m // 2))
 
 _FAMILIES = {
     "G": _Family(_shape_a, _base_G, 0),

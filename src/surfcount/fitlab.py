@@ -269,12 +269,15 @@ def fit_G_poly(g: int, n: int, t: int | None = None) -> FitReport:
     The quotient is a polynomial family in the half-entries m_i: total
     degree exactly 3g-3+2n with a positive top part when unrefined; at most
     3g-3+2n-t when refined by t, with equality whenever the parity class
-    has at least t even slots.
+    has at least t even slots.  The count vanishes for t outside 0..2g+n-1
+    (the grades of the parallel-free cores, which collar filling keeps), and
+    there every branch is confirmed zero by sampling.
     """
     if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
         raise ValueError("need a hyperbolic-type surface: 2g - 2 + n > 0")
     Dfull = 3 * g - 3 + 2 * n
     D = Dfull if t is None else Dfull - t
+    window = t is None or 0 <= t <= 2 * g + n - 1
     rng = random.Random(f"Gpoly {g} {n} {t}")
     qp = QuasiPoly(n)
     checked = 0
@@ -306,7 +309,7 @@ def fit_G_poly(g: int, n: int, t: int | None = None) -> FitReport:
     for sig in _signatures(n):
         ctx = f"Gpoly({g},{n},t={t}) branch {sig}"
         value = partial(stripped, sig)
-        if sig.count(ODD) % 2 or D < 0:
+        if sig.count(ODD) % 2 or not window:
             checked += certify(ctx, MultiPoly.zero(n), value, m_validation(max(D, 1), 10))
             qp.set_branch(sig, MultiPoly.zero(n))
             continue

@@ -129,6 +129,18 @@ def test_table_csv(capsys):
     assert rows[1:] == ["0,1", "1,0", "2,1", "3,0", "4,2", "5,0", "6,5"]
 
 
+def test_table_rejects_a_negative_bound(capsys):
+    rc, out, err = run(capsys, "table", "--mode", "G", "--g", "0", "--n", "1", "--b-max", "-2")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "--b-max" in err
+
+
+def test_fit_gpoly_outside_the_t_window_exits_0(capsys):
+    rc, out, _ = run(capsys, "fit", "--mode", "gpoly", "--g", "0", "--n", "3", "--t", "-1")
+    assert rc == 0
+    assert out.splitlines() == [f"{sig}: 0" for sig in ("eee", "eeo", "eoe", "eoo", "oee", "oeo", "ooe", "ooo")]
+
+
 def test_table_threads_identical(capsys):
     args = ["table", "--mode", "N", "--g", "0", "--n", "2", "--b-max", "5"]
     rc1, out1, _ = run(capsys, *args, "--threads", "1")

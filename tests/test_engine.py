@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -320,3 +321,69 @@ def test_cache_save_leaves_no_temporary_file(tmp_path):
     clear_memo()
     assert load_cache(str(path)) == written
     assert count_G_r(1, 2, (4, 2), 3) == 66
+
+
+# (g, n) -> largest entry of the frozen sweep; the sweep meets every fold's
+# fixed point: the disc with i == j, n = 1 at even g with g1 == g2, and
+# repeated and zero entries.
+SWEEP = {
+    (0, 1): 40, (0, 2): 14, (0, 3): 10, (0, 4): 6, (0, 5): 4, (1, 1): 20,
+    (1, 2): 10, (1, 3): 6, (2, 1): 16, (2, 2): 8, (3, 1): 12, (4, 1): 10,
+}
+
+
+def _sweep_lines():
+    for (g, n), top in SWEEP.items():
+        for b in combinations_with_replacement(range(top, -1, -1), n):
+            row = [
+                f"{g} {n} {','.join(map(str, b))}",
+                str(count_G(g, n, b)),
+                str(count_N(g, n, b)),
+                str(engine._eval(("Gr", g, n, b))),
+                str(engine._eval(("Nt", g, n, b))),
+            ]
+            if sum(b) % 2 == 0 and b[0] <= 8:
+                row.append(str(count_G_t(g, n, b, 0)))
+            if 2 * g - 2 + n >= 1 and b[-1] > 0:
+                row.append(str(count_lattice(g, n, b)))
+            yield " ".join(row)
+
+
+def test_engine_sweep_is_frozen():
+    # G, N, the Gr and Nt grade vectors, Gt at t = 0 and the lattice twin on
+    # every sorted b within SWEEP; digest recorded before the bodies folded
+    # their mirror-image terms
+    lines = list(_sweep_lines())
+    assert len(lines) == 1040
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "213c3c0f2bbc969c817adfe9924b70b65b25e8b8ff1ec150dbda3132f640c7a9"
+
+
+class _CountingMemo(engine._Memo):
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize(
+    "fn, args, reads, entries",
+    [
+        # memo reads before the folds, in order: 114,744, 40,201, 88,374,
+        # 20,630 and 29,866.  The disc, the lattice twin and Nt now read each
+        # distinct child once per body; the other two read a key twice in a
+        # body almost only where its b has equal entries (or a zero entry).
+        (count_N, (3, 1, (30,)), 43900, 1322),
+        (count_G, (0, 1, (400,)), 20101, 200),
+        (count_G, (2, 2, (16, 16)), 45641, 1452),
+        (count_lattice, (2, 1, (40,)), 11219, 191),
+        (count_N_t, (2, 1, (40,), 0), 16036, 229),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_cold_memo_reads_are_pinned(monkeypatch, fn, args, reads, entries):
+    memo = _CountingMemo()
+    monkeypatch.setattr(engine, "_MEMO", memo)
+    fn(*args)
+    assert (memo.reads, len(memo)) == (reads, entries)

@@ -81,6 +81,16 @@ def test_g_poly_pants_branch():
     assert rep.branch("eee").evaluate((1, 2, 3)) == 2 * 3 * 4
 
 
+def test_g_poly_outside_the_t_window_is_certified_zero():
+    # count_G_t vanishes for t outside 0..2g+n-1: every branch is zero and
+    # still checked on held-out points
+    for g, n, t in ((0, 3, -1), (0, 3, -2), (0, 3, 3), (1, 1, -1)):
+        rep = fit_G_poly(g, n, t=t)
+        sigs = rep.branches.branches
+        assert len(sigs) == 2**n and all(p.is_zero() for p in sigs.values()), t
+        assert rep.validation_points == 10 * 2**n
+
+
 def test_g_poly_refined_degree_drop():
     rep = fit_G_poly(0, 3, t=2)
     # at t = 2 the stripped count is m1 + m2 + m3 + 1 on the all-even branch

@@ -32,6 +32,13 @@ equal genera once (shape A also folds its runs i <-> j there).  Per separation
 the values of the two pieces are read once into lists, and shape B's double
 sum over the runs on both sides of the arc is formed from them.
 
+Every parallel-free count bottoms out in pair-of-pants pieces, (0,3), whose
+value is a product of bar factors.  Shape B computes them where they are
+read, from its family's ``pants`` rule: where a loop's children are pants
+(the cut of a (1,2) body, the joins of a (0,4) body, a run of separating
+pieces), no key is built, nothing is sorted and the memo is not consulted.
+The (0,3) base values use the same rule.
+
 Bodies are generators yielding each child key missing from the memo;
 ``_eval`` runs them on an explicit stack, so no input meets Python's
 recursion limit.  Every edge lowers ``(2g + n - 2, sum(b))``
@@ -43,7 +50,7 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
-from itertools import product, zip_longest
+from itertools import product, starmap, zip_longest
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -56,7 +63,6 @@ from .closed import bar, catalan, closed_N, closed_refined
 from .exact import binomial, ordered_splits
 
 _DISC_OR_ANNULUS = {(0, 1), (0, 2)}
-_CLOSED_N = {(0, 1), (0, 2), (0, 3)}
 
 
 class _Grades(tuple):
@@ -130,7 +136,24 @@ def _check(g: int, n: int, b, *grades: int) -> tuple[int, ...]:
     return b
 
 
-# -- base values; None sends the key to its family's body ---------------------
+# -- pants values and base values; None sends the key to its family's body ----
+
+# The (0,3) value of each shape-B family, symmetric in three entries of an
+# even total: the bar product, graded at t = 0/1/2/2 for 0/1/2/3 zero entries
+# in Nt, and 1 for the lattice twin.
+
+def _pants_N(x, y, z):
+    return (x or 1) * (y or 1) * (z or 1)  # bar(x) * bar(y) * bar(z): entries >= 0
+
+
+def _pants_Nt(x, y, z):
+    zeros = (not x) + (not y) + (not z)
+    return _Grades((0,) * min(zeros, 2) + (_pants_N(x, y, z),))
+
+
+def _pants_lattice(x, y, z):
+    return Fraction(1 - (x + y + z) % 2)
+
 
 def _base_G(g, n, b):
     if g < 0 or sum(b) % 2:
@@ -147,7 +170,9 @@ def _base_Gr(g, n, b):
 def _base_N(g, n, b):
     if g < 0 or sum(b) % 2:
         return 0
-    if (g, n) in _CLOSED_N:
+    if (g, n) == (0, 3):
+        return _pants_N(*b)
+    if (g, n) in _DISC_OR_ANNULUS:
         return closed_N(g, n, b)
     return None if b[0] else 1
 
@@ -155,16 +180,18 @@ def _base_N(g, n, b):
 def _base_Nt(g, n, b):
     if g < 0 or sum(b) % 2:
         return _Grades()
-    if (g, n) in _CLOSED_N:
+    if (g, n) == (0, 3):
+        return _pants_Nt(*b)
+    if (g, n) in _DISC_OR_ANNULUS:
         return _trim([closed_refined("N", g, n, b, t) for t in range(2 * g + n)])
     return None if b[0] else _Grades((0,) * (2 * g + n - 1) + (1,))
 
 
 def _base_lattice(g, n, b):
+    if (g, n) == (0, 3):
+        return _pants_lattice(*b)
     if sum(b) % 2:
         return Fraction(0)
-    if (g, n) == (0, 3):
-        return Fraction(1)
     if (g, n) == (1, 1):
         return Fraction(b[0] ** 2, 48) - Fraction(1, 12)
     return None
@@ -172,17 +199,24 @@ def _base_lattice(g, n, b):
 
 # -- the two recursion shapes -------------------------------------------------
 
-def _pieces(name: str, g: int, side: tuple[int, ...], runs: range):
-    """The values of the pieces (g, (x,) + side) for x in runs, as a list;
-    each key is read once and yielded to the driver when missing."""
-    memo, n = _MEMO, 1 + len(side)
-    values = []
-    for x in runs:
-        key = (name, g, n, _canon((x,) + side))
+def _children(fam: _Family, name: str, g: int, n: int, bs):
+    """The values of the children (g, n, b) for b in bs, as a list.  Pants
+    children are computed from the family's rule; any other key is read once
+    and yielded to the driver when missing."""
+    if fam.pants and (g, n) == (0, 3):
+        return list(starmap(fam.pants, bs))
+    memo, values = _MEMO, []
+    for b in bs:
+        key = (name, g, n, _canon(b))
         if (v := memo[key]) is None:
             v = yield key
         values.append(v)
     return values
+
+
+def _pieces(fam: _Family, name: str, g: int, side: tuple[int, ...], runs: range):
+    """The values of the pieces (g, (x,) + side) for x in runs, as a list."""
+    return _children(fam, name, g, 1 + len(side), [(x,) + side for x in runs])
 
 
 def _halves(g: int, rest: tuple[int, ...]):
@@ -220,14 +254,14 @@ def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
             acc += bk * v
     for g1, left, right, own in _halves(g, rest):  # the arc separates, runs i + j = b1 - 2
         # pieces with odd totals are empty
-        U = yield from _pieces(name, g1, left, range(sum(left) % 2, b1 - 1, 2))
+        U = yield from _pieces(fam, name, g1, left, range(sum(left) % 2, b1 - 1, 2))
         if own:  # fold i <-> j as well; the middle run pairs with itself once
             half, middle = divmod(len(U), 2)
             pairs = zip(U[:half], reversed(U))
             if middle:
                 acc += U[half] * U[half]
         else:
-            V = yield from _pieces(name, g - g1, right, range(sum(right) % 2, b1 - 1, 2))
+            V = yield from _pieces(fam, name, g - g1, right, range(sum(right) % 2, b1 - 1, 2))
             pairs = zip(U, reversed(V))
         for u, v in pairs:
             acc += 2 * u * v
@@ -242,30 +276,31 @@ def _lowest_run(run_w: Callable, total: int) -> int:
 
 def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
     """Parallel-free shape: the arc takes a run of m points with it."""
-    memo, run_w, join_w = _MEMO, fam.run_w, fam.join_w
+    run_w, join_w = fam.run_w, fam.join_w
     b1, rest = b[0], b[1:]
     acc = fam.zero
     if g:  # the arc and its run are cut away: the genus drops
+        ws, bs = [], []
         for m in range(2, b1 + 1, 2):
             for i in range((b1 - m) // 2 + 1):  # runs (i, j) and (j, i) are one key
                 j = b1 - m - i
                 if w := run_w(i) * run_w(j) * (m // 2):
-                    key = (name, g - 1, n + 1, _canon((i, j) + rest))
-                    if (v := memo[key]) is None:
-                        v = yield key
-                    acc += (w if i == j else 2 * w) * v
+                    ws.append(w if i == j else 2 * w)
+                    bs.append((i, j) + rest)
+        vs = yield from _children(fam, name, g - 1, n + 1, bs)
+        acc += sum(map(mul, ws, vs), fam.zero)
     for idx, bj in enumerate(rest):  # the arc joins boundary j: sum and difference
         others = rest[:idx] + rest[idx + 1 :]
+        ws, bs = [], []
         for x in range(b1 + bj - 2, -1, -2):  # x points stay on the joined boundary
             w = join_w(bj, x, b1 + bj - x)
             if x <= b1 - bj - 2:  # the difference leaves x points as well
                 w += join_w(bj, x, b1 - bj - x)
-            if w:
-                key = (name, g, n - 1, _canon((x,) + others))
-                if (v := memo[key]) is None:
-                    v = yield key
-                # joining an empty boundary creates a region
-                acc += (w if bj else w * fam.region) * v
+            if w:  # joining an empty boundary creates a region
+                ws.append(w if bj else w * fam.region)
+                bs.append((x,) + others)
+        vs = yield from _children(fam, name, g, n - 1, bs)
+        acc += sum(map(mul, ws, vs), fam.zero)
     for g1, left, right, own in _halves(g, rest):  # the arc separates
         g2 = g - g1
         if (g1, 1 + len(left)) in _DISC_OR_ANNULUS or (g2, 1 + len(right)) in _DISC_OR_ANNULUS:
@@ -273,11 +308,11 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
         # runs i | m | j along b1 with i + m + j = b1; pieces with odd totals
         # are empty, and runs that weigh nothing are not read
         lo, ro = _lowest_run(run_w, sum(left)), _lowest_run(run_w, sum(right))
-        U = yield from _pieces(name, g1, left, range(lo, b1 - 1 - ro, 2))
+        U = yield from _pieces(fam, name, g1, left, range(lo, b1 - 1 - ro, 2))
         if own:  # the double sum below holds both (i, j) and its mirror (j, i)
             V = U
         else:
-            V = yield from _pieces(name, g2, right, range(ro, b1 - 1 - lo, 2))
+            V = yield from _pieces(fam, name, g2, right, range(ro, b1 - 1 - lo, 2))
         # with i = lo + 2p and j = ro + 2q, the arc takes m = 2(k - p - q) points
         k = len(U)
         weighted = [run_w(ro + 2 * q) * v for q, v in enumerate(V)]
@@ -298,6 +333,7 @@ class _Family(NamedTuple):
     run_w: Callable | None = None
     join_w: Callable | None = None
     per_b1: bool = False
+    pants: Callable | None = None  # shape B: the (0,3) value of three entries
 
 
 # Coefficient rules of shape B: an arc that takes m points and leaves runs of
@@ -312,10 +348,10 @@ _LATTICE_RULE = (lambda x: x, lambda bj, x, m: x * (m // 2))
 _FAMILIES = {
     "G": _Family(_shape_a, _base_G, 0),
     "Gr": _Family(_shape_a, _base_Gr, _Grades()),
-    "N": _Family(_shape_b, _base_N, 0, 1, *_N_RULE),
-    "Nt": _Family(_shape_b, _base_Nt, _Grades(), _Grades((0, 1)), *_N_RULE),
+    "N": _Family(_shape_b, _base_N, 0, 1, *_N_RULE, pants=_pants_N),
+    "Nt": _Family(_shape_b, _base_Nt, _Grades(), _Grades((0, 1)), *_N_RULE, pants=_pants_Nt),
     "LatticeN": _Family(
-        _shape_b, _base_lattice, Fraction(0), 1, *_LATTICE_RULE, per_b1=True
+        _shape_b, _base_lattice, Fraction(0), 1, *_LATTICE_RULE, per_b1=True, pants=_pants_lattice
     ),
 }
 

@@ -47,8 +47,7 @@ def frac_str(x: Scalar) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+parse_frac = Fraction  # the inverse of frac_str
 
 
 def ordered_splits(items: Sequence) -> Iterator[tuple[tuple, tuple]]:
@@ -238,10 +237,6 @@ class MultiPoly:
             out[tuple(e[perm[i]] for i in range(self.nvars))] = c
         return MultiPoly(self.nvars, out)
 
-    def map_exponents(self, factor: int) -> "MultiPoly":
-        """Multiply every exponent by a positive integer factor."""
-        return MultiPoly(self.nvars, {tuple(x * factor for x in e): c for e, c in self.terms.items()})
-
     def substitute_zero(self, positions: Sequence[int]) -> "MultiPoly":
         """Set the listed variables to 0 and drop them from the variable list."""
         keep = [i for i in range(self.nvars) if i not in set(positions)]
@@ -398,9 +393,7 @@ class QuasiPoly:
         }
 
 
-def quasipoly_eval(qp: QuasiPoly, b: Sequence[int]) -> Fraction:
-    """Evaluate a quasi-polynomial, selecting the branch by parity."""
-    return qp.eval(b)
+quasipoly_eval = QuasiPoly.eval  # (qp, b): the branch chosen by the parities of b
 
 
 # -- exact interpolation ---------------------------------------------------

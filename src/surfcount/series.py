@@ -305,14 +305,18 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 
 
+def _check_order(T):
+    if T < 0:
+        raise ValueError("truncation order must be nonnegative")
+
+
 def build_fN(g, n, T, t=None):
     """Boundary-point generating series in z-variables, truncated at order T.
 
     The count at profile nu contributes to exponents nu - 1, so profiles with
     sum(nu) <= T + n are enumerated.
     """
-    if T < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_order(T)
     terms = {}
     for nu in vectors_with_sum_at_most(n, T + n):
         c = count_N(g, n, nu) if t is None else count_N_t(g, n, nu, t)
@@ -327,8 +331,7 @@ def build_fG(g, n, T, t=None):
     The count at profile mu contributes to exponents mu + 1, so profiles with
     sum(mu) <= T - n are enumerated.
     """
-    if T < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_order(T)
     terms = {}
     for mu in vectors_with_sum_at_most(n, T - n):
         c = count_G(g, n, mu) if t is None else count_G_t(g, n, mu, t)
@@ -339,6 +342,7 @@ def build_fG(g, n, T, t=None):
 
 def build_frak_f(g, n, T, alpha_bound):
     """Region-graded y-series: profile mu at region count r lands on alpha^r."""
+    _check_order(T)
     if alpha_bound < 1:
         raise ValueError("alpha_bound must be at least 1")
     terms = {}
@@ -353,6 +357,7 @@ def build_frak_f(g, n, T, alpha_bound):
 
 def build_bold_fN(g, n, T, beta_bound=None):
     """Grade the z-series by the region excess t, carried on beta."""
+    _check_order(T)
     tmax = 2 * g + n - 1
     if beta_bound is None:
         beta_bound = tmax
@@ -560,6 +565,7 @@ def _catalogue_fG02(T):
 
 def expand_closed_form(name, T):
     """Expand a catalogued closed form to order T."""
+    _check_order(T)
     zmins = (-1,)
 
     if name == "fN01":

@@ -168,6 +168,20 @@ def test_series_needs_surface(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--which", "fN01", "--order", "-3"),
+        ("--which", "frakf", "--g", "1", "--n", "2", "--order", "-1"),
+        ("--which", "fN", "--g", "0", "--n", "2", "--order", "-3"),
+    ],
+)
+def test_series_rejects_a_negative_order(capsys, argv):
+    rc, out, err = run(capsys, "series", *argv)
+    assert (rc, out) == (2, "")
+    assert "truncation order must be nonnegative" in err
+
+
 def test_sums_command(capsys):
     rc, out, _ = run(capsys, "sums", "--family", "A", "--m", "0", "--k-max", "4")
     rows = out.strip().splitlines()

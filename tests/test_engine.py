@@ -374,11 +374,14 @@ class _CountingMemo(engine._Memo):
         # 20,630 and 29,866.  The disc, the lattice twin and Nt now read each
         # distinct child once per body; the other two read a key twice in a
         # body almost only where its b has equal entries (or a zero entry).
-        (count_N, (3, 1, (30,)), 43900, 1322),
+        # Shape B then computed its pants children in place, without a memo
+        # read: the N, lattice and Nt rows read 43,900, 11,219 and 16,036
+        # before; the entry counts did not move.
+        (count_N, (3, 1, (30,)), 25426, 1322),
         (count_G, (0, 1, (400,)), 20101, 200),
         (count_G, (2, 2, (16, 16)), 45641, 1452),
-        (count_lattice, (2, 1, (40,)), 11219, 191),
-        (count_N_t, (2, 1, (40,), 0), 16036, 229),
+        (count_lattice, (2, 1, (40,)), 2489, 191),
+        (count_N_t, (2, 1, (40,), 0), 4221, 229),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )

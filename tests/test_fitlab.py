@@ -111,6 +111,7 @@ def test_psi_small_values():
     assert set(got.values()) == {Fraction(1)}
     assert len(got) == 4
     assert extract_psi(0, 3) == {(0, 0, 0): Fraction(1)}
+    assert extract_psi(3, 1) == {(7,): Fraction(1, 82944)}
 
 
 def test_lattice_top_degree_agreement():

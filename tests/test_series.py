@@ -53,6 +53,22 @@ def test_build_frak_f_alpha_grading():
         build_frak_f(0, 1, 5, 0)
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (build_fN, (0, 2, -1)),
+        (build_fG, (0, 2, -1)),
+        (build_frak_f, (1, 2, -3, 13)),
+        (build_bold_fN, (1, 2, -2)),
+        (expand_closed_form, ("fN01", -3)),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_negative_truncation_order_is_rejected(build, args):
+    with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+        build(*args)
+
+
 def test_bold_fN_sums_to_unrefined():
     graded = build_bold_fN(0, 3, 6)
     plain = build_fN(0, 3, 6)

@@ -352,6 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact counts may have any number of digits, in the output and the cache
+    getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     cache_path = None

@@ -102,7 +102,14 @@ def _trim(coeffs: list) -> _Grades:
 
 class _Memo(dict):
     """The memo table.  A missing key answers with its family's base value,
-    or None when its body has to run; base values are never stored."""
+    or None when its body has to run; base values are never stored.
+
+    ``synced`` is ``(path, records, file identity)`` of the cache file whose
+    records the table last held exactly, or None.  The table only grows and
+    its entries never change, so it still holds exactly those records while
+    its size and the file's identity are unchanged."""
+
+    synced = None
 
     def __missing__(self, key):
         return _FAMILIES[key[0]].base(*key[1:])
@@ -113,6 +120,7 @@ _MEMO = _Memo()
 
 def clear_memo() -> None:
     _MEMO.clear()
+    _MEMO.synced = None
 
 
 def memo_size() -> int:
@@ -488,10 +496,26 @@ def _read_grades(text: str) -> _Grades:
 _READ = dict(G=int, N=int, LatticeN=Fraction, Gr=_read_grades, Nt=_read_grades, Gt=_read_grades)
 
 
+def _identity(stat: os.stat_result) -> tuple[int, ...]:
+    """Changes whenever the file is rewritten: os.replace makes a new inode."""
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _on_disk(path: str) -> tuple[int, ...] | None:
+    try:
+        return _identity(os.stat(path))
+    except OSError:
+        return None
+
+
 def save_cache(path: str) -> int:
     """Write the memo table to a line-based cache file, replacing it
     atomically; the header carries the record count and the SHA-256 of the
-    body.  Returns the number of records written."""
+    body.  A memo that holds exactly the records last loaded from or written
+    to ``path``, with the file unchanged since, is not written again.
+    Returns the number of records in the memo, written or not."""
+    if _MEMO.synced == (path, len(_MEMO), _on_disk(path)):
+        return len(_MEMO)
     body = "".join(
         f"{name} {g} {n} {','.join(map(str, b))} {v}\n"
         for (name, g, n, b), v in sorted(_MEMO.items())
@@ -501,25 +525,34 @@ def save_cache(path: str) -> int:
     try:
         with open(tmp, "w", encoding="ascii") as fh:
             fh.write(f"{CACHE_HEADER} {len(_MEMO)} {digest}\n{body}")
+            fh.flush()
+            written = _identity(os.fstat(fh.fileno()))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    _MEMO.synced = (path, len(_MEMO), written)
     return len(_MEMO)
 
 
 def load_cache(path: str) -> int:
     """Load a cache file into the memo table.  A file of another version, or
     with a wrong digest, record count or record, is ignored as a whole with a
-    warning on stderr.  Returns the number of records loaded."""
+    warning on stderr.  Each distinct ``family g n`` head and each distinct
+    boundary is parsed once.  When every memo entry then came from the file,
+    the memo counts as in sync with it, and ``save_cache(path)`` skips the
+    write until the memo grows or the file changes.  Returns the number of
+    records loaded."""
+    _MEMO.synced = None
     try:
         with open(path, "rb") as fh:
+            stamp = _identity(os.fstat(fh.fileno()))
             data = fh.read()
     except FileNotFoundError:
         return 0
     try:
-        head, _, body = data.partition(b"\n")
-        fields = head.decode("ascii").rsplit(" ", 2)
+        header, _, body = data.partition(b"\n")
+        fields = header.decode("ascii").rsplit(" ", 2)
         if len(fields) != 3 or fields[0] != CACHE_HEADER:
             raise ValueError("unknown version")
         if sha256(body).hexdigest() != fields[2]:
@@ -527,18 +560,28 @@ def load_cache(path: str) -> int:
         lines = body.decode("ascii").splitlines()
         if len(lines) != int(fields[1]):
             raise ValueError("record count mismatch")
-        entries = {}
+        heads, bounds, entries = {}, {}, {}
         for no, line in enumerate(lines, 2):
-            parts = line.split(" ")
-            if len(parts) != 5 or parts[0] not in _READ:
+            parts = line.rsplit(" ", 2)  # "family g n", b, value
+            if len(parts) != 3:
                 raise ValueError(f"malformed record on line {no}")
-            name, g, n, b, v = parts
-            b = tuple(map(int, b.split(",")))
-            if len(b) != int(n):
+            head, b, v = parts
+            if (parsed := heads.get(head)) is None:
+                name, *gn = head.split(" ")
+                if len(gn) != 2 or name not in _READ:
+                    raise ValueError(f"malformed record on line {no}")
+                parsed = heads[head] = (name, *map(int, gn), _READ[name])
+            name, g, n, read = parsed
+            if (bt := bounds.get(b)) is None:
+                bt = bounds[b] = tuple(map(int, b.split(",")))
+            if len(bt) != n:
                 raise ValueError(f"malformed record on line {no}")
-            entries[(name, int(g), int(n), b)] = _READ[name](v)
+            entries[(name, g, n, bt)] = read(v)
     except (ValueError, ZeroDivisionError) as exc:  # UnicodeDecodeError is a ValueError
         print(f"warning: ignoring cache {path!r} ({exc})", file=sys.stderr)
         return 0
     _MEMO.update(entries)
+    # in sync only if every memo entry came from the file: save_cache compares
+    # this count with the memo size
+    _MEMO.synced = (path, len(entries), stamp)
     return len(entries)

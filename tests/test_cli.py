@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
-from surfcount import cli, fitlab
+from surfcount import cli, engine, fitlab
 from surfcount.cli import main
+from surfcount.closed import catalan
 from surfcount.engine import clear_memo, count_N
 
 
@@ -278,6 +280,65 @@ def test_malformed_cache_record_is_not_a_usage_error(tmp_path, capsys):
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"
     assert "malformed record" in err
+
+
+def test_unchanged_cache_is_not_rewritten(tmp_path, capsys):
+    path = tmp_path / "memo.cache"
+    clear_memo()
+    rc, first, _ = run(capsys, *TORUS_40, "--cache", str(path))
+    assert rc == 0
+    before, text = path.stat(), path.read_bytes()
+    clear_memo()  # as in a fresh process
+    rc, out, _ = run(capsys, *TORUS_40, "--cache", str(path))
+    after = path.stat()
+    assert rc == 0 and out == first
+    assert path.read_bytes() == text
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    rc, out, _ = run(capsys, "count", "--mode", "G", "--g", "1", "--n", "1", "--b", "42",
+                     "--cache", str(path))
+    assert rc == 0 and path.stat().st_ino != after.st_ino
+    assert int(path.read_text().split(" ", 3)[2]) > int(text.split(b" ", 3)[2])
+
+
+def test_ignored_cache_is_rewritten_without_new_records(tmp_path, capsys):
+    path = tmp_path / "memo.cache"
+    clear_memo()
+    rc, first, _ = run(capsys, *TORUS_40, "--cache", str(path))
+    text, stamp = path.read_text(), path.stat()
+    path.write_text(text.replace("G 1 1 40 5881451896320", "G 1 1 40 5881451896321"))
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))  # unchanged to os.stat
+    rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))  # the memo holds every key
+    assert rc == 0 and out == first and "digest mismatch" in err
+    assert path.read_text() == text
+
+
+BIG_DISC = ("count", "--mode", "G", "--g", "0", "--n", "1", "--b", "16000")
+
+
+@pytest.mark.parametrize("extra", [("--t", "0"), ("--closed-only",)])
+def test_counts_of_any_size_are_printed(capsys, extra):
+    want = catalan(8000)  # 4,811 digits
+    rc, out, _ = run(capsys, *BIG_DISC, *extra)
+    assert rc == 0 and int(out) == want
+    rc, out, _ = run(capsys, *BIG_DISC, *extra, "--json")
+    assert rc == 0 and int(json.loads(out)["count"]) == want
+
+
+class _CacheOnlyMemo(engine._Memo):
+    def __missing__(self, key):
+        raise RuntimeError(f"{key} did not come from the cache")
+
+
+def test_counts_of_any_size_round_trip_through_the_cache(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "memo.cache"
+    memo = engine._Memo()
+    memo[("G", 0, 1, (16000,))] = catalan(8000)  # too slow to recompute here
+    monkeypatch.setattr(engine, "_MEMO", memo)
+    rc, first, _ = run(capsys, *BIG_DISC, "--cache", str(path))
+    assert rc == 0 and int(first) == catalan(8000)
+    monkeypatch.setattr(engine, "_MEMO", _CacheOnlyMemo())
+    rc, out, err = run(capsys, *BIG_DISC, "--cache", str(path))
+    assert (rc, out, err) == (0, first, "")
 
 
 def test_usage_error_exits_2():

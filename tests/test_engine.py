@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -323,6 +324,61 @@ def test_cache_save_leaves_no_temporary_file(tmp_path):
     assert count_G_r(1, 2, (4, 2), 3) == 66
 
 
+def _rewrites(path, action) -> bool:
+    """Whether ``action()`` replaced the file: every write makes a new inode."""
+    before = os.stat(path).st_ino
+    action()
+    return os.stat(path).st_ino != before
+
+
+def test_cache_load_into_a_nonempty_memo_saves_the_union(tmp_path):
+    path = str(tmp_path / "memo.cache")
+    clear_memo()
+    count_G(0, 1, (10,))
+    on_file = save_cache(path)
+    clear_memo()
+    count_N(1, 1, (8,))
+    assert load_cache(path) == on_file
+    union = memo_size()
+    assert union > on_file
+    assert _rewrites(path, lambda: save_cache(path))
+    clear_memo()
+    assert load_cache(path) == union
+
+
+def test_cache_save_skips_only_an_unchanged_file_and_memo(tmp_path):
+    path = str(tmp_path / "memo.cache")
+    clear_memo()
+    count_G(1, 1, (10,))
+    written = save_cache(path)
+    assert not _rewrites(path, lambda: save_cache(path))
+    assert load_cache(path) == written
+    assert not _rewrites(path, lambda: save_cache(path)) and save_cache(path) == written
+    count_G(1, 1, (12,))  # the memo grew
+    assert _rewrites(path, lambda: save_cache(path))
+    clear_memo()  # the same records again, recomputed
+    count_G(1, 1, (12,))
+    assert _rewrites(path, lambda: save_cache(path))
+
+
+def test_cache_changed_on_disk_after_a_load_is_written(tmp_path):
+    path = str(tmp_path / "memo.cache")
+    other = str(tmp_path / "other.cache")
+    clear_memo()
+    count_G(1, 1, (10,))
+    written = save_cache(path)
+    shutil.copy(path, other)
+    clear_memo()
+    assert load_cache(path) == written
+    os.remove(path)
+    assert save_cache(path) == written and os.path.exists(path)
+    assert load_cache(path) == written
+    os.replace(other, path)  # the same bytes, another file
+    assert _rewrites(path, lambda: save_cache(path))
+    clear_memo()
+    assert load_cache(path) == written
+
+
 # (g, n) -> largest entry of the frozen sweep; the sweep meets every fold's
 # fixed point: the disc with i == j, n = 1 at even g with g1 == g2, and
 # repeated and zero entries.
@@ -377,13 +433,12 @@ class _CountingMemo(engine._Memo):
         # Shape B then computed its pants children in place, without a memo
         # read: the N, lattice and Nt rows read 43,900, 11,219 and 16,036
         # before; the entry counts did not move.
-        (count_N, (3, 1, (30,)), 25426, 1322),
-        (count_G, (0, 1, (400,)), 20101, 200),
-        (count_G, (2, 2, (16, 16)), 45641, 1452),
-        (count_lattice, (2, 1, (40,)), 2489, 191),
-        (count_N_t, (2, 1, (40,), 0), 4221, 229),
+        pytest.param(count_N, (3, 1, (30,)), 25426, 1322, id="count_N(3,1,(30,))"),
+        pytest.param(count_G, (0, 1, (400,)), 20101, 200, id="count_G(0,1,(400,))"),
+        pytest.param(count_G, (2, 2, (16, 16)), 45641, 1452, id="count_G(2,2,(16,16))"),
+        pytest.param(count_lattice, (2, 1, (40,)), 2489, 191, id="count_lattice(2,1,(40,))"),
+        pytest.param(count_N_t, (2, 1, (40,), 0), 4221, 229, id="count_N_t(2,1,(40,),0)"),
     ],
-    ids=lambda x: getattr(x, "__name__", None),
 )
 def test_cold_memo_reads_are_pinned(monkeypatch, fn, args, reads, entries):
     memo = _CountingMemo()

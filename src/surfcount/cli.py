@@ -106,6 +106,18 @@ def _one_count(mode: str, g: int, n: int, b, r, t, closed_only: bool) -> int:
 
 # -- subcommand bodies -------------------------------------------------------
 
+# Options a mode does not read; giving one is a usage error, not a no-op.
+_FIT_UNREAD = {"nhat": ("--t", "--k"), "nhat-t": (), "gpoly": ("--k",)}
+_SERIES_UNREAD = {"fN": ("--alpha-bound",), "fG": ("--alpha-bound",), "frakf": ("--t",)}
+_CATALOGUE_UNREAD = ("--g", "--n", "--t", "--alpha-bound")
+
+
+def _reject_unread(args, options, context: str) -> None:
+    for option in options:
+        if getattr(args, option[2:].replace("-", "_")) is not None:
+            raise argparse.ArgumentTypeError(f"{context} does not read {option}")
+
+
 def _cmd_count(args) -> int:
     b = _parse_b(args.b, args.n)
     value = _one_count(args.mode, args.g, args.n, b, args.r, args.t, args.closed_only)
@@ -162,6 +174,7 @@ def _report_json(report) -> dict:
 
 
 def _cmd_fit(args) -> int:
+    _reject_unread(args, _FIT_UNREAD[args.mode], f"fit --mode {args.mode}")
     if args.mode == "nhat":
         report = fit_Nhat(args.g, args.n)
     elif args.mode == "nhat-t":
@@ -204,6 +217,7 @@ def _cmd_sums(args) -> int:
 
 def _cmd_series(args) -> int:
     which = args.which
+    _reject_unread(args, _SERIES_UNREAD.get(which, _CATALOGUE_UNREAD), f"series --which {which}")
     if which in CLOSED_FORM_NAMES:
         s = expand_closed_form(which, args.order)
     else:
@@ -214,7 +228,7 @@ def _cmd_series(args) -> int:
         elif which == "fG":
             s = build_fG(args.g, args.n, args.order, t=args.t)
         else:  # frakf
-            bound = args.alpha_bound or args.order // 2 + 2
+            bound = args.order // 2 + 2 if args.alpha_bound is None else args.alpha_bound
             s = build_frak_f(args.g, args.n, args.order, bound)
     print(_dumps(s.to_json_dict()))
     return EXIT_OK

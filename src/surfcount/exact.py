@@ -19,21 +19,12 @@ Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
-def binomial(n: Scalar, k: Scalar) -> int:
-    """Binomial coefficient as a total function.
+def binomial(n: int, k: int) -> int:
+    """Binomial coefficient of two ints as a total function.
 
-    Standard value for integral 0 <= k <= n; otherwise 0.  In particular a
-    half-integral k (a Fraction with denominator 2, as arises from indices
-    of the form (b - a)/2 with b - a odd) gives 0, as do k < 0 and k > n.
+    Standard value for 0 <= k <= n; otherwise 0, as for k < 0 and k > n.
+    Callers with a possibly half-integral index test its parity first.
     """
-    if isinstance(n, Fraction):
-        if n.denominator != 1:
-            return 0
-        n = n.numerator
-    if isinstance(k, Fraction):
-        if k.denominator != 1:
-            return 0
-        k = k.numerator
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)

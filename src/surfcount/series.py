@@ -15,7 +15,6 @@ variable's minimum.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .engine import count_G, count_G_r, count_G_t, count_N, count_N_t
 from .exact import binomial, frac_str, ordered_splits, vectors_with_sum_at_most
@@ -89,22 +88,15 @@ class TruncSeries:
         return self.terms.get(key, Fraction(0))
 
     def is_zero_through(self, order=None):
-        order = self.order if order is None else order
-        return all(
-            not val for key, val in self.terms.items() if sum(key[: self.nvars]) <= order
-        )
+        return self.first_nonzero(order) is None
 
     def first_nonzero(self, order=None):
         """Lowest nonzero term in graded-lex order, or None."""
         order = self.order if order is None else order
-        best = None
-        for key, val in self.terms.items():
-            if sum(key[: self.nvars]) > order:
-                continue
-            if best is None or _graded_lex(key, self.nvars) < _graded_lex(best, self.nvars):
-                best = key
-        if best is None:
+        live = [key for key in self.terms if sum(key[: self.nvars]) <= order]
+        if not live:
             return None
+        best = min(live, key=lambda key: _graded_lex(key, self.nvars))
         return best, self.terms[best]
 
     def sorted_terms(self):
@@ -113,13 +105,11 @@ class TruncSeries:
     def eq_through(self, other, order):
         if self.nvars != other.nvars or self.mins != other.mins:
             return False
-        keys = set(self.terms) | set(other.terms)
-        for key in keys:
-            if sum(key[: self.nvars]) > order:
-                continue
-            if self.terms.get(key, 0) != other.terms.get(key, 0):
-                return False
-        return True
+        return all(
+            self.terms.get(key, 0) == other.terms.get(key, 0)
+            for key in set(self.terms) | set(other.terms)
+            if sum(key[: self.nvars]) <= order
+        )
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -185,10 +175,6 @@ class TruncSeries:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return self._like({k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         self._check_shape(other)
@@ -310,6 +296,29 @@ def _check_order(T):
         raise ValueError("truncation order must be nonnegative")
 
 
+def _count_series(n, T, shift, count, aux=None, aux_bound=0, grades=None):
+    """Series from counts: the count at profile p lands on exponents p + shift.
+
+    shift is -1 for z-type variables (profiles with sum(p) <= T + n) or +1
+    for y-type variables (sum(p) <= T - n).  Without grades, count(p) is the
+    coefficient; with them, count(p, k) is the coefficient of aux^k for each
+    k in grades(p).
+    """
+    terms = {}
+    for p in vectors_with_sum_at_most(n, T - shift * n):
+        key = tuple(v + shift for v in p)
+        if grades is None:
+            c = count(p)
+            if c:
+                terms[key] = Fraction(c)
+            continue
+        for k in grades(p):
+            c = count(p, k)
+            if c:
+                terms[key + (k,)] = Fraction(c)
+    return TruncSeries(n, T, (min(shift, 0),) * n, aux, aux_bound, terms)
+
+
 def build_fN(g, n, T, t=None):
     """Boundary-point generating series in z-variables, truncated at order T.
 
@@ -317,12 +326,9 @@ def build_fN(g, n, T, t=None):
     sum(nu) <= T + n are enumerated.
     """
     _check_order(T)
-    terms = {}
-    for nu in vectors_with_sum_at_most(n, T + n):
-        c = count_N(g, n, nu) if t is None else count_N_t(g, n, nu, t)
-        if c:
-            terms[tuple(v - 1 for v in nu)] = Fraction(c)
-    return TruncSeries(n, T, mins=(-1,) * n, terms=terms)
+    if t is None:
+        return _count_series(n, T, -1, lambda nu: count_N(g, n, nu))
+    return _count_series(n, T, -1, lambda nu: count_N_t(g, n, nu, t))
 
 
 def build_fG(g, n, T, t=None):
@@ -332,12 +338,9 @@ def build_fG(g, n, T, t=None):
     sum(mu) <= T - n are enumerated.
     """
     _check_order(T)
-    terms = {}
-    for mu in vectors_with_sum_at_most(n, T - n):
-        c = count_G(g, n, mu) if t is None else count_G_t(g, n, mu, t)
-        if c:
-            terms[tuple(v + 1 for v in mu)] = Fraction(c)
-    return TruncSeries(n, T, terms=terms)
+    if t is None:
+        return _count_series(n, T, 1, lambda mu: count_G(g, n, mu))
+    return _count_series(n, T, 1, lambda mu: count_G_t(g, n, mu, t))
 
 
 def build_frak_f(g, n, T, alpha_bound):
@@ -345,14 +348,10 @@ def build_frak_f(g, n, T, alpha_bound):
     _check_order(T)
     if alpha_bound < 1:
         raise ValueError("alpha_bound must be at least 1")
-    terms = {}
-    for mu in vectors_with_sum_at_most(n, T - n):
-        rmax = min(alpha_bound, 1 + sum(mu) // 2)
-        for r in range(1, rmax + 1):
-            c = count_G_r(g, n, mu, r)
-            if c:
-                terms[tuple(v + 1 for v in mu) + (r,)] = Fraction(c)
-    return TruncSeries(n, T, aux="alpha", aux_bound=alpha_bound, terms=terms)
+    return _count_series(
+        n, T, 1, lambda mu, r: count_G_r(g, n, mu, r), aux="alpha", aux_bound=alpha_bound,
+        grades=lambda mu: range(1, min(alpha_bound, 1 + sum(mu) // 2) + 1),
+    )
 
 
 def build_bold_fN(g, n, T, beta_bound=None):
@@ -361,13 +360,10 @@ def build_bold_fN(g, n, T, beta_bound=None):
     tmax = 2 * g + n - 1
     if beta_bound is None:
         beta_bound = tmax
-    terms = {}
-    for nu in vectors_with_sum_at_most(n, T + n):
-        for t in range(0, min(beta_bound, tmax) + 1):
-            c = count_N_t(g, n, nu, t)
-            if c:
-                terms[tuple(v - 1 for v in nu) + (t,)] = Fraction(c)
-    return TruncSeries(n, T, mins=(-1,) * n, aux="beta", aux_bound=beta_bound, terms=terms)
+    return _count_series(
+        n, T, -1, lambda nu, t: count_N_t(g, n, nu, t), aux="beta", aux_bound=beta_bound,
+        grades=lambda nu: range(min(beta_bound, tmax) + 1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +382,12 @@ def _collar_coeffs(mu, order):
     one inversion).
     """
     out = {}
-    s = 0
-    while mu - 1 + 2 * s <= order:
+    for s in range((order - mu + 1) // 2 + 1):  # mu - 1 + 2s <= order
         c = Fraction((-1) ** s * binomial(mu + s, s))
-        hi = mu + 1 + 2 * s
         lo = mu - 1 + 2 * s
-        if hi <= order:
-            out[hi] = out.get(hi, Fraction(0)) - c
+        if lo + 2 <= order:
+            out[lo + 2] = out.get(lo + 2, Fraction(0)) - c
         out[lo] = out.get(lo, Fraction(0)) + c
-        s += 1
     return {e: v for e, v in out.items() if v}
 
 
@@ -430,23 +423,15 @@ def pullback_check(g, n, T, t=None):
     if (g, n) == (0, 1):
         raise ValueError("the one-boundary sphere is excluded from this identity")
     rhs = build_fN(g, n, T, t=t)
-    coeff_cache = {}
-
-    def collar(mu):
-        if mu not in coeff_cache:
-            coeff_cache[mu] = _collar_coeffs(mu, T + n)
-        return coeff_cache[mu]
-
+    # the y-series at order T + 2n holds every profile with sum(mu) <= T + n
+    ys = build_fG(g, n, T + 2 * n, t=t)
+    collar = {mu: _collar_coeffs(mu, T + n) for mu in range(T + n + 1)}
     terms = {}
     mins = (-1,) * n
-    for mu in vectors_with_sum_at_most(n, T + n):
-        c = count_G(g, n, mu) if t is None else count_G_t(g, n, mu, t)
-        if not c:
-            continue
-        for key, val in _tensor([collar(m) for m in mu], T, mins).items():
-            terms[key] = terms.get(key, Fraction(0)) + c * val
-    lhs = TruncSeries(n, T, mins=mins, terms=terms)
-    return lhs - rhs
+    for key, c in ys.terms.items():
+        for exps, val in _tensor([collar[e - 1] for e in key], T, mins).items():
+            terms[exps] = terms.get(exps, Fraction(0)) + c * val
+    return TruncSeries(n, T, mins=mins, terms=terms) - rhs
 
 
 # ---------------------------------------------------------------------------
@@ -470,45 +455,27 @@ def _inv_sqrt_one_minus_four(order):
     return {s: Fraction(binomial(2 * s, s)) for s in range(order // 2 + 1)}
 
 
-def _weights_even(order, include_empty):
-    """1-variable dict: weight nu at exponent nu-1 over even nu >= 2.
+def _weights(letter, order):
+    """1-variable dict of one boundary's weights in a pants term.
 
-    With include_empty, the empty profile contributes weight 1 at exponent -1.
+    A profile nu has weight nu at exponent nu - 1, except the empty profile
+    (nu = 0), which has weight 1 at exponent -1.  The letter picks the
+    profiles: "e" even nu >= 2, "o" odd nu >= 1, "E" even nu >= 0, "0" the
+    empty profile alone.  Exponents stop at `order`.
     """
-    out = {}
-    if include_empty:
-        out[-1] = Fraction(1)
-    nu = 2
-    while nu - 1 <= order:
-        out[nu - 1] = Fraction(nu)
-        nu += 2
-    return out
+    first = {"E": 0, "0": 0, "o": 1, "e": 2}[letter]
+    last = 0 if letter == "0" else order + 1
+    return {nu - 1: Fraction(max(nu, 1)) for nu in range(first, last + 1, 2)}
 
 
-def _weights_odd(order):
-    """1-variable dict: weight nu at exponent nu-1 over odd nu >= 1."""
-    out = {}
-    nu = 1
-    while nu - 1 <= order:
-        out[nu - 1] = Fraction(nu)
-        nu += 2
-    return out
-
-
-def _unit(exp):
-    return {exp: Fraction(1)}
-
-
-def _mul2(a, b, order):
-    """Multiply two 2-variable term dicts with nonnegative exponents."""
-    out = {}
-    for (e1, e2), v in a.items():
-        for (f1, f2), w in b.items():
-            if e1 + f1 + e2 + f2 > order:
-                continue
-            key = (e1 + f1, e2 + f2)
-            out[key] = out.get(key, Fraction(0)) + v * w
-    return {k: v for k, v in out.items() if v}
+# The three-boundary sphere entries: a sum of tensor products of weights,
+# one word per product and one letter of _weights per boundary.
+_FN03_WORDS = {
+    "fN03": ("EEE", "Eoo", "oEo", "ooE"),
+    "fN03_t0": ("eee", "eoo", "oeo", "ooe"),
+    "fN03_t1": ("0ee", "0oo", "e0e", "o0o", "ee0", "oo0"),
+    "fN03_t2": ("000", "e00", "0e0", "00e"),
+}
 
 
 def _divide_diagonal(terms, top):
@@ -520,10 +487,8 @@ def _divide_diagonal(terms, top):
     """
     slices = {}
     for (e1, e2), v in terms.items():
-        d = e1 + e2
-        if d > top:
-            continue
-        slices.setdefault(d, {})[e2] = v
+        if e1 + e2 <= top:
+            slices.setdefault(e1 + e2, {})[e2] = v
     out = {}
     for d, row in slices.items():
         carry = Fraction(0)
@@ -547,129 +512,86 @@ def _catalogue_fG02(T):
     (y2 - y1) leave an honest power series.
     """
     top = T + 2
-    s1 = {(2 * s, 0): c for s, c in _inv_sqrt_one_minus_four(top).items()}
-    s2 = {(0, 2 * s): c for s, c in _inv_sqrt_one_minus_four(top).items()}
-    bracket = {
-        (2, 0): Fraction(2),
-        (1, 1): Fraction(-3),
-        (0, 2): Fraction(2),
-        (2, 2): Fraction(-4),
-    }
-    num = _mul2(bracket, _mul2(s1, s2, top), top)
-    num = {(e1 + 1, e2 + 1): v for (e1, e2), v in num.items() if e1 + e2 + 2 <= top}
-    num[(2, 2)] = num.get((2, 2), Fraction(0)) - 1
-    quot = _divide_diagonal(_divide_diagonal(num, top), top - 1)
-    terms = {k: v / 2 for k, v in quot.items()}
-    return TruncSeries(2, T, terms=terms)
+    sq = _inv_sqrt_one_minus_four(top)
+    s1 = TruncSeries(2, top, terms={(2 * s, 0): c for s, c in sq.items()})
+    s2 = TruncSeries(2, top, terms={(0, 2 * s): c for s, c in sq.items()})
+    bracket = TruncSeries(2, top, terms={(2, 0): 2, (1, 1): -3, (0, 2): 2, (2, 2): -4})
+    num = (bracket * (s1 * s2)).shift_var(0, 1).shift_var(1, 1)
+    num = num - TruncSeries(2, top, terms={(2, 2): 1})
+    quot = _divide_diagonal(_divide_diagonal(num.terms, top), top - 1)
+    return TruncSeries(2, T, terms={k: v / 2 for k, v in quot.items()})
+
+
+def _disc_alpha_bound(T):
+    """Auxiliary bound of the region-graded disc entry at order T."""
+    return max(1, (T + 1) // 2)
 
 
 def expand_closed_form(name, T):
     """Expand a catalogued closed form to order T."""
     _check_order(T)
-    zmins = (-1,)
 
     if name == "fN01":
-        return TruncSeries(1, T, mins=zmins, terms={(-1,): Fraction(1)})
+        return TruncSeries(1, T, mins=(-1,), terms={(-1,): Fraction(1)})
 
-    if name == "fG01":
-        sq = _sqrt_one_minus_four(T + 1)
-        terms = {}
-        for s, c in sq.items():
-            if s >= 1 and 2 * s - 1 <= T:
-                terms[(2 * s - 1,)] = -c / 2
-        return TruncSeries(1, T, terms=terms)
-
-    if name == "frakf01G":
-        sq = _sqrt_one_minus_four(T + 1)
-        bound = max(1, (T + 1) // 2)
-        terms = {}
-        for s, c in sq.items():
-            if s >= 1 and 2 * s - 1 <= T:
-                terms[(2 * s - 1, s)] = -c / 2
-        return TruncSeries(1, T, aux="alpha", aux_bound=bound, terms=terms)
+    if name in ("fG01", "frakf01G"):
+        # exponent 2s - 1 = mu + 1: a disc diagram on mu points has s regions
+        graded = name == "frakf01G"
+        terms = {
+            (2 * s - 1,) + ((s,) if graded else ()): -c / 2
+            for s, c in _sqrt_one_minus_four(T + 1).items()
+            if s >= 1 and 2 * s - 1 <= T
+        }
+        return TruncSeries(1, T, aux="alpha" if graded else None,
+                           aux_bound=_disc_alpha_bound(T), terms=terms)
 
     if name == "fG02":
         return _catalogue_fG02(T)
 
-    mins2 = (-1, -1)
     if name in ("fN02", "fN02_t0", "fN02_t1"):
         terms = {}
         if name in ("fN02", "fN02_t1"):
             terms[(-1, -1)] = Fraction(1)
         if name in ("fN02", "fN02_t0"):
-            j = 0
-            while 2 * j <= T:
+            for j in range(T // 2 + 1):
                 terms[(j, j)] = Fraction(j + 1)
-                j += 1
-        return TruncSeries(2, T, mins=mins2, terms=terms)
+        return TruncSeries(2, T, mins=(-1, -1), terms=terms)
 
-    mins3 = (-1, -1, -1)
-    if name in ("fN03", "fN03_t0", "fN03_t1", "fN03_t2"):
-        hi = T + 3
-        rho_full = _weights_even(hi, include_empty=True)
-        rho = _weights_even(hi, include_empty=False)
-        sig = _weights_odd(hi)
+    if name in _FN03_WORDS:
+        mins3 = (-1, -1, -1)
         terms = {}
-
-        def acc(f1, f2, f3):
-            for key, val in _tensor([f1, f2, f3], T, mins3).items():
+        for word in _FN03_WORDS[name]:
+            factors = [_weights(letter, T + 3) for letter in word]
+            for key, val in _tensor(factors, T, mins3).items():
                 terms[key] = terms.get(key, Fraction(0)) + val
-
-        if name == "fN03":
-            acc(rho_full, rho_full, rho_full)
-            acc(rho_full, sig, sig)
-            acc(sig, rho_full, sig)
-            acc(sig, sig, rho_full)
-        elif name == "fN03_t0":
-            acc(rho, rho, rho)
-            acc(rho, sig, sig)
-            acc(sig, rho, sig)
-            acc(sig, sig, rho)
-        elif name == "fN03_t1":
-            one = _unit(-1)
-            acc(one, rho, rho)
-            acc(one, sig, sig)
-            acc(rho, one, rho)
-            acc(sig, one, sig)
-            acc(rho, rho, one)
-            acc(sig, sig, one)
-        else:  # fN03_t2
-            one = _unit(-1)
-            acc(one, one, one)
-            acc(rho, one, one)
-            acc(one, rho, one)
-            acc(one, one, rho)
         return TruncSeries(3, T, mins=mins3, terms=terms)
 
     raise ValueError(f"unknown closed form {name!r}")
 
 
-CLOSED_FORM_NAMES = (
-    "fN01", "fG01", "fN02", "fN03",
-    "fN02_t0", "fN02_t1", "fN03_t0", "fN03_t1", "fN03_t2",
-    "frakf01G", "fG02",
-)
+# The count-built series each catalogue entry must match, in catalogue order.
+_REFERENCES = {
+    "fN01": lambda T: build_fN(0, 1, T),
+    "fG01": lambda T: build_fG(0, 1, T),
+    "fN02": lambda T: build_fN(0, 2, T),
+    "fN03": lambda T: build_fN(0, 3, T),
+    "fN02_t0": lambda T: build_fN(0, 2, T, t=0),
+    "fN02_t1": lambda T: build_fN(0, 2, T, t=1),
+    "fN03_t0": lambda T: build_fN(0, 3, T, t=0),
+    "fN03_t1": lambda T: build_fN(0, 3, T, t=1),
+    "fN03_t2": lambda T: build_fN(0, 3, T, t=2),
+    "frakf01G": lambda T: build_frak_f(0, 1, T, _disc_alpha_bound(T)),
+    "fG02": lambda T: build_fG(0, 2, T),
+}
+
+CLOSED_FORM_NAMES = tuple(_REFERENCES)
 
 
 def closed_form_reference(name, T):
     """Count-built series that a catalogue entry must match through order T."""
-    if name == "fN01":
-        return build_fN(0, 1, T)
-    if name == "fG01":
-        return build_fG(0, 1, T)
-    if name == "fN02":
-        return build_fN(0, 2, T)
-    if name == "fN03":
-        return build_fN(0, 3, T)
-    if name.startswith("fN02_t"):
-        return build_fN(0, 2, T, t=int(name[-1]))
-    if name.startswith("fN03_t"):
-        return build_fN(0, 3, T, t=int(name[-1]))
-    if name == "frakf01G":
-        return build_frak_f(0, 1, T, max(1, (T + 1) // 2))
-    if name == "fG02":
-        return build_fG(0, 2, T)
-    raise ValueError(f"unknown closed form {name!r}")
+    if name not in _REFERENCES:
+        raise ValueError(f"unknown closed form {name!r}")
+    return _REFERENCES[name](T)
 
 
 # ---------------------------------------------------------------------------
@@ -677,15 +599,30 @@ def closed_form_reference(name, T):
 # ---------------------------------------------------------------------------
 
 
-def _frak_embedded(g, n_sub, order, alpha_bound, nvars, slots):
-    """Region-graded series for (g, n_sub) placed at the given variable slots."""
-    base = build_frak_f(g, n_sub, order, alpha_bound)
-    return base.embed(nvars, slots, (0,) * nvars)
+def _recursion_residual(piece, g, n):
+    """x1 * piece(g, n) minus the three right-hand terms shared by the
+    refined and unrefined differential recursions at (g, n).
 
+    piece(g', n') builds the y-series of (g', n') at the working order.  The
+    terms are the genus-drop diagonal, the divided differences against each
+    later variable, and the splitting convolution over ordered genus/slot
+    splits; lower pieces sit at variable slots of the n-variable space.
+    """
+    def embedded(g_sub, slots):
+        return piece(g_sub, len(slots)).embed(n, slots, (0,) * n)
 
-def _plain_embedded(g, n_sub, order, nvars, slots, t=None):
-    base = build_fG(g, n_sub, order, t=t)
-    return base.embed(nvars, slots, (0,) * nvars)
+    residual = piece(g, n).shift_var(0, -1)
+    if g >= 1:
+        residual = residual - piece(g - 1, n + 1).merge_first_two()
+    rest = tuple(range(1, n))
+    if n >= 2:
+        base = embedded(g, rest)
+        for k in rest:
+            residual = residual - base.divided_difference(k).deriv_x(k)
+    for g1 in range(g + 1):
+        for left, right in ordered_splits(rest):
+            residual = residual - embedded(g1, (0,) + left) * embedded(g - g1, (0,) + right)
+    return residual
 
 
 def diff_recursion_residual(g, n, T, alpha_bound=None):
@@ -706,43 +643,17 @@ def diff_recursion_residual(g, n, T, alpha_bound=None):
     if alpha_bound is None:
         alpha_bound = T // 2 + 2
 
-    zero = TruncSeries(n, work, aux="alpha", aux_bound=safe_alpha)
+    def piece(g_sub, n_sub):
+        return build_frak_f(g_sub, n_sub, work, safe_alpha)
 
-    main = build_frak_f(g, n, work, safe_alpha)
-    lhs = main.shift_var(0, -1)
-
-    # genus-drop diagonal
-    if g >= 1:
-        tall = build_frak_f(g - 1, n + 1, work, safe_alpha)
-        t1 = tall.merge_first_two()
-    else:
-        t1 = zero
-
-    # divided differences against each later variable
-    t2 = zero
-    if n >= 2:
-        base = _frak_embedded(g, n - 1, work, safe_alpha, n, tuple(range(1, n)))
-        for k in range(1, n):
-            t2 = t2 + base.divided_difference(k).deriv_x(k)
-
-    # splitting convolution over ordered genus/slot splits
-    t3 = zero
-    rest = tuple(range(1, n))
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for left, right in ordered_splits(rest):
-            f1 = _frak_embedded(g1, len(left) + 1, work, safe_alpha, n, (0,) + left)
-            f2 = _frak_embedded(g2, len(right) + 1, work, safe_alpha, n, (0,) + right)
-            t3 = t3 + f1 * f2
-
+    residual = _recursion_residual(piece, g, n)
     # alpha-weighted term; for n = 1 the zero-boundary convention gives alpha
     if n >= 2:
-        t4 = _frak_embedded(g, n - 1, work, safe_alpha, n, tuple(range(1, n))).aux_weighted()
+        weighted = piece(g, n - 1).embed(n, tuple(range(1, n)), (0,) * n).aux_weighted()
     else:
-        t4 = TruncSeries(n, work, aux="alpha", aux_bound=safe_alpha,
-                         terms={(0,) * n + (1,): Fraction(1)})
-
-    residual = lhs - t1 - t2 - t3 - t4
+        weighted = TruncSeries(n, work, aux="alpha", aux_bound=safe_alpha,
+                               terms={(0,) * n + (1,): Fraction(1)})
+    residual = residual - weighted
 
     unrefined = first_diff_residual(g, n, T)
     bad = unrefined.first_nonzero()
@@ -760,40 +671,14 @@ def first_diff_residual(g, n, T):
     """Residual of the differentiated unrefined identity at (g, n).
 
     Both sides carry a d/dx_1, which kills the terms that the plain
-    recursion cannot see.
+    recursion cannot see.  The derivative is linear, so it acts once on
+    the whole residual.
     """
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
     work = T + 2
-
-    zero = TruncSeries(n, work)
-
-    main = build_fG(g, n, work)
-    lhs = main.shift_var(0, -1).deriv_x(0)
-
-    if g >= 1:
-        t1 = build_fG(g - 1, n + 1, work).merge_first_two().deriv_x(0)
-    else:
-        t1 = zero
-
-    t2 = zero
-    if n >= 2:
-        base = _plain_embedded(g, n - 1, work, n, tuple(range(1, n)))
-        for k in range(1, n):
-            t2 = t2 + base.divided_difference(k).deriv_x(k)
-        t2 = t2.deriv_x(0)
-
-    t3 = zero
-    rest = tuple(range(1, n))
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for left, right in ordered_splits(rest):
-            f1 = _plain_embedded(g1, len(left) + 1, work, n, (0,) + left)
-            f2 = _plain_embedded(g2, len(right) + 1, work, n, (0,) + right)
-            t3 = t3 + f1 * f2
-    t3 = t3.deriv_x(0)
-
-    return (lhs - t1 - t2 - t3).truncate(T)
+    residual = _recursion_residual(lambda g_sub, n_sub: build_fG(g_sub, n_sub, work), g, n)
+    return residual.deriv_x(0).truncate(T)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ single ``criterion NN PASS`` line with the evidence summary.  Run with
 criterion.
 """
 
+import hashlib
+
 from surfcount import clear_memo, fitlab, verify
 
 
@@ -94,6 +96,10 @@ def test_criterion_14_reports_independent_of_check_order():
     a forward ``run_suite("all")`` check for check."""
     forward = verify.run_suite("all")
     assert verify.all_passed(forward)
+    report = (verify.format_report(forward) + "\n").encode()
+    assert hashlib.sha256(report).hexdigest() == (
+        "20f25a050c21f5eb0f538bc1df9592654ff62bef782d272be05c997881aa76de"
+    ), "the verify report is no longer byte-identical"
     clear_memo()
     fitlab._NHAT_CACHE.clear()
     backward = [verify._run_one(entry) for entry in reversed(verify._REGISTRY)]

@@ -184,6 +184,41 @@ def test_series_rejects_a_negative_order(capsys, argv):
     assert "truncation order must be nonnegative" in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_series_rejects_an_alpha_bound_below_one(capsys, bound):
+    rc, out, err = run(capsys, "series", "--which", "frakf", "--g", "0", "--n", "1",
+                       "--order", "5", "--alpha-bound", bound)
+    assert (rc, out) == (2, "")
+    assert err == "error: alpha_bound must be at least 1\n"
+
+
+FIT_03 = ("fit", "--g", "0", "--n", "3")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("series", "--which", "fN01", "--order", "4", "--g", "0"), "--g"),
+        (("series", "--which", "fG02", "--order", "4", "--n", "2"), "--n"),
+        (("series", "--which", "fN03_t1", "--order", "4", "--t", "1"), "--t"),
+        (("series", "--which", "frakf01G", "--order", "4", "--alpha-bound", "3"), "--alpha-bound"),
+        (("series", "--which", "fN", "--g", "0", "--n", "2", "--order", "4",
+          "--alpha-bound", "3"), "--alpha-bound"),
+        (("series", "--which", "fG", "--g", "0", "--n", "2", "--order", "4",
+          "--alpha-bound", "3"), "--alpha-bound"),
+        (("series", "--which", "frakf", "--g", "1", "--n", "2", "--order", "4", "--t", "1"),
+         "--t"),
+        ((*FIT_03, "--mode", "nhat", "--t", "1"), "--t"),
+        ((*FIT_03, "--mode", "nhat", "--k", "0"), "--k"),
+        ((*FIT_03, "--mode", "gpoly", "--k", "3"), "--k"),
+    ],
+)
+def test_options_the_mode_does_not_read_are_rejected(capsys, argv, option):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.rstrip().endswith(f"does not read {option}")
+
+
 def test_sums_command(capsys):
     rc, out, _ = run(capsys, "sums", "--family", "A", "--m", "0", "--k-max", "4")
     rows = out.strip().splitlines()

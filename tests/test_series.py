@@ -1,5 +1,7 @@
 """Truncated series: builders, arithmetic, and the identity checks."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -150,3 +152,44 @@ def test_json_shape_graded_lex():
     assert d["aux"] == "none"
     degrees = [sum(t["exps"]) for t in d["terms"]]
     assert degrees == sorted(degrees)
+
+
+def _shape_and_json(s):
+    return [s.to_json_dict(), [s.nvars, list(s.mins), s.order, s.aux, s.aux_bound]]
+
+
+def _frozen_outputs():
+    out = []
+    for g, n, T in ((0, 1, 7), (0, 2, 6), (0, 3, 5), (1, 1, 6), (1, 2, 4)):
+        for t in (None,) + tuple(range(2 * g + n)):
+            out.append(("fN", g, n, T, t, _shape_and_json(build_fN(g, n, T, t=t))))
+            out.append(("fG", g, n, T, t, _shape_and_json(build_fG(g, n, T, t=t))))
+        for bound in (1, 2, T // 2 + 2):
+            out.append(("frakf", g, n, T, bound, _shape_and_json(build_frak_f(g, n, T, bound))))
+        for bound in (None, 0, 1):
+            out.append(("boldfN", g, n, T, bound, _shape_and_json(build_bold_fN(g, n, T, bound))))
+    for name in CLOSED_FORM_NAMES:
+        for T in (0, 1, 4, 7):
+            out.append((name, T, _shape_and_json(expand_closed_form(name, T))))
+            out.append(("ref", name, T, _shape_and_json(closed_form_reference(name, T))))
+    for g, n, T in ((0, 1, 5), (0, 2, 4), (0, 3, 3), (1, 1, 4)):
+        for bound in (None, 1, 3):
+            res = diff_recursion_residual(g, n, T, alpha_bound=bound)
+            out.append(("diff", g, n, T, bound, _shape_and_json(res)))
+        out.append(("first", g, n, T, _shape_and_json(first_diff_residual(g, n, T))))
+    for g, n, T in ((0, 2, 6), (0, 3, 4), (1, 1, 5)):
+        for t in (None,) + tuple(range(2 * g + n)):
+            out.append(("pullback", g, n, T, t, _shape_and_json(pullback_check(g, n, T, t=t))))
+    return out
+
+
+def test_series_outputs_are_frozen():
+    """Every builder, catalogue entry, reference, residual and pullback on a
+    fixed grid, as JSON and shape, hashed: any change to a coefficient, a
+    truncation or an auxiliary bound changes the digest."""
+    outputs = _frozen_outputs()
+    blob = json.dumps(outputs, separators=(",", ":")).encode()
+    assert len(outputs) == 181
+    assert hashlib.sha256(blob).hexdigest() == (
+        "11c551f9139ea6c7e17500b723ed6d94e31afa60efdea396f28d16174ca23268"
+    )

@@ -386,10 +386,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NoClosedForm as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except Unsupported as exc:
+    except (NoClosedForm, Unsupported) as exc:  # NoClosedForm is a ValueError
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except FitInvalid as exc:

@@ -11,11 +11,13 @@ binomial prefactor (a polynomial family in the half-entries m_i).
 
 Every count fitted here is symmetric in its boundary entries, so branches
 whose parity signatures are permutations of each other carry one polynomial
-up to a relabelling of the variables.  Each fit interpolates only the sorted
-representative of a signature orbit (evens first, e.g. ``eeeoo``) and
-derives the other branches by permuting variables; every branch, derived or
-not, still passes its structural checks and is certified on its own seeded
-held-out points.
+up to a relabelling of the variables.  All fits run one branch loop
+(``_fit_branches``): it interpolates only the sorted representative of a
+signature orbit (evens first, e.g. ``eeeoo``), derives the other branches
+by permuting variables, and puts every branch, derived or not, through its
+target's structural checks and seeded held-out points of its own.  Grids
+and held-out points come from one sampler over two axis kinds: parity axes
+in the b_i and unit axes in the m_i.
 
 Two consumers sit on top: ``extract_psi`` reads intersection numbers off
 the top-degree coefficients, and ``compare_top_degree`` checks that the
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from .closed import bar
 from .engine import count_G, count_G_t, count_lattice, count_N, count_N_t
@@ -73,31 +75,36 @@ class FitReport:
         return self.branches.branches.get(sig)
 
 
-def _axis(ch: str, count: int, offset: int = 0) -> list[int]:
-    """The smallest positive values of one parity, skipping `offset` of them."""
-    start = (2 if ch == EVEN else 1) + 2 * offset
-    return [start + 2 * i for i in range(count)]
+# The two axis kinds of a grid: each gives the node at index i on an axis of
+# parity `ch`, and one seeded random draw for a held-out point of a grid whose
+# degree plus point budget is `span`.  Parity axes run over the boundary
+# entries b (the smallest values of one parity); unit axes over the
+# half-entries m, where the parity sits in the branch, not the point.
+_PARITY = (
+    lambda ch, i: (2 if ch == EVEN else 1) + 2 * i,
+    lambda ch, rng, span: rng.randrange(2 if ch == EVEN else 1, 2 * span + 18, 2),
+)
+_UNIT = (lambda ch, i: 1 + i, lambda ch, rng, span: rng.randrange(0, span + 9))
 
 
-def _grid_points(freesig: str, degree: int):
-    return product(*(_axis(ch, degree + 1) for ch in freesig))
+def _grid_points(sig: str, degree: int, axis=_PARITY):
+    node = axis[0]
+    return product(*([node(ch, i) for i in range(degree + 1)] for ch in sig))
 
 
-def _validation_free(freesig: str, degree: int, rng: random.Random, minimum: int):
+def _validation_free(sig: str, degree: int, rng: random.Random, minimum: int, axis=_PARITY):
     """Held-out points: the next two values beyond the grid on each axis,
-    topped up with seeded random points of the right parities."""
+    topped up with seeded random points (of the right parities)."""
+    node, draw = axis
     pts = set()
-    base = [_axis(ch, 1)[0] for ch in freesig]
-    for i, ch in enumerate(freesig):
-        for extra in _axis(ch, 2, offset=degree + 1):
+    base = [node(ch, 0) for ch in sig]
+    for i, ch in enumerate(sig):
+        for j in (degree + 1, degree + 2):
             p = list(base)
-            p[i] = extra
+            p[i] = node(ch, j)
             pts.add(tuple(p))
-    hi = 2 * (degree + minimum) + 18  # keep each axis richer than `minimum`
-    while len(pts) < minimum:
-        pts.add(
-            tuple(rng.randrange(2 if ch == EVEN else 1, hi, 2) for ch in freesig)
-        )
+    while len(pts) < minimum:  # the span keeps each axis richer than `minimum`
+        pts.add(tuple(draw(ch, rng, degree + minimum) for ch in sig))
     return sorted(pts)
 
 
@@ -117,35 +124,58 @@ def _assert_symmetric(poly: MultiPoly, freesig: str, context: str) -> None:
                 raise FitInvalid(f"{context}: not symmetric within a parity class")
 
 
-def _signatures(n: int):
-    return ("".join(w) for w in product((EVEN, ODD), repeat=n))
+def _check_args(g: int, n: int, *grades: int) -> None:
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (g, n, *grades)):
+        raise TypeError("g, n, t and k must be ints")
+    if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
+        raise ValueError("need a hyperbolic-type surface: 2g - 2 + n > 0")
 
 
-def _orbit_fitter(
-    grid: Callable[[str], dict[tuple, Fraction]], degree: int
-) -> Callable[[str], MultiPoly]:
-    """Branch interpolation, done once per orbit of parity signatures.
+def _fit_branches(
+    ctx: str, n: int, k: int, D: int, values: Callable[[str], Callable[[tuple], Fraction]],
+    zero: Callable[[str], bool], check: Callable[[str, str, MultiPoly], None],
+    rng: random.Random, zero_held: tuple[int, int] | None = None, held: int = 10, axis=_PARITY,
+) -> tuple[QuasiPoly, int]:
+    """The branch loop of every fit, over the parity signatures of the n-k
+    free slots with the k pinned zeros appended as ``z``.
 
-    ``grid(sig)`` gives the values of a branch on its tensor grid, from a
-    count symmetric under permuting the slots of the signature and the
-    point together.  The returned ``fit(sig)`` interpolates the grid of the
-    sorted representative of ``sig`` (evens first), once, and relabels its
-    variables for ``sig``.  It certifies nothing: the callers check and
-    certify every branch they get from it.
+    ``values(freesig)`` is the branch's value function on free points.  A
+    branch where ``zero(freesig)`` holds is certified zero on held-out points
+    of budget ``zero_held`` (degree, minimum; default (D, held)).  Any other
+    branch is read off one interpolation per signature orbit: the grid of
+    the sorted representative (evens first) is interpolated once, and each
+    branch relabels its variables.  The branch then passes ``check(ctx,
+    freesig, poly)`` and the symmetry check, and is certified on at least
+    ``held`` of its own held-out points.  Returns the branches and the
+    number of points certified.
     """
+    qp = QuasiPoly(n)
+    checked = 0
     fitted: dict[str, MultiPoly] = {}
-
-    def fit(sig: str) -> MultiPoly:
-        rep = "".join(sorted(sig))
-        if rep not in fitted:
-            fitted[rep] = interpolate_tensor(grid(rep), degree)
-        # slot order[j] of sig sits at slot j of rep; sig's variable i reads
-        # rep's variable perm[i], the inverse of order
-        order = sorted(range(len(sig)), key=sig.__getitem__)
-        perm = sorted(range(len(sig)), key=order.__getitem__)
-        return fitted[rep].permute_vars(perm)
-
-    return fit
+    for word in product((EVEN, ODD), repeat=n - k):
+        freesig = "".join(word)
+        sig = freesig + ZERO * k
+        bctx = f"{ctx} branch {sig}"
+        if zero(freesig):
+            poly = MultiPoly.zero(n - k)
+            degree, minimum = zero_held or (D, held)
+            points = _validation_free(freesig, degree, rng, minimum, axis)
+        else:
+            rep = "".join(sorted(freesig))
+            if rep not in fitted:
+                value = values(rep)
+                grid = {p: value(p) for p in _grid_points(rep, D, axis)}
+                fitted[rep] = interpolate_tensor(grid, D)
+            # slot order[j] of freesig sits at slot j of rep; freesig's
+            # variable i reads rep's variable perm[i], the inverse of order
+            order = sorted(range(n - k), key=freesig.__getitem__)
+            poly = fitted[rep].permute_vars(sorted(range(n - k), key=order.__getitem__))
+            check(bctx, freesig, poly)
+            _assert_symmetric(poly, freesig, bctx)
+            points = _validation_free(freesig, D, rng, held, axis)
+        checked += certify(bctx, poly, values(freesig), points)
+        qp.set_branch(sig, poly)
+    return qp, checked
 
 
 _NHAT_CACHE: dict[tuple[int, int], FitReport] = {}
@@ -163,37 +193,25 @@ def fit_Nhat(g: int, n: int) -> FitReport:
     classes, a strictly positive top-degree part, and exact agreement on
     >= 10 held-out points per branch.
     """
+    _check_args(g, n)
     if (g, n) in _NHAT_CACHE:
         return _NHAT_CACHE[(g, n)]
-    if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
-        raise ValueError("need a hyperbolic-type surface: 2g - 2 + n > 0")
     D = 6 * g - 6 + 2 * n
-    rng = random.Random(f"Nhat {g} {n}")
-    qp = QuasiPoly(n)
-    checked = 0
 
     def nhat(b) -> Fraction:
-        den = 1
-        for x in b:
-            den *= bar(x)
-        return Fraction(count_N(g, n, b), den)
+        return Fraction(count_N(g, n, b), prod(map(bar, b)))
 
-    fit = _orbit_fitter(lambda sig: {p: nhat(p) for p in _grid_points(sig, D)}, D)
-    for sig in _signatures(n):
-        ctx = f"Nhat({g},{n}) branch {sig}"
-        if sig.count(ODD) % 2:
-            checked += certify(ctx, MultiPoly.zero(n), nhat, _validation_free(sig, D, rng, 10))
-            qp.set_branch(sig, MultiPoly.zero(n))
-            continue
-        poly = fit(sig)
+    def check(ctx: str, sig: str, poly: MultiPoly) -> None:
         _assert_even_exponents(poly, ctx)
         if poly.total_degree() != D:
             raise FitInvalid(f"{ctx}: degree {poly.total_degree()} != {D}")
         if any(c <= 0 for c in poly.homogeneous_part(D).terms.values()):
             raise FitInvalid(f"{ctx}: top-degree part is not positive")
-        _assert_symmetric(poly, sig, ctx)
-        checked += certify(ctx, poly, nhat, _validation_free(sig, D, rng, 10))
-        qp.set_branch(sig, poly)
+
+    qp, checked = _fit_branches(
+        f"Nhat({g},{n})", n, 0, D, lambda sig: nhat, lambda sig: sig.count(ODD) % 2,
+        check, random.Random(f"Nhat {g} {n}"),
+    )
     report = FitReport("Nhat", g, n, None, None, D, qp, checked)
     _NHAT_CACHE[(g, n)] = report
     return report
@@ -209,42 +227,26 @@ def fit_Nhat_refined(g: int, n: int, t: int, k: int) -> FitReport:
     with the zero slots substituted.  Values of t outside the admissible
     window give branches that are confirmed zero by sampling.
     """
-    if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
-        raise ValueError("need a hyperbolic-type surface: 2g - 2 + n > 0")
+    _check_args(g, n, t, k)
     if not 0 <= k <= n:
         raise ValueError("k must lie between 0 and n")
-    rng = random.Random(f"Nhat_t {g} {n} {t} {k}")
-    qp = QuasiPoly(n)
-    checked = 0
     if k == n:
         zeros = (0,) * n
         expect = 1 if t == 2 * g + n - 1 else 0
         got = count_N_t(g, n, zeros, t)
         if got != expect:
             raise FitInvalid(f"Nhat_t({g},{n},t={t},k={n}): value {got} != {expect}")
+        qp = QuasiPoly(n)
         qp.set_branch(ZERO * n, MultiPoly(0, {(): Fraction(expect)} if expect else {}))
         return FitReport("Nhat_t", g, n, t, k, 0, qp, 1)
 
     D = 2 * (3 * g - 3 + n - t + k)
     feasible = k <= t <= min(2 * g + n - 1, k + 3 * g - 3 + n)
 
-    def nhat_t(freesig: str, free_pt) -> Fraction:
-        den = 1
-        for x in free_pt:
-            den *= bar(x)
-        return Fraction(count_N_t(g, n, tuple(free_pt) + (0,) * k, t), den)
+    def nhat_t(b) -> Fraction:
+        return Fraction(count_N_t(g, n, tuple(b) + (0,) * k, t), prod(map(bar, b)))
 
-    fit = _orbit_fitter(lambda fs: {p: nhat_t(fs, p) for p in _grid_points(fs, D)}, D)
-    for freesig in _signatures(n - k):
-        sig = freesig + ZERO * k
-        ctx = f"Nhat_t({g},{n},t={t},k={k}) branch {sig}"
-        value = partial(nhat_t, freesig)
-        if freesig.count(ODD) % 2 or not feasible:
-            zero = MultiPoly.zero(n - k)
-            checked += certify(ctx, zero, value, _validation_free(freesig, max(D, 0), rng, 8))
-            qp.set_branch(sig, zero)
-            continue
-        poly = fit(freesig)
+    def check(ctx: str, freesig: str, poly: MultiPoly) -> None:
         _assert_even_exponents(poly, ctx)
         if poly.total_degree() > D:
             raise FitInvalid(f"{ctx}: degree {poly.total_degree()} > {D}")
@@ -257,9 +259,12 @@ def fit_Nhat_refined(g: int, n: int, t: int, k: int) -> FitReport:
             want_top = base.homogeneous_part(full).substitute_zero(zero_pos)
             if poly.homogeneous_part(full) != want_top:
                 raise FitInvalid(f"{ctx}: top-degree part differs from unrefined")
-        _assert_symmetric(poly, freesig, ctx)
-        checked += certify(ctx, poly, value, _validation_free(freesig, D, rng, 10))
-        qp.set_branch(sig, poly)
+
+    qp, checked = _fit_branches(
+        f"Nhat_t({g},{n},t={t},k={k})", n, k, D, lambda sig: nhat_t,
+        lambda sig: sig.count(ODD) % 2 or not feasible, check,
+        random.Random(f"Nhat_t {g} {n} {t} {k}"), zero_held=(max(D, 0), 8),
+    )
     return FitReport("Nhat_t", g, n, t, k, D, qp, checked)
 
 
@@ -273,47 +278,17 @@ def fit_G_poly(g: int, n: int, t: int | None = None) -> FitReport:
     (the grades of the parallel-free cores, which collar filling keeps), and
     there every branch is confirmed zero by sampling.
     """
-    if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
-        raise ValueError("need a hyperbolic-type surface: 2g - 2 + n > 0")
+    _check_args(g, n, *([] if t is None else [t]))
     Dfull = 3 * g - 3 + 2 * n
     D = Dfull if t is None else Dfull - t
     window = t is None or 0 <= t <= 2 * g + n - 1
-    rng = random.Random(f"Gpoly {g} {n} {t}")
-    qp = QuasiPoly(n)
-    checked = 0
 
     def stripped(sig: str, m) -> Fraction:
         b = tuple(2 * mi + (1 if ch == ODD else 0) for mi, ch in zip(m, sig))
-        den = 1
-        for mi in m:
-            den *= binomial(2 * mi, mi)
         c = count_G(g, n, b) if t is None else count_G_t(g, n, b, t)
-        return Fraction(c, den)
+        return Fraction(c, prod(binomial(2 * mi, mi) for mi in m))
 
-    def m_points(degree: int):
-        return product(*([list(range(1, degree + 2))] * n))
-
-    def m_validation(degree: int, minimum: int):
-        pts = set()
-        base = [1] * n
-        for i in range(n):
-            for extra in (degree + 2, degree + 3):
-                p = list(base)
-                p[i] = extra
-                pts.add(tuple(p))
-        while len(pts) < minimum:
-            pts.add(tuple(rng.randrange(0, degree + minimum + 9) for _ in range(n)))
-        return sorted(pts)
-
-    fit = _orbit_fitter(lambda sig: {m: stripped(sig, m) for m in m_points(D)}, D)
-    for sig in _signatures(n):
-        ctx = f"Gpoly({g},{n},t={t}) branch {sig}"
-        value = partial(stripped, sig)
-        if sig.count(ODD) % 2 or not window:
-            checked += certify(ctx, MultiPoly.zero(n), value, m_validation(max(D, 1), 10))
-            qp.set_branch(sig, MultiPoly.zero(n))
-            continue
-        poly = fit(sig)
+    def check(ctx: str, sig: str, poly: MultiPoly) -> None:
         if t is None:
             if poly.total_degree() != D:
                 raise FitInvalid(f"{ctx}: degree {poly.total_degree()} != {D}")
@@ -324,9 +299,12 @@ def fit_G_poly(g: int, n: int, t: int | None = None) -> FitReport:
                 raise FitInvalid(f"{ctx}: degree {poly.total_degree()} > {D}")
             if sig.count(EVEN) >= t and poly.total_degree() != D:
                 raise FitInvalid(f"{ctx}: degree {poly.total_degree()} != {D}")
-        _assert_symmetric(poly, sig, ctx)
-        checked += certify(ctx, poly, value, m_validation(D, 10))
-        qp.set_branch(sig, poly)
+
+    qp, checked = _fit_branches(
+        f"Gpoly({g},{n},t={t})", n, 0, D, lambda sig: partial(stripped, sig),
+        lambda sig: sig.count(ODD) % 2 or not window, check,
+        random.Random(f"Gpoly {g} {n} {t}"), zero_held=(max(D, 1), 10), axis=_UNIT,
+    )
     return FitReport("G_poly" if t is None else "G_poly_t", g, n, t, None, D, qp, checked)
 
 
@@ -369,18 +347,13 @@ def compare_top_degree(g: int, n: int) -> bool:
     at odd totals, so those branches are certified as zero."""
     report = fit_Nhat(g, n)
     D = 6 * g - 6 + 2 * n
-    rng = random.Random(f"lattice {g} {n}")
     lattice = partial(count_lattice, g, n)
-    fit = _orbit_fitter(lambda sig: {p: lattice(p) for p in _grid_points(sig, D)}, D)
-    for sig in _signatures(n):
-        ctx = f"lattice({g},{n}) branch {sig}"
-        if sig.count(ODD) % 2:
-            certify(ctx, MultiPoly.zero(n), lattice, _validation_free(sig, D, rng, 6))
-            if not report.branch(sig).is_zero():
-                return False
-            continue
-        latt = fit(sig)
-        certify(ctx, latt, lattice, _validation_free(sig, D, rng, 6))
-        if latt.homogeneous_part(D) != report.branch(sig).homogeneous_part(D):
-            return False
-    return True
+    qp, _ = _fit_branches(
+        f"lattice({g},{n})", n, 0, D, lambda sig: lattice,
+        lambda sig: sig.count(ODD) % 2, lambda ctx, sig, poly: None,
+        random.Random(f"lattice {g} {n}"), held=6,
+    )
+    return all(
+        poly.homogeneous_part(D) == report.branch(sig).homogeneous_part(D)
+        for sig, poly in qp.branches.items()
+    )

@@ -13,7 +13,7 @@ every report is the same byte for byte.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Callable, NamedTuple
 
 from .closed import catalan, closed_G, closed_N, pants_classify
@@ -115,22 +115,14 @@ def _poly1(coeffs: dict[int, str]) -> MultiPoly:
     return MultiPoly(1, {(e,): Fraction(c) for e, c in coeffs.items()})
 
 
-def _quarter_squares(nfree: int, const) -> MultiPoly:
-    """(1/4) * sum of squares of the free variables, plus a constant."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for i in range(nfree):
-        e = [0] * nfree
-        e[i] = 2
-        terms[tuple(e)] = Fraction(1, 4)
-    c = Fraction(const)
-    if c:
-        terms[(0,) * nfree] = c
-    return MultiPoly(nfree, terms)
-
-
-def _const_poly(nfree: int, value) -> MultiPoly:
-    v = Fraction(value)
-    return MultiPoly(nfree, {(0,) * nfree: v} if v else {})
+def _sym(nvars: int, types: dict[tuple[int, ...], int | str]) -> MultiPoly:
+    """Each coefficient summed over the distinct permutations of its exponent
+    type, padded with zeros to `nvars` variables; () is the constant term."""
+    return MultiPoly(nvars, [
+        (exps, c)
+        for typ, c in types.items()
+        for exps in sorted(set(permutations(typ + (0,) * (nvars - len(typ)))))
+    ])
 
 
 # Refined normalized tables for the cylinder-free counts, keyed by
@@ -142,46 +134,41 @@ def _refined_expected_1_1() -> dict[tuple[str, int, int], MultiPoly]:
         ("e", 0, 0): MultiPoly(
             1, {(2,): Fraction(1, 48), (0,): Fraction(-1, 12)}
         ),
-        ("e", 0, 1): _const_poly(1, "1/2"),
+        ("e", 0, 1): _sym(1, {(): "1/2"}),
     }
 
 
 def _refined_expected_0_3() -> dict[tuple[str, int, int], MultiPoly]:
     # k zeros force t = k for k <= 1 and t = 2 for k = 2; the value is 1.
     return {
-        ("eee", 0, 0): _const_poly(3, 1),
-        ("ooe", 0, 0): _const_poly(3, 1),
-        ("ee", 1, 1): _const_poly(2, 1),
-        ("oo", 1, 1): _const_poly(2, 1),
-        ("e", 2, 2): _const_poly(1, 1),
+        ("eee", 0, 0): _sym(3, {(): 1}),
+        ("ooe", 0, 0): _sym(3, {(): 1}),
+        ("ee", 1, 1): _sym(2, {(): 1}),
+        ("oo", 1, 1): _sym(2, {(): 1}),
+        ("e", 2, 2): _sym(1, {(): 1}),
     }
 
 
 def _refined_expected_0_4() -> dict[tuple[str, int, int], MultiPoly]:
     out: dict[tuple[str, int, int], MultiPoly] = {}
     # All even entries.
-    out[("eeee", 0, 0)] = _quarter_squares(4, -1)
-    out[("eeee", 0, 1)] = _const_poly(4, 3)
-    out[("eee", 1, 1)] = _quarter_squares(3, -1)
-    out[("eee", 1, 2)] = _const_poly(3, 3)
-    out[("ee", 2, 2)] = _quarter_squares(2, 0)
-    out[("ee", 2, 3)] = _const_poly(2, 2)
-    out[("e", 3, 3)] = _quarter_squares(1, 2)
+    out[("eeee", 0, 0)] = _sym(4, {(2,): "1/4", (): -1})
+    out[("eeee", 0, 1)] = _sym(4, {(): 3})
+    out[("eee", 1, 1)] = _sym(3, {(2,): "1/4", (): -1})
+    out[("eee", 1, 2)] = _sym(3, {(): 3})
+    out[("ee", 2, 2)] = _sym(2, {(2,): "1/4"})
+    out[("ee", 2, 3)] = _sym(2, {(): 2})
+    out[("e", 3, 3)] = _sym(1, {(2,): "1/4", (): 2})
     # Two odd entries (zeros can only occupy the even slots).
-    out[("ooee", 0, 0)] = _quarter_squares(4, "-1/2")
-    out[("ooee", 0, 1)] = _const_poly(4, 1)
-    out[("ooe", 1, 1)] = _quarter_squares(3, "-1/2")
-    out[("ooe", 1, 2)] = _const_poly(3, 1)
-    out[("oo", 2, 2)] = _quarter_squares(2, "1/2")
+    out[("ooee", 0, 0)] = _sym(4, {(2,): "1/4", (): "-1/2"})
+    out[("ooee", 0, 1)] = _sym(4, {(): 1})
+    out[("ooe", 1, 1)] = _sym(3, {(2,): "1/4", (): "-1/2"})
+    out[("ooe", 1, 2)] = _sym(3, {(): 1})
+    out[("oo", 2, 2)] = _sym(2, {(2,): "1/4", (): "1/2"})
     # Four odd entries.
-    out[("oooo", 0, 0)] = _quarter_squares(4, -1)
-    out[("oooo", 0, 1)] = _const_poly(4, 3)
+    out[("oooo", 0, 0)] = _sym(4, {(2,): "1/4", (): -1})
+    out[("oooo", 0, 1)] = _sym(4, {(): 3})
     return out
-
-
-# Expected unrefined normalized fits on the tabulated cases.
-def _nhat_expected_0_4(extra) -> MultiPoly:
-    return _quarter_squares(4, extra)
 
 
 _NHAT_1_1 = MultiPoly(1, {(2,): Fraction(1, 48), (0,): Fraction(5, 12)})
@@ -198,20 +185,7 @@ _PSI_EXPECTED: dict[tuple[int, int], dict[tuple[int, ...], str]] = {
     },
     (1, 2): {(2, 0): "1/24", (0, 2): "1/24", (1, 1): "1/24"},
 }
-
-
-def _psi_expected_0_5() -> dict[tuple[int, ...], Fraction]:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for i in range(5):
-        e = [0] * 5
-        e[i] = 2
-        out[tuple(e)] = Fraction(1)
-    for i in range(5):
-        for j in range(i + 1, 5):
-            e = [0] * 5
-            e[i] = e[j] = 1
-            out[tuple(e)] = Fraction(2)
-    return out
+_PSI_0_5 = _sym(5, {(2,): 1, (1, 1): 2}).terms
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +432,11 @@ def check_moment_sums() -> str:
 def check_nhat_reference() -> str:
     rep = fit_Nhat(0, 4)
     expect = {
-        "eeee": _nhat_expected_0_4(2),
-        "oooo": _nhat_expected_0_4(2),
+        "eeee": _sym(4, {(2,): "1/4", (): 2}),
+        "oooo": _sym(4, {(2,): "1/4", (): 2}),
     }
     for sig in ("ooee", "oeoe", "oeeo", "eooe", "eoeo", "eeoo"):
-        expect[sig] = _nhat_expected_0_4("1/2")
+        expect[sig] = _sym(4, {(2,): "1/4", (): "1/2"})
     for sig, want in expect.items():
         got = rep.branch(sig)
         if got != want:
@@ -481,37 +455,17 @@ def check_nhat_reference() -> str:
 def check_nhat_degree_heldout() -> str:
     # (1,2): frozen fitted polynomials, re-derived here from the fit.
     rep = fit_Nhat(1, 2)
-    base = {
-        (0, 0): Fraction(13, 12),
-        (2, 0): Fraction(3, 32),
-        (0, 2): Fraction(3, 32),
-        (4, 0): Fraction(1, 384),
-        (0, 4): Fraction(1, 384),
-        (2, 2): Fraction(1, 192),
-    }
-    odd = dict(base)
-    odd[(0, 0)] = Fraction(77, 96)
-    if rep.branch("ee") != MultiPoly(2, base):
+    top = {(2,): "3/32", (4,): "1/384", (2, 2): "1/192"}
+    if rep.branch("ee") != _sym(2, {(): "13/12", **top}):
         _fail(f"(1,2) even branch {rep.branch('ee').terms}")
-    if rep.branch("oo") != MultiPoly(2, odd):
+    if rep.branch("oo") != _sym(2, {(): "77/96", **top}):
         _fail(f"(1,2) odd branch {rep.branch('oo').terms}")
     if rep.degree != 4 or rep.branch("ee").total_degree() != 4:
         _fail("(1,2) fit degree is not 4")
     if rep.validation_points < 10 * 4:
         _fail(f"(1,2) only {rep.validation_points} held-out confirmations")
     rep5 = fit_Nhat(0, 5)
-    terms: dict[tuple[int, ...], Fraction] = {(0,) * 5: Fraction(7)}
-    for i in range(5):
-        e2, e4 = [0] * 5, [0] * 5
-        e2[i], e4[i] = 2, 4
-        terms[tuple(e2)] = Fraction(7, 8)
-        terms[tuple(e4)] = Fraction(1, 32)
-    for i in range(5):
-        for j in range(i + 1, 5):
-            e = [0] * 5
-            e[i] = e[j] = 2
-            terms[tuple(e)] = Fraction(1, 8)
-    if rep5.branch("e" * 5) != MultiPoly(5, terms):
+    if rep5.branch("e" * 5) != _sym(5, {(): 7, (2,): "7/8", (4,): "1/32", (2, 2): "1/8"}):
         _fail(f"(0,5) all-even branch {rep5.branch('eeeee').terms}")
     if rep5.degree != 4 or rep5.branch("e" * 5).total_degree() != 4:
         _fail("(0,5) fit degree is not 4")
@@ -559,7 +513,7 @@ def check_psi_values() -> str:
             _fail(f"intersection numbers ({g},{n}): {got} != {want}")
         cases += len(want)
     got5 = extract_psi(0, 5)
-    if got5 != _psi_expected_0_5():
+    if got5 != _PSI_0_5:
         _fail(f"intersection numbers (0,5): {got5}")
     cases += len(got5)
     return f"{cases} intersection numbers across (0,3),(1,1),(0,4),(1,2),(0,5)"

@@ -61,7 +61,7 @@ def test_exit_codes(capsys):
         capsys, "count", "--mode", "G", "--g", "2", "--n", "1", "--b", "0",
         "--closed-only",
     )
-    assert rc == 3
+    assert rc == 3 and err == "unsupported: no closed form for (g, n) = (2, 1)\n"
     # unsupported: r-refined parallel-free counts
     rc, _, err = run(
         capsys, "count", "--mode", "N", "--g", "0", "--n", "2", "--b", "2,2", "--r", "1"

@@ -1,11 +1,14 @@
 """Quasi-polynomial fits, intersection numbers, lattice twin."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from surfcount import fitlab
+from surfcount.cli import _report_json
 from surfcount.engine import count_lattice, count_N
 from surfcount.exact import FitInvalid, MultiPoly, certify, interpolate_tensor
 from surfcount.fitlab import (
@@ -65,6 +68,27 @@ def test_refined_fit_cells():
     # infeasible t comes back as confirmed zero
     rep3 = fit_Nhat_refined(0, 4, 0, 1)
     assert rep3.branch("eeez") == MultiPoly.zero(3)
+
+
+@pytest.mark.parametrize(
+    "fit, args",
+    [
+        (fit_Nhat, (True, 1)),
+        (fit_Nhat, (1, 1.0)),
+        (fit_Nhat_refined, (1, 1, 0, False)),
+        (fit_Nhat_refined, (0, 4, 3, 3.0)),
+        (fit_Nhat_refined, (1, True, 1, 0)),
+        (fit_G_poly, (0, 3, True)),
+        (fit_G_poly, (1, 1.0)),
+        (extract_psi, (True, 1)),
+        (compare_top_degree, (1, True)),
+    ],
+)
+def test_fit_entry_points_reject_bools_and_floats(fit, args):
+    # a warm (1,1) fit must not answer for True == 1 or 1.0 == 1
+    fit_Nhat(1, 1)
+    with pytest.raises(TypeError, match="must be ints"):
+        fit(*args)
 
 
 def test_g_poly_needs_hyperbolic_type():
@@ -176,3 +200,53 @@ def test_derived_branches_are_certified_on_their_own_points(monkeypatch):
     monkeypatch.setattr(fitlab, "_NHAT_CACHE", {})
     with pytest.raises(FitInvalid, match=r"Nhat\(0,4\) branch oeeo: held-out mismatch"):
         fit_Nhat(0, 4)
+
+
+def test_fit_outputs_and_samples_are_frozen(monkeypatch):
+    """Every fit target, byte for byte: the JSON of each report, and every
+    interpolation grid and held-out point set in the order they are used.
+    Covers a zero-window refined cell, k = n, t = k, a stripped fit with t
+    outside its window and one with D = 0, the lattice twin and psi."""
+    log = []
+
+    def spy_certify(ctx, poly, value, points):
+        points = list(points)
+        log.append(("certify", ctx, sorted((e, str(c)) for e, c in poly.terms.items()), points))
+        return certify(ctx, poly, value, points)
+
+    def spy_interpolate(grid, degree):
+        log.append(("interpolate", sorted(grid), degree))
+        return interpolate_tensor(grid, degree)
+
+    monkeypatch.setattr(fitlab, "certify", spy_certify)
+    monkeypatch.setattr(fitlab, "interpolate_tensor", spy_interpolate)
+    monkeypatch.setattr(fitlab, "_NHAT_CACHE", {})
+    reports = [fit_Nhat(g, n) for g, n in ((0, 3), (1, 1), (0, 4), (1, 2), (2, 1))]
+    reports += [
+        fit_Nhat_refined(g, n, t, k)
+        for g, n, t, k in (
+            (1, 1, 1, 0), (1, 1, 0, 0), (1, 1, 5, 0), (0, 3, 0, 0), (0, 3, 1, 1),
+            (0, 3, 2, 3), (0, 3, 1, 3), (0, 4, 3, 3), (0, 4, 0, 1), (0, 4, 1, 1),
+            (0, 4, 2, 1), (1, 2, 1, 1), (1, 2, 0, 0),
+        )
+    ]
+    reports += [
+        fit_G_poly(g, n, t)
+        for g, n, t in (
+            (0, 3, None), (1, 1, None), (0, 3, 1), (1, 1, -1), (1, 1, 0), (1, 1, 1),
+            (1, 1, 2), (1, 1, 3), (1, 2, -1), (1, 2, 1), (1, 2, 2), (1, 2, 3),
+        )
+    ]
+    flags = [compare_top_degree(g, n) for g, n in ((0, 3), (1, 1), (0, 4), (1, 2))]
+    psi = [extract_psi(g, n) for g, n in ((0, 3), (1, 1), (0, 4), (1, 2), (2, 1))]
+    assert flags == [True] * 4
+    assert psi[-1] == {(4,): Fraction(1, 1152)}
+    psi_json = [sorted((list(d), str(v)) for d, v in p.items()) for p in psi]
+    out = json.dumps([_report_json(r) for r in reports] + psi_json, sort_keys=True)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2e6f5425bb1ed03372e5e69522051c09fe2bbc647a6607325825c77e2792ff0b"
+    )
+    assert len(log) == 201
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == (
+        "20e55fbe0e9ebe640988f8cf754f06780c5b98107477cce753205aa7670b8d51"
+    )

@@ -2,10 +2,13 @@
 
 Big integers, reduced rationals, sparse multivariate polynomials,
 parity-indexed quasi-polynomials, tensor-grid Lagrange interpolation
-(solved axis by axis, one univariate basis per axis), and ``certify``, the
-held-out check every fit and every claimed zero branch goes through.
-Everything in this module is pure and exact; no floating point enters the
-computation path anywhere in the package.
+(solved axis by axis, one univariate basis per axis, in integers over one
+common denominator), and ``certify``, the held-out check every fit and
+every claimed zero branch goes through (integer coefficients over the lcm
+of the polynomial's denominators).  Interpolation and certification build
+a ``Fraction`` only for their output coefficients.  Everything in this
+module is pure and exact; no floating point enters the computation path
+anywhere in the package.
 """
 
 from __future__ import annotations
@@ -67,6 +70,13 @@ class DegenerateGridError(ValueError):
 
 class FitInvalid(ValueError):
     """Raised when a fitted polynomial fails held-out validation."""
+
+
+def _reject(kind: type, items: Iterable, what: str) -> None:
+    """Raise TypeError naming the first item that is a bool or not a ``kind``."""
+    for x in items:
+        if isinstance(x, bool) or not isinstance(x, kind):
+            raise TypeError(f"{what} must be exact, not {type(x).__name__}: {x!r}")
 
 
 class MultiPoly:
@@ -193,13 +203,10 @@ class MultiPoly:
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
+        _reject((int, Fraction), point, "point entries")
         total = Fraction(0)
         for exps, coeff in self.terms.items():
-            v = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    v *= Fraction(x) ** e
-            total += v
+            total += coeff * math.prod(map(pow, point, exps))
         return total
 
     def total_degree(self) -> int:
@@ -389,43 +396,50 @@ quasipoly_eval = QuasiPoly.eval  # (qp, b): the branch chosen by the parities of
 
 # -- exact interpolation ---------------------------------------------------
 
-def _lagrange_basis(nodes: Sequence[int]) -> list[list[Fraction]]:
-    """Univariate Lagrange basis polynomials for the given distinct nodes.
+def _lagrange_basis(nodes: Sequence[int]) -> tuple[list[list[int]], int]:
+    """Univariate Lagrange basis for distinct integer nodes, in integers
+    over one common denominator.
 
-    Returns, for each node x_i, the coefficient list (ascending powers) of
-    the polynomial that is 1 at x_i and 0 at the other nodes.
+    Returns ``(rows, L)``: for node x_i, ``rows[i]`` is the coefficient
+    list (ascending powers) of ``L // d_i * prod_{j != i} (u - x_j)`` with
+    ``d_i = prod_{j != i} (x_i - x_j)`` and ``L = lcm(d_i)`` > 0, so
+    ``rows[i] / L`` is 1 at x_i and 0 at the other nodes.
     """
-    out = []
+    rows, dens = [], []
     for i, xi in enumerate(nodes):
-        coeffs = [Fraction(1)]
+        coeffs, d = [1], 1
         for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            denom = Fraction(xi - xj)
-            # multiply by (u - xj) / (xi - xj)
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for k, c in enumerate(coeffs):
-                nxt[k] += c * (-xj) / denom
-                nxt[k + 1] += c / denom
-            coeffs = nxt
-        out.append(coeffs)
-    return out
+            if j != i:
+                # multiply by (u - xj)
+                coeffs = [a - xj * b for a, b in zip([0] + coeffs, coeffs + [0])]
+                d *= xi - xj
+        rows.append(coeffs)
+        dens.append(d)
+    L = math.lcm(*dens)
+    return [[L // d * c for c in row] for row, d in zip(rows, dens)], L
 
 
 def interpolate_tensor(grid: Mapping[tuple, Scalar], degree_bound: int) -> MultiPoly:
     """Unique polynomial of per-variable degree <= degree_bound through a
     full tensor-product grid of values; exact rational arithmetic.
 
-    The grid keys are integer coordinate vectors; every combination of the
-    per-variable coordinate sets must be present, and each variable must
-    offer at least degree_bound + 1 distinct coordinates.
+    The grid keys are ``int`` coordinate vectors and the values ``int`` or
+    ``Fraction`` (a bool or any other type raises TypeError); every
+    combination of the per-variable coordinate sets must be present, and
+    each variable must offer at least degree_bound + 1 distinct
+    coordinates.  With more coordinates than that, an interpolant of
+    higher degree in some variable raises FitInvalid.
     """
+    if degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, not {degree_bound}")
     if not grid:
         raise DegenerateGridError("degenerate grid: empty")
     keys = list(grid)
     nvars = len(keys[0])
     if any(len(k) != nvars for k in keys):
         raise DegenerateGridError("degenerate grid: ragged keys")
+    _reject(int, (x for k in keys for x in k), "grid coordinates")
+    _reject((int, Fraction), grid.values(), "grid values")
     axes = [sorted({k[i] for k in keys}) for i in range(nvars)]
     for ax in axes:
         if len(ax) < degree_bound + 1:
@@ -436,12 +450,17 @@ def interpolate_tensor(grid: Mapping[tuple, Scalar], degree_bound: int) -> Multi
     if len(grid) != expected or any(pt not in grid for pt in product(*axes)):
         raise DegenerateGridError("degenerate grid: not a full tensor product")
 
+    # Integer values over one common denominator ``den``; every axis
+    # multiplies it by its basis denominator.
+    den = math.lcm(*(v.denominator for v in grid.values()))
+    coeffs = {pt: v.numerator * (den // v.denominator) for pt, v in grid.items()}
     # Separable solve: on each axis in turn, replace the node coordinate of
     # every entry by the power coefficients of its Lagrange basis polynomial.
-    coeffs: Mapping[tuple, Scalar] = grid
     for i, nodes in enumerate(axes):
-        basis = dict(zip(nodes, _lagrange_basis(nodes)))
-        nxt: dict[tuple, Fraction] = {}
+        rows, L = _lagrange_basis(nodes)
+        basis = dict(zip(nodes, rows))
+        den *= L
+        nxt: dict[tuple, int] = {}
         for pt, v in coeffs.items():
             if v:
                 head, tail = pt[:i], pt[i + 1 :]
@@ -450,7 +469,14 @@ def interpolate_tensor(grid: Mapping[tuple, Scalar], degree_bound: int) -> Multi
                         key = head + (p,) + tail
                         nxt[key] = nxt.get(key, 0) + v * c
         coeffs = nxt
-    return MultiPoly(nvars, coeffs)
+    terms = {e: Fraction(c, den) for e, c in coeffs.items() if c}
+    if any(len(ax) > degree_bound + 1 for ax in axes):
+        for e in terms:
+            if max(e) > degree_bound:
+                raise FitInvalid(f"interpolant has degree {max(e)} > {degree_bound} in a variable")
+    res = MultiPoly.__new__(MultiPoly)
+    res.nvars, res.terms = nvars, terms
+    return res
 
 
 def certify(
@@ -460,11 +486,17 @@ def certify(
 
     Raises FitInvalid at the first point where ``poly`` and ``value``
     disagree; a claimed zero branch is certified as the zero polynomial.
+    The polynomial is scaled once to integer coefficients over the lcm of
+    its denominators, so an integer point is evaluated in integers.
     Returns the number of points checked.
     """
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    scaled = [(exps, c.numerator * (den // c.denominator)) for exps, c in poly.terms.items()]
     checked = 0
     for p in points:
-        if poly.evaluate(p) != value(p):
+        if len(p) != poly.nvars:
+            raise ValueError("point has wrong length")
+        if sum(c * math.prod(map(pow, p, exps)) for exps, c in scaled) != value(p) * den:
             raise FitInvalid(f"{ctx}: held-out mismatch at {p}")
         checked += 1
     return checked

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfcount import exact
@@ -96,34 +96,32 @@ def test_quasipoly_branch_dispatch():
 
 
 @st.composite
-def _polys(draw):
-    nvars = draw(st.integers(1, 3))
-    nterms = draw(st.integers(0, 5))
+def _tensor_cases(draw):
+    """A polynomial with mixed-denominator coefficients, its per-variable
+    degree bound, and distinct, unevenly spaced nodes per axis."""
+    nvars = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 6 if nvars <= 2 else 3))
     terms = {}
-    for _ in range(nterms):
-        exps = tuple(draw(st.integers(0, 3)) for _ in range(nvars))
-        terms[exps] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 7)))
-    return MultiPoly(nvars, terms)
+    for _ in range(draw(st.integers(0, 6))):
+        exps = tuple(draw(st.integers(0, d)) for _ in range(nvars))
+        terms[exps] = Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 36)))
+    nodes = st.lists(st.integers(-9, 30), min_size=d + 1, max_size=d + 1, unique=True)
+    return MultiPoly(nvars, terms), d, [draw(nodes) for _ in range(nvars)]
 
 
-@given(_polys())
-@settings(max_examples=40, deadline=None)
-def test_interpolation_recovers_polynomial(p):
-    """Tensor-grid interpolation is exact on any polynomial within bounds."""
-    d = max(0, p.total_degree(), *(p.degree_in(i) for i in range(p.nvars)))
-    nodes = range(1, d + 2)
-    grid = {}
-    for point in _cartesian(nodes, p.nvars):
-        grid[point] = p.evaluate(point)
+@given(_tensor_cases())
+@example((MultiPoly.zero(3), 1, [[0, -9], [30, 4], [-1, 0]]))
+@settings(max_examples=60, deadline=None)
+def test_interpolation_recovers_polynomial(case):
+    """Tensor-grid interpolation is exact on any polynomial within bounds,
+    on zero, negative and unevenly spaced nodes."""
+    p, d, axes = case
+    grid = {pt: p.evaluate(pt) for pt in product(*axes)}
+    # integral values go in as int, the rest as Fraction
+    grid = {pt: v if v.denominator > 1 else v.numerator for pt, v in grid.items()}
     q = interpolate_tensor(grid, d)
     assert q == p
-
-
-def _cartesian(nodes, n):
-    if n == 1:
-        return [(x,) for x in nodes]
-    rest = _cartesian(nodes, n - 1)
-    return [(x,) + r for x in nodes for r in rest]
+    assert all(type(c) is Fraction for c in q.terms.values())
 
 
 def test_interpolation_builds_one_basis_per_axis(monkeypatch):
@@ -157,3 +155,47 @@ def test_interpolation_rejects_ragged_grid():
     grid = {(1, 1): Fraction(1), (1, 2): Fraction(2), (2, 1): Fraction(3)}
     with pytest.raises(DegenerateGridError):
         interpolate_tensor(grid, 1)
+
+
+def test_certify_catches_an_offset_below_the_coefficient_denominator():
+    p = MultiPoly(2, {(1, 0): Fraction(1, 3), (0, 2): Fraction(-5, 4), (0, 0): Fraction(7, 6)})
+    den = 12  # the lcm of p's denominators
+    points = [(2, 3), (-1, 4), (5, 0)]
+    assert certify("p", p, p.evaluate, points) == 3
+
+    def off(pt):
+        return p.evaluate(pt) + (Fraction(1, 2 * den) if pt == (-1, 4) else 0)
+
+    with pytest.raises(FitInvalid, match=r"p: held-out mismatch at \(-1, 4\)"):
+        certify("p", p, off, points)
+    fraction_points = [(Fraction(1, 2), Fraction(-2, 3)), (Fraction(5, 7), 3)]
+    assert certify("p", p, p.evaluate, fraction_points) == 2
+
+
+@pytest.mark.parametrize(
+    "grid, bound, error",
+    [
+        ({(1,): 1, (2,): 4, (3,): 9}, 1, FitInvalid),
+        ({(1,): 0.1, (2,): 0}, 1, TypeError),
+        ({(1,): True, (2,): False}, 1, TypeError),
+        ({(Fraction(1, 2),): 1, (2,): 3}, 1, TypeError),
+        ({(1.0,): 1, (2,): 3}, 1, TypeError),
+        ({(True,): 1, (2,): 3}, 1, TypeError),
+        ({(0,): 5}, -1, ValueError),
+    ],
+    ids=["degree-past-bound", "float-value", "bool-value", "fraction-coordinate",
+         "float-coordinate", "bool-coordinate", "negative-bound"],
+)
+def test_interpolation_rejects_inexact_input_and_broken_bounds(grid, bound, error):
+    with pytest.raises(error) as info:
+        interpolate_tensor(grid, bound)
+    assert info.type is error
+
+
+def test_evaluate_takes_exact_points_only():
+    p = MultiPoly(2, {(1, 1): Fraction(1, 3)})
+    assert p.evaluate((3, Fraction(1, 2))) == Fraction(1, 2)
+    assert type(p.evaluate((3, 2))) is Fraction
+    for point in [(0.5, 2), (True, 2)]:
+        with pytest.raises(TypeError):
+            p.evaluate(point)

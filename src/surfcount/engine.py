@@ -21,23 +21,30 @@ variable r or t: the pieces of a split multiply (their grades add), and a
 join onto an empty boundary multiplies by the variable.  ``LatticeN``
 carries a ``Fraction`` and divides by the first entry at the end.
 
-Each body reads each distinct child about once.  A cut leaving runs (i, j)
-and one leaving (j, i) name one key, read once and counted twice.  Shape B's
-two join sums (around the sum and the difference of the two boundaries) are
-one pass over the points left behind.  A separation and its mirror image
-(pieces swapped) give the same term, so a body sums only the separations
-whose first piece keeps the second entry of b, and counts each twice; with
-one boundary it sums the genus splits g1 <= g - g1, and counts a split into
-equal genera once (shape A also folds its runs i <-> j there).  Per separation
-the values of the two pieces are read once into lists, and shape B's double
-sum over the runs on both sides of the arc is formed from them.
+A cut leaving runs (i, j) and one leaving (j, i) name one key, read once and
+counted twice.  Shape B's cut sum and its join sums (around the sum and the
+difference of the two boundaries) are weighted sums of rows that do not
+depend on the first entry b1: a row is keyed by the family, the genus and
+the entries the arc leaves alone, and holds running sums over its values
+(see ``_ramps``).  Many bodies share a row, each extending it only as far
+as its own b1 needs, so a body reads no cut or join child that another body
+already summed; the rows live on the memo (``_MEMO.rows``), are never saved
+and are cleared with it.  A separation and its mirror image (pieces
+swapped) give the same term, so a body sums only the separations whose
+first piece keeps the second entry of b, and counts each twice; with one
+boundary it sums the genus splits g1 <= g - g1, and counts a split into
+equal genera once (shape A also folds its runs i <-> j there).  Per
+separation the values of the two pieces are read once into lists; shape B
+forms its double sum over the runs on both sides of the arc from them with
+two running sums.
 
 Every parallel-free count bottoms out in pair-of-pants pieces, (0,3), whose
 value is a product of bar factors.  Shape B computes them where they are
-read, from its family's ``pants`` rule: where a loop's children are pants
-(the cut of a (1,2) body, the joins of a (0,4) body, a run of separating
-pieces), no key is built, nothing is sorted and the memo is not consulted.
-The (0,3) base values use the same rule.
+read, from its family's ``pants`` rule: where a row's or a loop's children
+are pants (the cut row of a (1,2) body, the join rows of a (0,4) body, a
+run of separating pieces), no key is built, nothing is sorted and the memo
+is not consulted.  The (0,3) base values use the same rule.  A one-entry
+child, such as a piece of a deep disc, is its own key: nothing is sorted.
 
 Bodies are generators yielding each child key missing from the memo;
 ``_eval`` runs them on an explicit stack, so no input meets Python's
@@ -107,9 +114,16 @@ class _Memo(dict):
     ``synced`` is ``(path, records, file identity)`` of the cache file whose
     records the table last held exactly, or None.  The table only grows and
     its entries never change, so it still holds exactly those records while
-    its size and the file's identity are unchanged."""
+    its size and the file's identity are unchanged.
+
+    ``rows`` holds shape B's running sums (``_ramps``), one table per memo:
+    they are derived from the entries, never saved, and cleared with them."""
 
     synced = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rows = {}
 
     def __missing__(self, key):
         return _FAMILIES[key[0]].base(*key[1:])
@@ -120,6 +134,7 @@ _MEMO = _Memo()
 
 def clear_memo() -> None:
     _MEMO.clear()
+    _MEMO.rows.clear()
     _MEMO.synced = None
 
 
@@ -133,7 +148,9 @@ def _canon(b) -> tuple[int, ...]:
 
 def _check(g: int, n: int, b, *grades: int) -> tuple[int, ...]:
     b = tuple(b)
-    if any(not isinstance(x, int) or isinstance(x, bool) for x in (g, n, *b, *grades)):
+    if {type(g), type(n), *map(type, b), *map(type, grades)} != {int} and any(
+        not isinstance(x, int) or isinstance(x, bool) for x in (g, n, *b, *grades)
+    ):  # the fast test passes plain ints only; int subclasses other than bool pass the slow one
         raise TypeError("g, n, the boundary point counts, r and t must be ints")
     if g < 0:
         raise ValueError("genus must be >= 0")
@@ -210,12 +227,12 @@ def _base_lattice(g, n, b):
 def _children(fam: _Family, name: str, g: int, n: int, bs):
     """The values of the children (g, n, b) for b in bs, as a list.  Pants
     children are computed from the family's rule; any other key is read once
-    and yielded to the driver when missing."""
+    and yielded to the driver when missing.  A one-entry b is its own key."""
     if fam.pants and (g, n) == (0, 3):
         return list(starmap(fam.pants, bs))
     memo, values = _MEMO, []
     for b in bs:
-        key = (name, g, n, _canon(b))
+        key = (name, g, n, b if n == 1 else _canon(b))
         if (v := memo[key]) is None:
             v = yield key
         values.append(v)
@@ -265,15 +282,83 @@ def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
         U = yield from _pieces(fam, name, g1, left, range(sum(left) % 2, b1 - 1, 2))
         if own:  # fold i <-> j as well; the middle run pairs with itself once
             half, middle = divmod(len(U), 2)
-            pairs = zip(U[:half], reversed(U))
             if middle:
                 acc += U[half] * U[half]
+            acc += 2 * sum(map(mul, U[:half], reversed(U)), fam.zero)
         else:
             V = yield from _pieces(fam, name, g - g1, right, range(sum(right) % 2, b1 - 1, 2))
-            pairs = zip(U, reversed(V))
-        for u, v in pairs:
-            acc += 2 * u * v
+            acc += 2 * sum(map(mul, U, reversed(V)), fam.zero)
     return acc
+
+
+class _Row:
+    """Running sums over one row v_t of shape B (see ``_ramps``): ``ramp[k]``
+    is ramp(p + 2k) for the row's parity p, and ``run`` the sum S of the
+    row's values up to the last one ``ramp`` used."""
+
+    __slots__ = ("ramp", "run")
+
+    def __init__(self, zero):
+        self.ramp, self.run = [zero], zero
+
+
+def _cut_row(fam: _Family, name: str, g: int, rest: tuple[int, ...], ts: range):
+    """Row values Q(s) for s in ts: the pieces (g, (i, j) + rest) left by a
+    cut with runs i + j = s, weighted run_w(i) * run_w(j); runs (i, j) and
+    (j, i) are one key, read once and counted twice."""
+    run_w = fam.run_w
+    ws, bs, ends = [], [], []
+    for s in ts:
+        for i in range(s // 2 + 1):
+            j = s - i
+            if w := run_w(i) * run_w(j):
+                ws.append(w if i == j else 2 * w)
+                bs.append((i, j) + rest)
+        ends.append(len(ws))
+    vs = yield from _children(fam, name, g, 2 + len(rest), bs)
+    terms = list(map(mul, ws, vs))
+    return [sum(terms[a:z], fam.zero) for a, z in zip([0, *ends], ends)]
+
+
+def _join_row(fam: _Family, name: str, g: int, others: tuple[int, ...], ts: range):
+    """Row values join_x(x) * v(g, (x,) + others) for x in ts.  Entries whose
+    weight vanishes are not read: the lattice twin's x = 0."""
+    join_x = fam.join_x
+    xs = [x for x in ts if join_x(x)]
+    vs = yield from _children(fam, name, g, 1 + len(others), [(x,) + others for x in xs])
+    row = dict(zip(xs, map(mul, map(join_x, xs), vs)))
+    return [row.get(x, fam.zero) for x in ts]
+
+
+def _ramps(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], M: int):
+    """The ramp list of one shape-B row, extended to hold
+    ramp(M) = sum over t <= M - 2, t = M mod 2 of (M - t)/2 * v_t.
+
+    The row is ``_cut_row`` or ``_join_row`` of (g, side), kept in
+    ``_MEMO.rows``.  A piece of odd total is empty, so only values v_t of the
+    parity p of sum(side) can be nonzero, and every caller's M has that
+    parity: entry k of the list is ramp(p + 2k), built by S(M) = S(M - 2) +
+    v_M and R(M + 2) = R(M) + S(M).  Missing children are yielded to the
+    driver; the new entries are appended once all are read, and only to a
+    row that did not grow meanwhile (``_shape_b`` says why none can)."""
+    key = (name, cut, g, side)
+    rows = _MEMO.rows
+    if (row := rows.get(key)) is None:
+        row = rows[key] = _Row(fam.zero)
+    ramp = row.ramp
+    have = len(ramp)
+    if M // 2 < have:
+        return ramp
+    ts = range(M % 2 + 2 * have - 2, M - 1, 2)
+    values = yield from (_cut_row if cut else _join_row)(fam, name, g, side, ts)
+    if len(ramp) != have:
+        raise RuntimeError(f"engine row {key} grew while a body was extending it")
+    run = row.run
+    for v in values:
+        run += v
+        ramp.append(ramp[-1] + run)
+    row.run = run
+    return ramp
 
 
 def _lowest_run(run_w: Callable, total: int) -> int:
@@ -283,32 +368,27 @@ def _lowest_run(run_w: Callable, total: int) -> int:
 
 
 def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
-    """Parallel-free shape: the arc takes a run of m points with it."""
-    run_w, join_w = fam.run_w, fam.join_w
+    """Parallel-free shape: the arc takes a run of m points with it.
+
+    The cut leaving runs i + j = s weighs m/2 = (b1 - s)/2, and a join onto
+    boundary j leaving x points weighs (b1 + bj - x)/2 and, for the
+    difference, (b1 - bj - x)/2: each is a ramp (see ``_ramps``) of a row
+    that does not depend on b1, so bodies share it, and it grows only as far
+    as the largest b1 asked for.  No row grows while an enclosing body is
+    extending it: every edge lowers 2g + n - 2, a body of (g, n) extends
+    rows of values one lower, and a row's key fixes (g, n) of its values,
+    so no body below can ask for the same row.  A row that grew meanwhile
+    raises RuntimeError."""
+    run_w, join_b = fam.run_w, fam.join_b
     b1, rest = b[0], b[1:]
     acc = fam.zero
     if g:  # the arc and its run are cut away: the genus drops
-        ws, bs = [], []
-        for m in range(2, b1 + 1, 2):
-            for i in range((b1 - m) // 2 + 1):  # runs (i, j) and (j, i) are one key
-                j = b1 - m - i
-                if w := run_w(i) * run_w(j) * (m // 2):
-                    ws.append(w if i == j else 2 * w)
-                    bs.append((i, j) + rest)
-        vs = yield from _children(fam, name, g - 1, n + 1, bs)
-        acc += sum(map(mul, ws, vs), fam.zero)
+        ramp = yield from _ramps(fam, name, True, g - 1, rest, b1)
+        acc += ramp[b1 // 2]
     for idx, bj in enumerate(rest):  # the arc joins boundary j: sum and difference
-        others = rest[:idx] + rest[idx + 1 :]
-        ws, bs = [], []
-        for x in range(b1 + bj - 2, -1, -2):  # x points stay on the joined boundary
-            w = join_w(bj, x, b1 + bj - x)
-            if x <= b1 - bj - 2:  # the difference leaves x points as well
-                w += join_w(bj, x, b1 - bj - x)
-            if w:  # joining an empty boundary creates a region
-                ws.append(w if bj else w * fam.region)
-                bs.append((x,) + others)
-        vs = yield from _children(fam, name, g, n - 1, bs)
-        acc += sum(map(mul, ws, vs), fam.zero)
+        ramp = yield from _ramps(fam, name, False, g, rest[:idx] + rest[idx + 1 :], b1 + bj)
+        term = join_b(bj) * (ramp[(b1 + bj) // 2] + ramp[(b1 - bj) // 2])
+        acc += term if bj else term * fam.region  # joining an empty boundary creates a region
     for g1, left, right, own in _halves(g, rest):  # the arc separates
         g2 = g - g1
         if (g1, 1 + len(left)) in _DISC_OR_ANNULUS or (g2, 1 + len(right)) in _DISC_OR_ANNULUS:
@@ -321,14 +401,16 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
             V = U
         else:
             V = yield from _pieces(fam, name, g2, right, range(ro, b1 - 1 - lo, 2))
-        # with i = lo + 2p and j = ro + 2q, the arc takes m = 2(k - p - q) points
-        k = len(U)
-        weighted = [run_w(ro + 2 * q) * v for q, v in enumerate(V)]
-        sep = fam.zero
-        for p, u in enumerate(U):
-            if u:
-                inner = sum(map(mul, range(k - p, 0, -1), weighted), fam.zero)
-                sep += run_w(lo + 2 * p) * u * inner
+        # with i = lo + 2p and j = ro + 2q the arc takes m = 2(k - p - q)
+        # points, k = len(U); the sum over q < k - p of (k - p - q) run_w(j)
+        # V[q] is entry k - p - 1 of a ramp built by two running sums
+        ramp, run, inner = [], fam.zero, fam.zero
+        for q, v in enumerate(V):
+            run += run_w(ro + 2 * q) * v
+            inner += run
+            ramp.append(inner)
+        weighted = (run_w(lo + 2 * p) * u for p, u in enumerate(U))
+        sep = sum(map(mul, weighted, reversed(ramp)), fam.zero)
         acc += sep if own else 2 * sep
     return acc / b1 if fam.per_b1 else acc
 
@@ -339,19 +421,21 @@ class _Family(NamedTuple):
     zero: object  # the value of an empty sum
     region: object = 1  # the factor for one more region: the grading variable
     run_w: Callable | None = None
-    join_w: Callable | None = None
+    join_x: Callable | None = None
+    join_b: Callable | None = None
     per_b1: bool = False
     pants: Callable | None = None  # shape B: the (0,3) value of three entries
 
 
 # Coefficient rules of shape B: an arc that takes m points and leaves runs of
-# i and j on its sides weighs run_w(i) * run_w(j) * m/2, and join_w(bj, x, m)
-# weighs a join onto a boundary with bj points that takes m points and leaves
-# x.  The arc weight is symmetric in i and j, so a body reads the key of the
-# runs (i, j) once and counts it twice.  The lattice weights vanish on an
-# empty run, so its zero entries are never queried.
-_N_RULE = (lambda x: 1, lambda bj, x, m: (m // 2) * bar(bj))
-_LATTICE_RULE = (lambda x: x, lambda bj, x, m: x * (m // 2))
+# i and j on its sides weighs run_w(i) * run_w(j) * m/2, and a join onto a
+# boundary with bj points that takes m points and leaves x weighs
+# m/2 * join_x(x) * join_b(bj).  The arc weight is symmetric in i and j, so a
+# body reads the key of the runs (i, j) once and counts it twice.  The
+# lattice weights vanish on an empty run, so its zero entries are never
+# queried.
+_N_RULE = (lambda x: 1, lambda x: 1, bar)
+_LATTICE_RULE = (lambda x: x, lambda x: x, lambda bj: 1)
 
 _FAMILIES = {
     "G": _Family(_shape_a, _base_G, 0),

@@ -174,6 +174,24 @@ def test_non_int_inputs_are_rejected(fn, args):
         fn(*args)
 
 
+class _Int(int):
+    pass
+
+
+def test_check_takes_plain_ints_fast_and_keeps_its_rules():
+    for args in ((True, 1, (4,)), (1, 1, (4.0,)), (1, 1, (Fraction(4),)), (1, Fraction(1), (4,))):
+        with pytest.raises(TypeError, match="must be ints"):
+            engine._check(*args)
+    for grade in (False, 0.0, Fraction(0)):
+        with pytest.raises(TypeError, match="must be ints"):
+            engine._check(1, 1, (4,), grade)
+    assert engine._check(_Int(1), _Int(1), [_Int(4)], _Int(0)) == (4,)
+    assert count_N(_Int(1), 1, (_Int(4),)) == count_N(1, 1, (4,))
+    assert count_N_t(1, 1, (4,), _Int(1)) == count_N_t(1, 1, (4,), 1)
+    with pytest.raises(ValueError, match="genus"):
+        engine._check(-1, 1, (4,))
+
+
 def test_lattice_rejects_disc_and_annulus():
     for g, n, b in ((0, 1, (4,)), (0, 2, (2, 2)), (0, 1, (3,))):
         with pytest.raises(ValueError):
@@ -416,10 +434,15 @@ def test_engine_sweep_is_frozen():
 
 
 class _CountingMemo(engine._Memo):
-    reads = 0
+    """A memo that counts its reads and records the keys read."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads, self.read = 0, set()
 
     def __getitem__(self, key):
         self.reads += 1
+        self.read.add(key)
         return super().__getitem__(key)
 
 
@@ -432,12 +455,14 @@ class _CountingMemo(engine._Memo):
         # body almost only where its b has equal entries (or a zero entry).
         # Shape B then computed its pants children in place, without a memo
         # read: the N, lattice and Nt rows read 43,900, 11,219 and 16,036
-        # before; the entry counts did not move.
-        pytest.param(count_N, (3, 1, (30,)), 25426, 1322, id="count_N(3,1,(30,))"),
+        # before; the entry counts did not move.  Shape B then read its cut
+        # and join sums from running sums kept per row: the N, lattice and Nt
+        # rows read 25,426, 2,489 and 4,221 before; the entries did not move.
+        pytest.param(count_N, (3, 1, (30,)), 7949, 1322, id="count_N(3,1,(30,))"),
         pytest.param(count_G, (0, 1, (400,)), 20101, 200, id="count_G(0,1,(400,))"),
         pytest.param(count_G, (2, 2, (16, 16)), 45641, 1452, id="count_G(2,2,(16,16))"),
-        pytest.param(count_lattice, (2, 1, (40,)), 2489, 191, id="count_lattice(2,1,(40,))"),
-        pytest.param(count_N_t, (2, 1, (40,), 0), 4221, 229, id="count_N_t(2,1,(40,),0)"),
+        pytest.param(count_lattice, (2, 1, (40,)), 227, 191, id="count_lattice(2,1,(40,))"),
+        pytest.param(count_N_t, (2, 1, (40,), 0), 440, 229, id="count_N_t(2,1,(40,),0)"),
     ],
 )
 def test_cold_memo_reads_are_pinned(monkeypatch, fn, args, reads, entries):
@@ -445,3 +470,119 @@ def test_cold_memo_reads_are_pinned(monkeypatch, fn, args, reads, entries):
     monkeypatch.setattr(engine, "_MEMO", memo)
     fn(*args)
     assert (memo.reads, len(memo)) == (reads, entries)
+
+
+# shape-B keys met by every row kind: cuts (g >= 1), joins onto zero and
+# nonzero boundaries, repeated entries and deep one-entry pieces
+ROW_KEYS = [
+    ("N", 3, 1, (24,)), ("N", 1, 3, (8, 4, 0)), ("N", 2, 2, (10, 6)), ("N", 0, 5, (6, 4, 4, 2, 0)),
+    ("Nt", 2, 1, (20,)), ("Nt", 1, 3, (6, 2, 0)), ("Nt", 0, 4, (8, 2, 0, 0)), ("Nt", 1, 2, (12, 0)),
+    ("LatticeN", 2, 1, (22,)), ("LatticeN", 1, 3, (7, 5, 2)), ("LatticeN", 0, 5, (4, 3, 3, 1, 1)),
+    ("LatticeN", 2, 2, (9, 3)),
+]
+
+
+def _values(keys):
+    return {key: engine._eval(key) for key in keys}
+
+
+def test_rows_give_the_same_values_in_any_order():
+    clear_memo()
+    try:
+        ascending = _values(sorted(ROW_KEYS, key=lambda k: (k[3][0], k)))
+        clear_memo()
+        descending = _values(sorted(ROW_KEYS, key=lambda k: (k[3][0], k), reverse=True))
+        cold = {}
+        for key in ROW_KEYS:
+            clear_memo()
+            cold.update(_values([key]))
+    finally:
+        clear_memo()
+    assert ascending == descending == cold
+
+
+def test_rows_live_on_the_memo_and_clear_with_it(monkeypatch):
+    def lengths(memo):
+        return {key: len(row.ramp) for key, row in memo.rows.items()}
+
+    clear_memo()
+    count_N(2, 1, (12,))
+    outer = engine._MEMO
+    kept = lengths(outer)
+    assert kept
+    memo = _CountingMemo()
+    assert memo.rows == {}  # a swapped-in memo starts with no rows
+    monkeypatch.setattr(engine, "_MEMO", memo)
+    count_N(2, 1, (14,))
+    assert memo.rows and lengths(outer) == kept
+    monkeypatch.undo()
+    clear_memo()
+    assert outer.rows == {} and memo_size() == 0
+
+
+def test_a_key_missing_from_a_loaded_cache_gets_the_cold_value(tmp_path):
+    path = str(tmp_path / "memo.cache")
+    clear_memo()
+    count_N(3, 1, (20,))
+    count_N_t(2, 2, (10, 4), 1)
+    count_lattice(2, 1, (20,))
+    save_cache(path)
+    clear_memo()
+    try:
+        assert load_cache(path) > 0 and engine._MEMO.rows == {}
+        warm = [
+            count_N(3, 1, (26,)),
+            count_N_t(2, 2, (14, 4), 1),
+            str(engine._eval(("Nt", 2, 2, (12, 6)))),
+            count_lattice(2, 1, (26,)),
+        ]
+    finally:
+        clear_memo()
+    code = (
+        "from surfcount import engine\n"
+        "from surfcount.engine import count_N, count_N_t, count_lattice\n"
+        "print(count_N(3, 1, (26,)))\n"
+        "print(count_N_t(2, 2, (14, 4), 1))\n"
+        "print(engine._eval(('Nt', 2, 2, (12, 6))))\n"
+        "print(count_lattice(2, 1, (26,)))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(v) for v in warm]
+
+
+def test_lattice_reads_no_zero_entry(monkeypatch):
+    memo = _CountingMemo()
+    monkeypatch.setattr(engine, "_MEMO", memo)
+    pants_args = []
+    fam = engine._FAMILIES["LatticeN"]
+
+    def pants(*b):
+        pants_args.append(b)
+        return fam.pants(*b)
+
+    monkeypatch.setitem(engine._FAMILIES, "LatticeN", fam._replace(pants=pants))
+    for g, n, b in ((2, 1, (30,)), (1, 3, (7, 5, 2)), (0, 5, (4, 3, 3, 1, 1)), (2, 2, (9, 3))):
+        count_lattice(g, n, b)
+    lattice = [key for key in memo.read if key[0] == "LatticeN"]
+    assert len(lattice) > 100 and pants_args
+    assert all(all(key[3]) for key in lattice)
+    assert all(all(b) for b in pants_args)
+
+
+def test_a_row_grown_under_its_extension_raises():
+    clear_memo()
+    try:
+        ext = engine._ramps(engine._FAMILIES["N"], "N", True, 1, (), 10)
+        child = next(ext)  # cold memo: the extension waits for a child
+        count_N(2, 1, (12,))  # a body that extends the same row meanwhile
+        with pytest.raises(RuntimeError, match="grew while"):
+            while True:
+                child = ext.send(engine._eval(child))
+    finally:
+        clear_memo()

@@ -5,21 +5,21 @@ since every count is symmetric in the boundary labels.  Families: ``G``
 (all diagrams), ``N`` (no boundary-parallel arcs), ``Gr`` (all diagrams by
 number r of complementary regions), ``Nt`` (parallel-free diagrams by the
 stable region parameter t = r - (2 - 2g - n) - half the boundary points),
-``LatticeN`` (the rational lattice-count twin of the normalized
-parallel-free count), and ``Gt``, which ``count_G_t`` assembles from ``Nt``.
+and ``Gt``, which ``count_G_t`` assembles from ``Nt``.  The lattice-count
+twin is no family of its own: ``count_lattice`` reads the t = 0 grade of
+``Nt`` and divides by the product of the entries.
 
 Each step removes the arc at the first (maximal) entry: it cuts a handle,
 joins another boundary, or separates the surface (summed over the genus
 and boundary subsets of the pieces).  The step has two shapes, each written
 once: A (``G``, ``Gr``) splits the other points with unit weights; B
-(``N``, ``Nt``, ``LatticeN``) lets the arc take a run of m points along,
-weighted by the family's coefficient rule, admits no disc or annulus piece,
-and reads the join difference term as is (never negative on a maximal
-entry).  ``G`` and ``N`` carry an ``int``.  ``Gr`` and ``Nt`` carry the
-whole refinement in one entry, as a ``_Grades`` polynomial in the grading
-variable r or t: the pieces of a split multiply (their grades add), and a
-join onto an empty boundary multiplies by the variable.  ``LatticeN``
-carries a ``Fraction`` and divides by the first entry at the end.
+(``N``, ``Nt``) lets the arc take a run of m points along, weighing it m/2
+(and a join the bar factor of the boundary it joins), admits no disc or
+annulus piece, and reads the join difference term as is (never negative on
+a maximal entry).  ``G`` and ``N`` carry an ``int``.  ``Gr`` and ``Nt``
+carry the whole refinement in one entry, as a ``_Grades`` polynomial in the
+grading variable r or t: the pieces of a split multiply (their grades add),
+and a join onto an empty boundary multiplies by the variable.
 
 A cut leaving runs (i, j) and one leaving (j, i) name one key, read once and
 counted twice.  Shape B's cut sum and its join sums (around the sum and the
@@ -57,7 +57,8 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
-from itertools import product, starmap, zip_longest
+from itertools import accumulate, product, starmap, zip_longest
+from math import prod
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -165,7 +166,7 @@ def _check(g: int, n: int, b, *grades: int) -> tuple[int, ...]:
 
 # The (0,3) value of each shape-B family, symmetric in three entries of an
 # even total: the bar product, graded at t = 0/1/2/2 for 0/1/2/3 zero entries
-# in Nt, and 1 for the lattice twin.
+# in Nt.
 
 def _pants_N(x, y, z):
     return (x or 1) * (y or 1) * (z or 1)  # bar(x) * bar(y) * bar(z): entries >= 0
@@ -174,10 +175,6 @@ def _pants_N(x, y, z):
 def _pants_Nt(x, y, z):
     zeros = (not x) + (not y) + (not z)
     return _Grades((0,) * min(zeros, 2) + (_pants_N(x, y, z),))
-
-
-def _pants_lattice(x, y, z):
-    return Fraction(1 - (x + y + z) % 2)
 
 
 def _base_G(g, n, b):
@@ -210,16 +207,6 @@ def _base_Nt(g, n, b):
     if (g, n) in _DISC_OR_ANNULUS:
         return _trim([closed_refined("N", g, n, b, t) for t in range(2 * g + n)])
     return None if b[0] else _Grades((0,) * (2 * g + n - 1) + (1,))
-
-
-def _base_lattice(g, n, b):
-    if (g, n) == (0, 3):
-        return _pants_lattice(*b)
-    if sum(b) % 2:
-        return Fraction(0)
-    if (g, n) == (1, 1):
-        return Fraction(b[0] ** 2, 48) - Fraction(1, 12)
-    return None
 
 
 # -- the two recursion shapes -------------------------------------------------
@@ -304,43 +291,31 @@ class _Row:
 
 def _cut_row(fam: _Family, name: str, g: int, rest: tuple[int, ...], ts: range):
     """Row values Q(s) for s in ts: the pieces (g, (i, j) + rest) left by a
-    cut with runs i + j = s, weighted run_w(i) * run_w(j); runs (i, j) and
-    (j, i) are one key, read once and counted twice."""
-    run_w = fam.run_w
+    cut with runs i + j = s; runs (i, j) and (j, i) are one key, read once
+    and counted twice."""
     ws, bs, ends = [], [], []
     for s in ts:
         for i in range(s // 2 + 1):
-            j = s - i
-            if w := run_w(i) * run_w(j):
-                ws.append(w if i == j else 2 * w)
-                bs.append((i, j) + rest)
+            ws.append(1 if 2 * i == s else 2)
+            bs.append((i, s - i) + rest)
         ends.append(len(ws))
     vs = yield from _children(fam, name, g, 2 + len(rest), bs)
     terms = list(map(mul, ws, vs))
     return [sum(terms[a:z], fam.zero) for a, z in zip([0, *ends], ends)]
 
 
-def _join_row(fam: _Family, name: str, g: int, others: tuple[int, ...], ts: range):
-    """Row values join_x(x) * v(g, (x,) + others) for x in ts.  Entries whose
-    weight vanishes are not read: the lattice twin's x = 0."""
-    join_x = fam.join_x
-    xs = [x for x in ts if join_x(x)]
-    vs = yield from _children(fam, name, g, 1 + len(others), [(x,) + others for x in xs])
-    row = dict(zip(xs, map(mul, map(join_x, xs), vs)))
-    return [row.get(x, fam.zero) for x in ts]
-
-
 def _ramps(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], M: int):
     """The ramp list of one shape-B row, extended to hold
     ramp(M) = sum over t <= M - 2, t = M mod 2 of (M - t)/2 * v_t.
 
-    The row is ``_cut_row`` or ``_join_row`` of (g, side), kept in
-    ``_MEMO.rows``.  A piece of odd total is empty, so only values v_t of the
-    parity p of sum(side) can be nonzero, and every caller's M has that
-    parity: entry k of the list is ramp(p + 2k), built by S(M) = S(M - 2) +
-    v_M and R(M + 2) = R(M) + S(M).  Missing children are yielded to the
-    driver; the new entries are appended once all are read, and only to a
-    row that did not grow meanwhile (``_shape_b`` says why none can)."""
+    The row is ``_cut_row`` or, for a join, ``_pieces`` of (g, side), kept
+    in ``_MEMO.rows``.  A piece of odd total is empty, so only values v_t
+    of the parity p of sum(side) can be nonzero, and every caller's M has
+    that parity: entry k of the list is ramp(p + 2k), built by S(M) =
+    S(M - 2) + v_M and R(M + 2) = R(M) + S(M).  Missing children are
+    yielded to the driver; the new entries are appended once all are read,
+    and only to a row that did not grow meanwhile (``_shape_b`` says why
+    none can)."""
     key = (name, cut, g, side)
     rows = _MEMO.rows
     if (row := rows.get(key)) is None:
@@ -350,7 +325,7 @@ def _ramps(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], M:
     if M // 2 < have:
         return ramp
     ts = range(M % 2 + 2 * have - 2, M - 1, 2)
-    values = yield from (_cut_row if cut else _join_row)(fam, name, g, side, ts)
+    values = yield from (_cut_row if cut else _pieces)(fam, name, g, side, ts)
     if len(ramp) != have:
         raise RuntimeError(f"engine row {key} grew while a body was extending it")
     run = row.run
@@ -361,25 +336,18 @@ def _ramps(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], M:
     return ramp
 
 
-def _lowest_run(run_w: Callable, total: int) -> int:
-    """The shortest run of the parity of total that has a nonzero weight."""
-    x = total % 2
-    return x if run_w(x) else x + 2
-
-
 def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
     """Parallel-free shape: the arc takes a run of m points with it.
 
     The cut leaving runs i + j = s weighs m/2 = (b1 - s)/2, and a join onto
-    boundary j leaving x points weighs (b1 + bj - x)/2 and, for the
-    difference, (b1 - bj - x)/2: each is a ramp (see ``_ramps``) of a row
-    that does not depend on b1, so bodies share it, and it grows only as far
-    as the largest b1 asked for.  No row grows while an enclosing body is
+    boundary j leaving x points weighs bar(bj) times (b1 + bj - x)/2 and,
+    for the difference, (b1 - bj - x)/2: each sum is a ramp (see
+    ``_ramps``) of a row that does not depend on b1, so bodies share it, and
+    it grows only as far as the largest b1 asked for.  No row grows while an enclosing body is
     extending it: every edge lowers 2g + n - 2, a body of (g, n) extends
     rows of values one lower, and a row's key fixes (g, n) of its values,
     so no body below can ask for the same row.  A row that grew meanwhile
     raises RuntimeError."""
-    run_w, join_b = fam.run_w, fam.join_b
     b1, rest = b[0], b[1:]
     acc = fam.zero
     if g:  # the arc and its run are cut away: the genus drops
@@ -387,32 +355,27 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
         acc += ramp[b1 // 2]
     for idx, bj in enumerate(rest):  # the arc joins boundary j: sum and difference
         ramp = yield from _ramps(fam, name, False, g, rest[:idx] + rest[idx + 1 :], b1 + bj)
-        term = join_b(bj) * (ramp[(b1 + bj) // 2] + ramp[(b1 - bj) // 2])
+        term = bar(bj) * (ramp[(b1 + bj) // 2] + ramp[(b1 - bj) // 2])
         acc += term if bj else term * fam.region  # joining an empty boundary creates a region
     for g1, left, right, own in _halves(g, rest):  # the arc separates
         g2 = g - g1
         if (g1, 1 + len(left)) in _DISC_OR_ANNULUS or (g2, 1 + len(right)) in _DISC_OR_ANNULUS:
             continue
         # runs i | m | j along b1 with i + m + j = b1; pieces with odd totals
-        # are empty, and runs that weigh nothing are not read
-        lo, ro = _lowest_run(run_w, sum(left)), _lowest_run(run_w, sum(right))
+        # are empty
+        lo, ro = sum(left) % 2, sum(right) % 2
         U = yield from _pieces(fam, name, g1, left, range(lo, b1 - 1 - ro, 2))
         if own:  # the double sum below holds both (i, j) and its mirror (j, i)
             V = U
         else:
             V = yield from _pieces(fam, name, g2, right, range(ro, b1 - 1 - lo, 2))
         # with i = lo + 2p and j = ro + 2q the arc takes m = 2(k - p - q)
-        # points, k = len(U); the sum over q < k - p of (k - p - q) run_w(j)
-        # V[q] is entry k - p - 1 of a ramp built by two running sums
-        ramp, run, inner = [], fam.zero, fam.zero
-        for q, v in enumerate(V):
-            run += run_w(ro + 2 * q) * v
-            inner += run
-            ramp.append(inner)
-        weighted = (run_w(lo + 2 * p) * u for p, u in enumerate(U))
-        sep = sum(map(mul, weighted, reversed(ramp)), fam.zero)
+        # points, k = len(U); the sum over q < k - p of (k - p - q) V[q] is
+        # entry k - p - 1 of a ramp built by two running sums
+        ramp = list(accumulate(accumulate(V)))
+        sep = sum(map(mul, U, reversed(ramp)), fam.zero)
         acc += sep if own else 2 * sep
-    return acc / b1 if fam.per_b1 else acc
+    return acc
 
 
 class _Family(NamedTuple):
@@ -420,31 +383,14 @@ class _Family(NamedTuple):
     base: Callable  # (g, n, b) -> base value, or None
     zero: object  # the value of an empty sum
     region: object = 1  # the factor for one more region: the grading variable
-    run_w: Callable | None = None
-    join_x: Callable | None = None
-    join_b: Callable | None = None
-    per_b1: bool = False
     pants: Callable | None = None  # shape B: the (0,3) value of three entries
 
-
-# Coefficient rules of shape B: an arc that takes m points and leaves runs of
-# i and j on its sides weighs run_w(i) * run_w(j) * m/2, and a join onto a
-# boundary with bj points that takes m points and leaves x weighs
-# m/2 * join_x(x) * join_b(bj).  The arc weight is symmetric in i and j, so a
-# body reads the key of the runs (i, j) once and counts it twice.  The
-# lattice weights vanish on an empty run, so its zero entries are never
-# queried.
-_N_RULE = (lambda x: 1, lambda x: 1, bar)
-_LATTICE_RULE = (lambda x: x, lambda x: x, lambda bj: 1)
 
 _FAMILIES = {
     "G": _Family(_shape_a, _base_G, 0),
     "Gr": _Family(_shape_a, _base_Gr, _Grades()),
-    "N": _Family(_shape_b, _base_N, 0, 1, *_N_RULE, pants=_pants_N),
-    "Nt": _Family(_shape_b, _base_Nt, _Grades(), _Grades((0, 1)), *_N_RULE, pants=_pants_Nt),
-    "LatticeN": _Family(
-        _shape_b, _base_lattice, Fraction(0), 1, *_LATTICE_RULE, per_b1=True, pants=_pants_lattice
-    ),
+    "N": _Family(_shape_b, _base_N, 0, 1, pants=_pants_N),
+    "Nt": _Family(_shape_b, _base_Nt, _Grades(), _Grades((0, 1)), pants=_pants_Nt),
 }
 
 
@@ -534,15 +480,15 @@ def count_G_t_via_r(g: int, n: int, b, t: int) -> int:
 
 def count_lattice(g: int, n: int, b) -> Fraction:
     """The rational lattice-count twin of the normalized parallel-free
-    count: same recursion with the bar factors dropped, so zero entries are
-    annihilated by the weights and are never queried.  Odd totals count
-    zero, as lattice points of an odd total do not exist."""
+    count: the parallel-free diagrams with stable region parameter t = 0,
+    divided by the product of the entries (Norbury's lattice count).  Odd
+    totals count zero, as lattice points of an odd total do not exist."""
     b = _check(g, n, b)
     if 2 * g - 2 + n < 1:
         raise ValueError("lattice counts need 2g - 2 + n >= 1: no disc or annulus")
     if not all(b):
         raise ValueError("lattice counts require strictly positive entries")
-    return _eval(("LatticeN", g, n, _canon(b)))
+    return Fraction(_eval(("Nt", g, n, _canon(b))).coeff(0), prod(b))
 
 
 # -- relations ---------------------------------------------------------------
@@ -577,7 +523,7 @@ def _read_grades(text: str) -> _Grades:
     return _Grades(() if text == "-" else map(int, text.split(",")))
 
 
-_READ = dict(G=int, N=int, LatticeN=Fraction, Gr=_read_grades, Nt=_read_grades, Gt=_read_grades)
+_READ = dict(G=int, N=int, Gr=_read_grades, Nt=_read_grades, Gt=_read_grades)
 
 
 def _identity(stat: os.stat_result) -> tuple[int, ...]:
@@ -661,7 +607,7 @@ def load_cache(path: str) -> int:
             if len(bt) != n:
                 raise ValueError(f"malformed record on line {no}")
             entries[(name, g, n, bt)] = read(v)
-    except (ValueError, ZeroDivisionError) as exc:  # UnicodeDecodeError is a ValueError
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
         print(f"warning: ignoring cache {path!r} ({exc})", file=sys.stderr)
         return 0
     _MEMO.update(entries)

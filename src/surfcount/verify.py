@@ -23,12 +23,22 @@ from .engine import (
     count_G_r,
     count_G_t,
     count_G_t_via_r,
+    count_lattice,
     count_N,
     count_N_t,
     dilaton_reduce,
 )
-from .exact import EVEN, MultiPoly, ODD, ZERO, binomial, vectors_with_sum_at_most
+from .exact import (
+    EVEN,
+    MultiPoly,
+    ODD,
+    ZERO,
+    binomial,
+    interpolate_tensor,
+    vectors_with_sum_at_most,
+)
 from .fitlab import compare_top_degree, extract_psi, fit_G_poly, fit_Nhat, fit_Nhat_refined
+from .moduli import euler_characteristic
 from .oracles import all_arrow_labellings, arrows_to_arcs, enumerate_disc, pants_search
 from .series import (
     CLOSED_FORM_NAMES,
@@ -523,6 +533,15 @@ def check_lattice_top_degree() -> str:
     for g, n in ((0, 3), (0, 4), (1, 1), (1, 2)):
         if not compare_top_degree(g, n):
             _fail(f"lattice twin differs in top degree at ({g},{n})")
+    # Engine-free route (Norbury; Harer-Zagier): the all-even branch takes
+    # the value chi(M_{g,n}) at b = 0.  On the diagonal b = (2k, ..., 2k) it
+    # is a polynomial in k^2 of degree 3g - 3 + n.
+    for g, n in ((0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)):
+        d = 3 * g - 3 + n
+        diagonal = {(k * k,): count_lattice(g, n, (2 * k,) * n) for k in range(1, d + 2)}
+        at_zero = interpolate_tensor(diagonal, d).coefficient((0,))
+        if at_zero != (chi := euler_characteristic(g, n)):
+            _fail(f"lattice twin at b = 0 on ({g},{n}): {at_zero} != chi = {chi}")
     return "lattice twin shares top degree on four (g,n)"
 
 

@@ -347,6 +347,20 @@ def test_ignored_cache_is_rewritten_without_new_records(tmp_path, capsys):
     assert path.read_text() == text
 
 
+def test_cache_with_a_removed_family_is_ignored_and_rewritten(tmp_path, capsys):
+    # a cache written while the lattice twin was an engine family of its own
+    path = tmp_path / "memo.cache"
+    body = "G 1 1 40 5881451896320\nLatticeN 1 1 4 1/4\n"
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(f"surfcount-cache v2 2 {digest}\n{body}")
+    clear_memo()
+    rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
+    assert rc == 0 and out.strip() == "5881451896320"
+    assert "ignoring cache" in err and "malformed record on line 3" in err
+    text = path.read_text()
+    assert "G 1 1 40 5881451896320\n" in text and "LatticeN" not in text
+
+
 BIG_DISC = ("count", "--mode", "G", "--g", "0", "--n", "1", "--b", "16000")
 
 

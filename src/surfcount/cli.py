@@ -269,8 +269,8 @@ def _cmd_verify(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-# Kept so that existing command lines still parse; a thread pool only adds
-# contention under the interpreter lock.
+# Kept so that existing ``table`` command lines still parse; a thread pool
+# only adds contention under the interpreter lock.
 _THREADS_HELP = "accepted for compatibility; has no effect (work runs sequentially)"
 
 
@@ -359,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(fn=_cmd_verify)
 
     return top

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import binomial
+from .exact import _reject, binomial
 
 
 def bar(b: int) -> int:
@@ -46,6 +46,7 @@ def closed_G(g: int, n: int, b: list[int] | tuple[int, ...]) -> int:
     parity patterns, and (1,1).
     """
     b = tuple(b)
+    _reject(int, (g, n) + b, "g, n and the boundary point counts")
     if len(b) != n or any(x < 0 for x in b):
         raise ValueError("bad boundary vector")
     if (g, n) not in {(0, 1), (0, 2), (0, 3), (1, 1)}:
@@ -88,6 +89,7 @@ def annulus_split(b1: int, b2: int) -> tuple[int, int]:
     traversing diagrams have at least one crossing arc, which forces all
     non-parallel structure.  The two add up to the full annulus count.
     """
+    _reject(int, (b1, b2), "boundary point counts")
     if b1 < 0 or b2 < 0:
         raise ValueError("negative boundary count")
     if (b1 + b2) % 2:
@@ -109,6 +111,7 @@ def closed_N(g: int, n: int, b: list[int] | tuple[int, ...]) -> int:
     Supported: (0,1), (0,2), (0,3), (0,4), (1,1).
     """
     b = tuple(b)
+    _reject(int, (g, n) + b, "g, n and the boundary point counts")
     if len(b) != n or any(x < 0 for x in b):
         raise ValueError("bad boundary vector")
     if (g, n) not in {(0, 1), (0, 2), (0, 3), (0, 4), (1, 1)}:
@@ -144,6 +147,7 @@ def local_count(b: int, a: int) -> int:
     binom(b, (b-a)/2) * bar(a) when 0 <= a <= b with matching parity,
     else 0.
     """
+    _reject(int, (b, a), "point counts")
     if a < 0 or a > b or (b - a) % 2:
         return 0
     return binomial(b, (b - a) // 2) * bar(a)
@@ -192,6 +196,7 @@ def pants_classify(b1: int, b2: int, b3: int) -> PantsProfile:
     forced.
     """
     b = (b1, b2, b3)
+    _reject(int, b, "boundary point counts")
     if any(x < 0 for x in b):
         raise ValueError("negative boundary count")
     if sum(b) % 2:
@@ -224,6 +229,7 @@ def pants_regions(b1: int, b2: int, b3: int) -> tuple[int, int]:
     t = r - chi - half the boundary points; on pants chi = -1.
     """
     b = (b1, b2, b3)
+    _reject(int, b, "boundary point counts")
     if sum(b) % 2:
         raise ValueError("no diagram: odd total boundary count")
     half = sum(b) // 2
@@ -245,6 +251,7 @@ def closed_refined(mode: str, g: int, n: int, b, t: int) -> int:
     t = r - (2 - 2g - n) - half the boundary points.
     """
     b = tuple(b)
+    _reject(int, (g, n, t) + b, "g, n, t and the boundary point counts")
     if mode not in ("G", "N"):
         raise ValueError("mode must be 'G' or 'N'")
     if len(b) != n or any(x < 0 for x in b):

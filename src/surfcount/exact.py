@@ -1,14 +1,15 @@
 """Exact arithmetic kernel.
 
-Big integers, reduced rationals, sparse multivariate polynomials,
-parity-indexed quasi-polynomials, tensor-grid Lagrange interpolation
-(solved axis by axis, one univariate basis per axis, in integers over one
-common denominator), and ``certify``, the held-out check every fit and
-every claimed zero branch goes through (integer coefficients over the lcm
-of the polynomial's denominators).  Interpolation and certification build
-a ``Fraction`` only for their output coefficients.  Everything in this
-module is pure and exact; no floating point enters the computation path
-anywhere in the package.
+Big integers, reduced rationals, sparse multivariate polynomials (a value
+type with no ring arithmetic), parity-indexed quasi-polynomials,
+tensor-grid Lagrange interpolation (solved axis by axis, one univariate
+basis per axis, in integers over one common denominator), and
+``certify``, the held-out check every fit and every claimed zero branch
+goes through (integer coefficients over the lcm of the polynomial's
+denominators).  Interpolation and certification build a ``Fraction`` only
+for their output coefficients.  Everything in this module is pure and
+exact; no floating point enters the computation path anywhere in the
+package.
 """
 
 from __future__ import annotations
@@ -82,8 +83,11 @@ def _reject(kind: type, items: Iterable, what: str) -> None:
 class MultiPoly:
     """Sparse polynomial in a fixed number of variables over Fraction.
 
-    Stored as a map exponent-vector -> nonzero coefficient.  Instances are
-    treated as immutable; all operations return new objects.
+    A value type: stored as a map exponent-vector -> nonzero coefficient,
+    with comparison, evaluation, structure maps and serialization but no
+    ring arithmetic.  Exponents must be ints and coefficients ints or
+    Fractions (a bool is neither).  Instances are treated as immutable;
+    all operations return new objects.
     """
 
     __slots__ = ("nvars", "terms")
@@ -91,21 +95,19 @@ class MultiPoly:
     def __init__(self, nvars: int, terms: Mapping[Exponents, Scalar] | Iterable = ()):
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Exponents, Fraction] = {}
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        _reject(int, (e for exps, _ in items for e in exps), "exponents")
+        _reject((int, Fraction), (c for _, c in items), "coefficients")
+        sums: dict[Exponents, Scalar] = {}
         for exps, coeff in items:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} has wrong length (want {nvars})")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = clean.get(exps, Fraction(0)) + Fraction(coeff)
-            if c:
-                clean[exps] = c
-            elif exps in clean:
-                del clean[exps]
+            sums[exps] = sums.get(exps, 0) + coeff
         self.nvars = nvars
-        self.terms = clean
+        self.terms = {e: Fraction(c) for e, c in sums.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -115,74 +117,9 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, c: Scalar) -> "MultiPoly":
-        c = Fraction(c)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        return cls(nvars, {(0,) * nvars: c})
 
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "MultiPoly":
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
-
-    # -- ring operations ---------------------------------------------------
-
-    def _check(self, other: "MultiPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        res = MultiPoly.__new__(MultiPoly)
-        res.nvars, res.terms = self.nvars, out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = MultiPoly.__new__(MultiPoly)
-        res.nvars = self.nvars
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            k = Fraction(other)
-            res = MultiPoly.__new__(MultiPoly)
-            res.nvars = self.nvars
-            res.terms = {e: c * k for e, c in self.terms.items()} if k else {}
-            return res
-        self._check(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        res = MultiPoly.__new__(MultiPoly)
-        res.nvars, res.terms = self.nvars, out
-        return res
-
-    __rmul__ = __mul__
+    # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -238,17 +175,12 @@ class MultiPoly:
     def substitute_zero(self, positions: Sequence[int]) -> "MultiPoly":
         """Set the listed variables to 0 and drop them from the variable list."""
         keep = [i for i in range(self.nvars) if i not in set(positions)]
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in positions):
-                continue
-            key = tuple(e[i] for i in keep)
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return MultiPoly(len(keep), out)
+        # the kept terms are zero at every dropped position, so no two collide
+        return MultiPoly(len(keep), {
+            tuple(e[i] for i in keep): c
+            for e, c in self.terms.items()
+            if not any(e[i] for i in positions)
+        })
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in graded-lex order (total degree, then exponent vector)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import count_G, count_G_r, count_G_t, count_N, count_N_t
-from .exact import binomial, frac_str, ordered_splits, vectors_with_sum_at_most
+from .exact import _reject, binomial, frac_str, ordered_splits, vectors_with_sum_at_most
 
 
 class SeriesIdentityError(ValueError):
@@ -33,7 +33,8 @@ class TruncSeries:
 
     terms maps exponent keys to nonzero Fractions.  A key is the tuple of
     main-variable exponents, with the auxiliary exponent appended as a final
-    entry when an auxiliary variable is present.
+    entry when an auxiliary variable is present.  Key entries must be ints
+    and coefficients ints or Fractions (a bool is neither).
     """
 
     __slots__ = ("nvars", "mins", "order", "aux", "aux_bound", "terms")
@@ -54,14 +55,17 @@ class TruncSeries:
         object.__setattr__(self, "aux", aux)
         object.__setattr__(self, "aux_bound", aux_bound if aux else 0)
         keylen = nvars + (1 if aux else 0)
+        terms = terms or {}
+        _reject(int, (e for key in terms for e in key), "exponent keys")
+        _reject((int, Fraction), terms.values(), "coefficients")
         clean = {}
-        for key, val in (terms or {}).items():
+        for key, val in terms.items():
             key = tuple(key)
             if len(key) != keylen:
                 raise ValueError("exponent key has wrong length")
-            val = Fraction(val)
             if not val:
                 continue
+            val = Fraction(val)
             exps = key[:nvars]
             for e, m in zip(exps, mins):
                 if e < m:

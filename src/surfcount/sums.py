@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .closed import bar
 from .exact import MultiPoly, QuasiPoly, binomial, certify, interpolate_tensor
@@ -114,12 +115,20 @@ class NorburyPolyPair:
     q: MultiPoly
 
 
-def _shift_back(poly: MultiPoly) -> MultiPoly:
-    """Substitute u -> u - 1 in a univariate polynomial."""
-    out = MultiPoly.zero(1)
-    for (e,), c in poly.terms.items():
-        for j in range(e + 1):
-            out = out + MultiPoly(1, {(j,): c * binomial(e, j) * (-1) ** (e - j)})
+def _shift_back(f: list[int]) -> list[int]:
+    """Substitute u -> u - 1 in a polynomial given by its ascending
+    coefficient list."""
+    return [
+        sum(f[e] * binomial(e, j) * (-1) ** (e - j) for e in range(j, len(f)))
+        for j in range(len(f))
+    ]
+
+
+def _add(*fs: list[int]) -> list[int]:
+    """Sum of ascending coefficient lists, with trailing zeros dropped."""
+    out = [sum(cs) for cs in zip_longest(*fs, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
@@ -128,20 +137,21 @@ def norbury_pq(alpha: int) -> NorburyPolyPair:
 
     p_{a+1}(u) = 4u^2 (p_a(u) - p_a(u-1)) + 4u p_a(u-1)
     q_{a+1}(u) = 4u^2 (q_a(u) - q_a(u-1)) + (4u+1) q_a(u)
+
+    run on ascending integer coefficient lists, where prepending k zeros
+    multiplies by u^k.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    u = MultiPoly.variable(1, 0)
-    p = MultiPoly.constant(1, 1)
-    q = MultiPoly.constant(1, 1)
+    p = q = [1]
     for _ in range(alpha):
-        p_prev = _shift_back(p)
-        q_prev = _shift_back(q)
-        p = 4 * u * u * (p - p_prev) + 4 * u * p_prev
-        q = 4 * u * u * (q - q_prev) + (4 * u + 1) * q
-    for poly in (p, q):
-        if poly.total_degree() != alpha or poly.coefficient((alpha,)) <= 0:
+        p_back, q_back = _shift_back(p), _shift_back(q)
+        p = _add([0, 0] + [4 * (a - b) for a, b in zip(p, p_back)], [0] + [4 * c for c in p_back])
+        q = _add([0, 0] + [4 * (a - b) for a, b in zip(q, q_back)], [0] + [4 * c for c in q], q)
+    for f in (p, q):
+        if len(f) != alpha + 1 or f[-1] <= 0:
             raise ArithmeticError(f"moment polynomial of degree {alpha} has a wrong top term")
+    p, q = (MultiPoly(1, {(e,): c for e, c in enumerate(f)}) for f in (p, q))
     return NorburyPolyPair(alpha, p, q)
 
 

@@ -129,7 +129,7 @@ def _sym(nvars: int, types: dict[tuple[int, ...], int | str]) -> MultiPoly:
     """Each coefficient summed over the distinct permutations of its exponent
     type, padded with zeros to `nvars` variables; () is the constant term."""
     return MultiPoly(nvars, [
-        (exps, c)
+        (exps, Fraction(c))
         for typ, c in types.items()
         for exps in sorted(set(permutations(typ + (0,) * (nvars - len(typ)))))
     ])

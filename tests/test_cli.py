@@ -246,10 +246,11 @@ def test_verify_suite_exit_zero(capsys):
     assert out.strip().endswith("RESULT: PASS (3 checks)")
 
 
-def test_verify_threads_byte_identical(capsys):
-    rc1, out1, _ = run(capsys, "verify", "--suite", "closed-forms", "--threads", "1")
-    rc2, out2, _ = run(capsys, "verify", "--suite", "closed-forms", "--threads", "8")
-    assert rc1 == rc2 == 0 and out1 == out2
+def test_verify_rejects_threads(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "closed-forms", "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_cache_flag(tmp_path, capsys, monkeypatch):

@@ -115,3 +115,25 @@ def test_closed_refined_small():
     assert closed_refined("G", 0, 3, (2, 2, 2), 2) == 4 * 8
     with pytest.raises(NoClosedForm):
         closed_refined("N", 1, 1, (4,), 0)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (closed_N, (1, 1, (2.5,))),
+        (closed_G, (0, 3, (True, True, 0))),
+        (closed_G, (0.0, 1, (4,))),
+        (closed_refined, ("N", 0, 3, (2, 2, 0), 1.0)),
+        (closed_refined, ("G", 0, 2, [2, True], 0)),
+        (annulus_split, (2, 2.0)),
+        (local_count, (4, True)),
+        (pants_classify, (2, 2, 2.0)),
+        (pants_regions, (2.0, 2, 0)),
+    ],
+    ids=["N-float-entry", "G-bool-entries", "G-float-genus", "refined-float-t",
+         "refined-bool-entry", "annulus-float", "local-bool", "classify-float",
+         "regions-float"],
+)
+def test_closed_forms_reject_non_int_input(fn, args):
+    with pytest.raises(TypeError, match="must be exact"):
+        fn(*args)

@@ -90,6 +90,16 @@ def test_series_immutable_and_shape_checked():
         TruncSeries(1, 4, mins=(-1,), terms={(-2,): Fraction(1)})
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [{(1,): 0.1}, {(1.0,): 1}, {(True,): 1}, {(1,): True}],
+    ids=["float-coefficient", "float-key", "bool-key", "bool-coefficient"],
+)
+def test_series_rejects_inexact_terms(terms):
+    with pytest.raises(TypeError, match="must be exact"):
+        TruncSeries(1, 3, terms=terms)
+
+
 def test_y_multiplication_truncates():
     a = TruncSeries(1, 4, terms={(1,): Fraction(1), (3,): Fraction(2)})
     b = TruncSeries(1, 4, terms={(1,): Fraction(1)})

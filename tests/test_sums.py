@@ -73,6 +73,20 @@ def test_norbury_recurrence_polynomials():
     assert p2.q.total_degree() == 2
 
 
+# Ascending coefficient lists of p_alpha and q_alpha for alpha <= 4.
+_NORBURY_P = [[1], [0, 4], [0, -16, 32], [0, 192, -512, 384], [0, -4352, 13824, -15360, 6144]]
+_NORBURY_Q = [[1], [1, 4], [1, 8, 32], [1, 12, -32, 384], [1, 16, 1728, -4608, 6144]]
+
+
+@pytest.mark.parametrize("alpha", range(5))
+def test_norbury_coefficients_are_pinned(alpha):
+    pair = norbury_pq(alpha)
+    for poly, want in ((pair.p, _NORBURY_P[alpha]), (pair.q, _NORBURY_Q[alpha])):
+        assert [poly.coefficient((e,)) for e in range(alpha + 1)] == want
+        assert poly.total_degree() == alpha
+        assert all(type(c) is Fraction for c in poly.terms.values())
+
+
 def test_tilde_sums_factored():
     for alpha in range(4):
         for n in range(9):

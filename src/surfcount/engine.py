@@ -22,29 +22,28 @@ grading variable r or t: the pieces of a split multiply (their grades add),
 and a join onto an empty boundary multiplies by the variable.
 
 A cut leaving runs (i, j) and one leaving (j, i) name one key, read once and
-counted twice.  Shape B's cut sum and its join sums (around the sum and the
-difference of the two boundaries) are weighted sums of rows that do not
-depend on the first entry b1: a row is keyed by the family, the genus and
-the entries the arc leaves alone, and holds running sums over its values
-(see ``_ramps``).  Many bodies share a row, each extending it only as far
-as its own b1 needs, so a body reads no cut or join child that another body
-already summed; the rows live on the memo (``_MEMO.rows``), are never saved
-and are cleared with it.  A separation and its mirror image (pieces
-swapped) give the same term, so a body sums only the separations whose
-first piece keeps the second entry of b, and counts each twice; with one
-boundary it sums the genus splits g1 <= g - g1, and counts a split into
-equal genera once (shape A also folds its runs i <-> j there).  Per
-separation the values of the two pieces are read once into lists; shape B
-forms its double sum over the runs on both sides of the arc from them with
-two running sums.
+counted twice.  A separation and its mirror image (pieces swapped) give the
+same term, so a body sums only the separations whose first piece keeps the
+second entry of b, and counts each twice; with one boundary it sums the
+genus splits g1 <= g - g1, and counts a split into equal genera once (shape
+A also folds its runs i <-> j there).
+
+A row is keyed by the family, the genus and the entries the arc leaves
+alone, so bodies of any first entry b1 share it, each extending it only as
+far as its b1 needs; rows live on the memo (``_MEMO.rows``), are never
+saved and are cleared with it.  A value row
+holds the pieces (g, (x,) + side) in ascending x and is the only reader of
+such one-entry-extended pieces, so each is keyed and read once per memo
+(``_values``).  Both shapes read their separations' pieces from value rows;
+shape B folds its join sums (around the sum and the difference of the two
+boundaries) into running sums over the same rows, its cut sum into running
+sums over a cut row (``_ramps``), and a separation's double sum over the
+runs on both sides of the arc into two running sums.
 
 Every parallel-free count bottoms out in pair-of-pants pieces, (0,3), whose
 value is a product of bar factors.  Shape B computes them where they are
-read, from its family's ``pants`` rule: where a row's or a loop's children
-are pants (the cut row of a (1,2) body, the join rows of a (0,4) body, a
-run of separating pieces), no key is built, nothing is sorted and the memo
-is not consulted.  The (0,3) base values use the same rule.  A one-entry
-child, such as a piece of a deep disc, is its own key: nothing is sorted.
+read, from its family's ``pants`` rule: no key is built, the memo is not
+consulted and no row keeps them.  The (0,3) base values use the same rule.
 
 Bodies are generators yielding each child key missing from the memo;
 ``_eval`` runs them on an explicit stack, so no input meets Python's
@@ -56,6 +55,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, product, starmap, zip_longest
 from math import prod
@@ -108,6 +108,15 @@ def _trim(coeffs: list) -> _Grades:
     return _Grades(coeffs)
 
 
+class _Row(list):
+    """One row of ``_MEMO.rows``: a value row lists its values (``_values``),
+    a cut row none.  From the first read of its ramp (``_ramps``) on,
+    ``ramp[k]`` is ramp(p + 2k) for the row's parity p, and ``run`` the sum
+    S of the row's values up to the last one ``ramp`` used."""
+
+    __slots__ = ("ramp", "run")
+
+
 class _Memo(dict):
     """The memo table.  A missing key answers with its family's base value,
     or None when its body has to run; base values are never stored.
@@ -117,14 +126,14 @@ class _Memo(dict):
     its entries never change, so it still holds exactly those records while
     its size and the file's identity are unchanged.
 
-    ``rows`` holds shape B's running sums (``_ramps``), one table per memo:
-    they are derived from the entries, never saved, and cleared with them."""
+    ``rows`` holds the value rows and running sums of ``_values`` and
+    ``_ramps``: derived from the entries, never saved, cleared with them."""
 
     synced = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.rows = {}
+        self.rows = defaultdict(_Row)  # (family, cut, g, side) -> row
 
     def __missing__(self, key):
         return _FAMILIES[key[0]].base(*key[1:])
@@ -211,43 +220,56 @@ def _base_Nt(g, n, b):
 
 # -- the two recursion shapes -------------------------------------------------
 
-def _children(fam: _Family, name: str, g: int, n: int, bs):
-    """The values of the children (g, n, b) for b in bs, as a list.  Pants
-    children are computed from the family's rule; any other key is read once
-    and yielded to the driver when missing.  A one-entry b is its own key."""
-    if fam.pants and (g, n) == (0, 3):
-        return list(starmap(fam.pants, bs))
-    memo, values = _MEMO, []
-    for b in bs:
-        key = (name, g, n, b if n == 1 else _canon(b))
+def _values(fam: _Family, name: str, g: int, side: tuple[int, ...], start: int, stop: int):
+    """Values start to stop - 1 of the value row of (g, side): value t is the
+    piece (g, (x,) + side) at x = p + 2t, p = sum(side) % 2 (odd totals are
+    empty).  The row grows one value at a time, each appended as soon as it
+    is read; one that grew while its value was yielded to the driver raises
+    RuntimeError (``_shape_a`` says why none can).  Pants are not kept."""
+    p = sum(side) % 2
+    if fam.pants and (g, len(side)) == (0, 2):
+        return [fam.pants(x, *side) for x in range(p + 2 * start, p + 2 * stop, 2)]
+    values, memo, n = _MEMO.rows[(name, False, g, side)], _MEMO, 1 + len(side)
+    for x in range(p + 2 * len(values), p + 2 * stop, 2):
+        have, key = len(values), (name, g, n, _canon((x,) + side))
         if (v := memo[key]) is None:
             v = yield key
+            if len(values) != have:
+                raise RuntimeError(f"engine row {(name, g, side)} grew while a body was extending it")
         values.append(v)
-    return values
+    return values[start:stop]
 
 
-def _pieces(fam: _Family, name: str, g: int, side: tuple[int, ...], runs: range):
-    """The values of the pieces (g, (x,) + side) for x in runs, as a list."""
-    return _children(fam, name, g, 1 + len(side), [(x,) + side for x in runs])
+_SPLITS: dict[int, list] = {}  # len(rest) -> index pairs of the left and right halves
 
 
-def _halves(g: int, rest: tuple[int, ...]):
-    """The arc's separations up to mirror image, as (g1, left, right, own):
-    the piece of genus g1 keeps the entries left, the other piece the entries
-    right.  Swapping the two pieces (and the runs beside the arc) gives the
-    same term, so each separation stands for two, except one that is its own
-    mirror image (own: n = 1 and g1 = g - g1)."""
-    if rest:  # the left piece holds rest[0]
-        for left, right in ordered_splits(rest[1:]):
-            for g1 in range(g + 1):
-                yield g1, rest[:1] + left, right, False
-    else:
-        for g1 in range(g // 2 + 1):
-            yield g1, (), (), 2 * g1 == g
+def _halves(g: int, rest: tuple[int, ...]) -> list:
+    """The arc's separations up to mirror image, as a list of (g1, left,
+    right, own): the piece of genus g1 keeps the entries left (rest[0] among
+    them), the other piece the entries right.  Each stands for itself and
+    its mirror image, except one that is its own (own: n = 1 and g1 = g -
+    g1).  The splits are index tables, built once per length of rest."""
+    if not rest:
+        return [(g1, (), (), 2 * g1 == g) for g1 in range(g // 2 + 1)]
+    if (table := _SPLITS.get(len(rest))) is None:
+        splits = ordered_splits(range(1, len(rest)))
+        table = _SPLITS[len(rest)] = [((0, *left), right) for left, right in splits]
+    halves, get = [], rest.__getitem__
+    for left, right in table:
+        left, right = tuple(map(get, left)), tuple(map(get, right))
+        halves += [(g1, left, right, False) for g1 in range(g + 1)]
+    return halves
 
 
 def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
-    """All arc diagrams: the arc's ends split the other b1 - 2 points."""
+    """All arc diagrams: the arc's ends split the other b1 - 2 points.
+
+    A separation reads its pieces from value rows.  No row grows while one
+    of its values is pending: every edge lowers (2g + n - 2, sum(b)), and a
+    row's values share (g, n) while sum(b) rises along it, so a body nested
+    under the read of value i reads only values below i of that row, which
+    were appended before value i was asked for.  This holds even where a
+    disc or annulus piece leaves its other piece the body's own (g, n)."""
     memo = _MEMO
     b1, rest = b[0], b[1:]
     acc = fam.zero
@@ -265,41 +287,38 @@ def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
                 v = yield key
             acc += bk * v
     for g1, left, right, own in _halves(g, rest):  # the arc separates, runs i + j = b1 - 2
-        # pieces with odd totals are empty
-        U = yield from _pieces(fam, name, g1, left, range(sum(left) % 2, b1 - 1, 2))
+        k = (b1 - sum(left) % 2) // 2  # both sides have k runs of the pieces' parity
+        U = yield from _values(fam, name, g1, left, 0, k)
         if own:  # fold i <-> j as well; the middle run pairs with itself once
-            half, middle = divmod(len(U), 2)
+            half, middle = divmod(k, 2)
             if middle:
                 acc += U[half] * U[half]
             acc += 2 * sum(map(mul, U[:half], reversed(U)), fam.zero)
         else:
-            V = yield from _pieces(fam, name, g - g1, right, range(sum(right) % 2, b1 - 1, 2))
+            V = yield from _values(fam, name, g - g1, right, 0, k)
             acc += 2 * sum(map(mul, U, reversed(V)), fam.zero)
     return acc
 
 
-class _Row:
-    """Running sums over one row v_t of shape B (see ``_ramps``): ``ramp[k]``
-    is ramp(p + 2k) for the row's parity p, and ``run`` the sum S of the
-    row's values up to the last one ``ramp`` used."""
-
-    __slots__ = ("ramp", "run")
-
-    def __init__(self, zero):
-        self.ramp, self.run = [zero], zero
-
-
-def _cut_row(fam: _Family, name: str, g: int, rest: tuple[int, ...], ts: range):
-    """Row values Q(s) for s in ts: the pieces (g, (i, j) + rest) left by a
-    cut with runs i + j = s; runs (i, j) and (j, i) are one key, read once
-    and counted twice."""
+def _cut_row(fam: _Family, name: str, g: int, rest: tuple[int, ...], start: int, stop: int):
+    """Values start to stop - 1 of the cut row of (g, rest): value t is Q(s)
+    at s = p + 2t, p = sum(rest) % 2, summing the pieces (g, (i, j) + rest)
+    left by a cut with runs i + j = s; (i, j) and (j, i) are one key."""
     ws, bs, ends = [], [], []
-    for s in ts:
+    for s in range(sum(rest) % 2 + 2 * start, sum(rest) % 2 + 2 * stop, 2):
         for i in range(s // 2 + 1):
             ws.append(1 if 2 * i == s else 2)
             bs.append((i, s - i) + rest)
         ends.append(len(ws))
-    vs = yield from _children(fam, name, g, 2 + len(rest), bs)
+    if fam.pants and (g, len(rest)) == (0, 1):
+        vs = list(starmap(fam.pants, bs))
+    else:
+        memo, vs = _MEMO, []
+        for b in bs:
+            key = (name, g, 2 + len(rest), _canon(b))
+            if (v := memo[key]) is None:
+                v = yield key
+            vs.append(v)
     terms = list(map(mul, ws, vs))
     return [sum(terms[a:z], fam.zero) for a, z in zip([0, *ends], ends)]
 
@@ -308,26 +327,21 @@ def _ramps(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], M:
     """The ramp list of one shape-B row, extended to hold
     ramp(M) = sum over t <= M - 2, t = M mod 2 of (M - t)/2 * v_t.
 
-    The row is ``_cut_row`` or, for a join, ``_pieces`` of (g, side), kept
-    in ``_MEMO.rows``.  A piece of odd total is empty, so only values v_t
-    of the parity p of sum(side) can be nonzero, and every caller's M has
-    that parity: entry k of the list is ramp(p + 2k), built by S(M) =
-    S(M - 2) + v_M and R(M + 2) = R(M) + S(M).  Missing children are
-    yielded to the driver; the new entries are appended once all are read,
-    and only to a row that did not grow meanwhile (``_shape_b`` says why
-    none can)."""
-    key = (name, cut, g, side)
-    rows = _MEMO.rows
-    if (row := rows.get(key)) is None:
-        row = rows[key] = _Row(fam.zero)
-    ramp = row.ramp
-    have = len(ramp)
+    The row is a cut row or, for a join, the value row of (g, side).  Only
+    values v_t of the row's parity p can be nonzero, and every caller's M
+    has that parity: entry k is ramp(p + 2k), a running-sum fold over the
+    row's first k values, S(M) = S(M - 2) + v_M and R(M + 2) = R(M) + S(M).
+    New entries are appended once the values are read, and only to a ramp
+    that did not grow meanwhile (``_shape_b`` says why none can)."""
+    row = _MEMO.rows[(name, cut, g, side)]
+    if not hasattr(row, "ramp"):
+        row.ramp, row.run = [fam.zero], fam.zero
+    ramp, have = row.ramp, len(row.ramp)
     if M // 2 < have:
         return ramp
-    ts = range(M % 2 + 2 * have - 2, M - 1, 2)
-    values = yield from (_cut_row if cut else _pieces)(fam, name, g, side, ts)
+    values = yield from (_cut_row if cut else _values)(fam, name, g, side, have - 1, M // 2)
     if len(ramp) != have:
-        raise RuntimeError(f"engine row {key} grew while a body was extending it")
+        raise RuntimeError(f"engine row {(name, cut, g, side)} grew while a body was extending it")
     run = row.run
     for v in values:
         run += v
@@ -341,13 +355,11 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
 
     The cut leaving runs i + j = s weighs m/2 = (b1 - s)/2, and a join onto
     boundary j leaving x points weighs bar(bj) times (b1 + bj - x)/2 and,
-    for the difference, (b1 - bj - x)/2: each sum is a ramp (see
-    ``_ramps``) of a row that does not depend on b1, so bodies share it, and
-    it grows only as far as the largest b1 asked for.  No row grows while an enclosing body is
-    extending it: every edge lowers 2g + n - 2, a body of (g, n) extends
-    rows of values one lower, and a row's key fixes (g, n) of its values,
-    so no body below can ask for the same row.  A row that grew meanwhile
-    raises RuntimeError."""
+    for the difference, (b1 - bj - x)/2: each sum is a ramp (``_ramps``)
+    of a shared row.  No ramp grows while an enclosing body is extending
+    it: every edge lowers 2g + n - 2, a body of (g, n) extends only ramps
+    of values one lower, and a row's key fixes (g, n) of its values, so no
+    body below can ask for the same ramp."""
     b1, rest = b[0], b[1:]
     acc = fam.zero
     if g:  # the arc and its run are cut away: the genus drops
@@ -361,17 +373,16 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
         g2 = g - g1
         if (g1, 1 + len(left)) in _DISC_OR_ANNULUS or (g2, 1 + len(right)) in _DISC_OR_ANNULUS:
             continue
-        # runs i | m | j along b1 with i + m + j = b1; pieces with odd totals
-        # are empty
-        lo, ro = sum(left) % 2, sum(right) % 2
-        U = yield from _pieces(fam, name, g1, left, range(lo, b1 - 1 - ro, 2))
+        # runs i | m | j along b1 with i + m + j = b1, i = sum(left) % 2 + 2p and
+        # j = sum(right) % 2 + 2q (pieces with odd totals are empty)
+        k = (b1 - sum(left) % 2 - sum(right) % 2) // 2
+        U = yield from _values(fam, name, g1, left, 0, k)
         if own:  # the double sum below holds both (i, j) and its mirror (j, i)
             V = U
         else:
-            V = yield from _pieces(fam, name, g2, right, range(ro, b1 - 1 - lo, 2))
-        # with i = lo + 2p and j = ro + 2q the arc takes m = 2(k - p - q)
-        # points, k = len(U); the sum over q < k - p of (k - p - q) V[q] is
-        # entry k - p - 1 of a ramp built by two running sums
+            V = yield from _values(fam, name, g2, right, 0, k)
+        # the arc takes m = 2(k - p - q) points; the sum over q < k - p of
+        # (k - p - q) V[q] is entry k - p - 1 of a ramp built by two running sums
         ramp = list(accumulate(accumulate(V)))
         sep = sum(map(mul, U, reversed(ramp)), fam.zero)
         acc += sep if own else 2 * sep
@@ -446,13 +457,15 @@ def count_N_t(g: int, n: int, b, t: int) -> int:
     return _eval(("Nt", g, n, _canon(_check(g, n, b, t)))).coeff(t)
 
 
-def _collars(b):
-    """(ways to fill the boundary collars, canonical core) pairs."""
-    for a in product(*(range(x % 2, x + 1, 2) for x in b)):
-        w = 1
-        for x, y in zip(b, a):
-            w *= binomial(x, (x - y) // 2)
-        yield w, _canon(a)
+def _collars(b) -> dict:
+    """The collar weight of each canonical core: the ways to fill the
+    boundary collars around it, summed over the fillings that sort to it."""
+    weights = {}
+    for fill in product(*([(y, binomial(x, (x - y) // 2)) for y in range(x % 2, x + 1, 2)] for x in b)):
+        core, ws = zip(*fill)
+        core = _canon(core)
+        weights[core] = weights.get(core, 0) + prod(ws)
+    return weights
 
 
 def count_G_t(g: int, n: int, b, t: int) -> int:
@@ -466,7 +479,7 @@ def count_G_t(g: int, n: int, b, t: int) -> int:
         return catalan(b[0] // 2) if t == 0 else 0
     key = ("Gt", g, n, _canon(b))
     if (vec := _MEMO.get(key)) is None:
-        vec = _MEMO[key] = sum((w * _eval(("Nt", g, n, a)) for w, a in _collars(b)), _Grades())
+        vec = _MEMO[key] = sum((w * _eval(("Nt", g, n, a)) for a, w in _collars(b).items()), _Grades())
     return vec.coeff(t)
 
 
@@ -500,7 +513,7 @@ def convolve_G_from_N(g: int, n: int, b) -> int:
     b = _check(g, n, b)
     if (g, n) == (0, 1):
         raise ValueError("collar convolution does not apply to the disc")
-    return sum(w * _eval(("N", g, n, a)) for w, a in _collars(b))
+    return sum(w * _eval(("N", g, n, a)) for a, w in _collars(b).items())
 
 
 def dilaton_reduce(g: int, n: int, b, r: int) -> int:

@@ -221,6 +221,7 @@ def test_every_edge_lowers_the_termination_measure(monkeypatch):
     try:
         count_G(1, 2, (6, 4))
         count_G(0, 1, (12,))
+        count_G(1, 3, (4, 3, 1))
         count_G_r(1, 2, (4, 2), 3)
         count_N(2, 1, (10,))
         count_N_t(1, 3, (4, 2, 0), 1)
@@ -458,11 +459,13 @@ class _CountingMemo(engine._Memo):
         # Shape B then read its cut and join sums from running sums kept per
         # row: the N and Nt rows read 25,426 and 4,221 before; the entries
         # did not move.  The lattice twin, once a family of its own, now
-        # reads exactly the Nt row below.
-        pytest.param(count_N, (3, 1, (30,)), 7949, 1322, id="count_N(3,1,(30,))"),
-        pytest.param(count_G, (0, 1, (400,)), 20101, 200, id="count_G(0,1,(400,))"),
-        pytest.param(count_G, (2, 2, (16, 16)), 45641, 1452, id="count_G(2,2,(16,16))"),
-        pytest.param(count_N_t, (2, 1, (40,), 0), 440, 229, id="count_N_t(2,1,(40,),0)"),
+        # reads exactly the Nt row below.  Every one-entry piece is then read
+        # once per memo through a value row shared by all bodies: the rows
+        # read 7,949, 20,101, 45,641 and 440 before; the entries did not move.
+        pytest.param(count_N, (3, 1, (30,)), 4011, 1322, id="count_N(3,1,(30,))"),
+        pytest.param(count_G, (0, 1, (400,)), 201, 200, id="count_G(0,1,(400,))"),
+        pytest.param(count_G, (2, 2, (16, 16)), 7218, 1452, id="count_G(2,2,(16,16))"),
+        pytest.param(count_N_t, (2, 1, (40,), 0), 421, 229, id="count_N_t(2,1,(40,),0)"),
     ],
 )
 def test_cold_memo_reads_are_pinned(monkeypatch, fn, args, reads, entries):
@@ -473,12 +476,16 @@ def test_cold_memo_reads_are_pinned(monkeypatch, fn, args, reads, entries):
 
 
 # shape-B keys met by every row kind: cuts (g >= 1), joins onto zero and
-# nonzero boundaries, repeated entries, odd entries and deep one-entry pieces
+# nonzero boundaries, repeated entries, odd entries and deep one-entry pieces;
+# shape-A keys whose separations have a disc or annulus piece and a piece of
+# the body's own (g, n)
 ROW_KEYS = [
     ("N", 3, 1, (24,)), ("N", 1, 3, (8, 4, 0)), ("N", 2, 2, (10, 6)), ("N", 0, 5, (6, 4, 4, 2, 0)),
     ("Nt", 2, 1, (20,)), ("Nt", 1, 3, (6, 2, 0)), ("Nt", 0, 4, (8, 2, 0, 0)), ("Nt", 1, 2, (12, 0)),
     ("Nt", 2, 1, (22,)), ("Nt", 1, 3, (7, 5, 2)), ("Nt", 0, 5, (4, 3, 3, 1, 1)),
     ("Nt", 2, 2, (9, 3)),
+    ("G", 1, 1, (20,)), ("G", 0, 2, (9, 5)), ("G", 0, 3, (6, 3, 1)),
+    ("Gr", 1, 2, (6, 4)), ("Gr", 0, 1, (30,)),
 ]
 
 
@@ -502,14 +509,16 @@ def test_rows_give_the_same_values_in_any_order():
 
 
 def test_rows_live_on_the_memo_and_clear_with_it(monkeypatch):
-    def lengths(memo):
-        return {key: len(row.ramp) for key, row in memo.rows.items()}
+    def lengths(memo):  # the values a row keeps, and its ramp
+        return {key: (len(row), len(getattr(row, "ramp", ()))) for key, row in memo.rows.items()}
 
     clear_memo()
     count_N(2, 1, (12,))
+    count_G(1, 2, (8, 4))
     outer = engine._MEMO
     kept = lengths(outer)
-    assert kept
+    kinds = {(name, cut) for name, cut, _, _ in kept}
+    assert kinds == {("N", False), ("G", False), ("N", True)}  # value rows of both shapes, cut rows
     memo = _CountingMemo()
     assert memo.rows == {}  # a swapped-in memo starts with no rows
     monkeypatch.setattr(engine, "_MEMO", memo)
@@ -554,6 +563,19 @@ def test_a_key_missing_from_a_loaded_cache_gets_the_cold_value(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(v) for v in warm]
+
+
+def test_a_value_row_grown_under_its_extension_raises():
+    clear_memo()
+    try:
+        ext = engine._values(engine._FAMILIES["G"], "G", 1, (), 0, 6)
+        child = next(ext)  # cold memo: the row waits for its second value
+        count_G(1, 1, (12,))  # a body that extends the same row meanwhile
+        with pytest.raises(RuntimeError, match="grew while"):
+            while True:
+                child = ext.send(engine._eval(child))
+    finally:
+        clear_memo()
 
 
 def test_a_row_grown_under_its_extension_raises():

@@ -28,17 +28,20 @@ second entry of b, and counts each twice; with one boundary it sums the
 genus splits g1 <= g - g1, and counts a split into equal genera once (shape
 A also folds its runs i <-> j there).
 
-A row is keyed by the family, the genus and the entries the arc leaves
-alone, so bodies of any first entry b1 share it, each extending it only as
-far as its b1 needs; rows live on the memo (``_MEMO.rows``), are never
-saved and are cleared with it.  A value row
-holds the pieces (g, (x,) + side) in ascending x and is the only reader of
-such one-entry-extended pieces, so each is keyed and read once per memo
-(``_values``).  Both shapes read their separations' pieces from value rows;
-shape B folds its join sums (around the sum and the difference of the two
-boundaries) into running sums over the same rows, its cut sum into running
-sums over a cut row (``_ramps``), and a separation's double sum over the
-runs on both sides of the arc into two running sums.
+A row is keyed by the family, its kind, the genus and the entries the arc
+leaves alone (side), so bodies of any first entry b1 share it, each
+extending it only as far as its b1 needs; rows live on the memo
+(``_MEMO.rows``), are never saved and are cleared with it.  One builder,
+``_row``, grows them all.  A value row holds the pieces (g, (x,) + side) in
+ascending x: every piece that a join or a separation leaves, one new entry
+beside entries the arc leaves alone, is read through one, in both shapes,
+so each is keyed and read once per memo.  A cut row holds Q(s), the sum of
+the pieces (g, (i, j) + side) over the runs i + j = s.  Shape B reads each
+of its sums from the ramp of a row, a running sum of running sums kept with
+it (``_ramps``): the cut sum from a cut row, and the join sums (around the
+sum and the difference of the two boundaries) and a separation's sum over
+the runs beyond the arc from value rows.  Shape A's cut reads its pieces
+directly.
 
 Every parallel-free count bottoms out in pair-of-pants pieces, (0,3), whose
 value is a product of bar factors.  Shape B computes them where they are
@@ -57,7 +60,7 @@ import os
 import sys
 from collections import defaultdict
 from fractions import Fraction
-from itertools import accumulate, product, starmap, zip_longest
+from itertools import product, zip_longest
 from math import prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -109,10 +112,10 @@ def _trim(coeffs: list) -> _Grades:
 
 
 class _Row(list):
-    """One row of ``_MEMO.rows``: a value row lists its values (``_values``),
-    a cut row none.  From the first read of its ramp (``_ramps``) on,
-    ``ramp[k]`` is ramp(p + 2k) for the row's parity p, and ``run`` the sum
-    S of the row's values up to the last one ``ramp`` used."""
+    """One row of ``_MEMO.rows``: it lists its values v_t in ascending t
+    (``_row``; a row of pants keeps none).  From the first read of its ramp
+    (``_ramps``) on, ``ramp[k]`` is the sum of (k - t) * v_t over t < k, and
+    ``run`` the sum of the values that ``ramp`` used."""
 
     __slots__ = ("ramp", "run")
 
@@ -126,8 +129,8 @@ class _Memo(dict):
     its entries never change, so it still holds exactly those records while
     its size and the file's identity are unchanged.
 
-    ``rows`` holds the value rows and running sums of ``_values`` and
-    ``_ramps``: derived from the entries, never saved, cleared with them."""
+    ``rows`` holds the rows of ``_row`` and their ramps (``_ramps``):
+    derived from the entries, never saved, cleared with them."""
 
     synced = None
 
@@ -220,24 +223,32 @@ def _base_Nt(g, n, b):
 
 # -- the two recursion shapes -------------------------------------------------
 
-def _values(fam: _Family, name: str, g: int, side: tuple[int, ...], start: int, stop: int):
-    """Values start to stop - 1 of the value row of (g, side): value t is the
-    piece (g, (x,) + side) at x = p + 2t, p = sum(side) % 2 (odd totals are
-    empty).  The row grows one value at a time, each appended as soon as it
-    is read; one that grew while its value was yielded to the driver raises
-    RuntimeError (``_shape_a`` says why none can).  Pants are not kept."""
-    p = sum(side) % 2
-    if fam.pants and (g, len(side)) == (0, 2):
-        return [fam.pants(x, *side) for x in range(p + 2 * start, p + 2 * stop, 2)]
-    values, memo, n = _MEMO.rows[(name, False, g, side)], _MEMO, 1 + len(side)
-    for x in range(p + 2 * len(values), p + 2 * stop, 2):
-        have, key = len(values), (name, g, n, _canon((x,) + side))
-        if (v := memo[key]) is None:
-            v = yield key
-            if len(values) != have:
-                raise RuntimeError(f"engine row {(name, g, side)} grew while a body was extending it")
-        values.append(v)
-    return values[start:stop]
+def _row(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], start: int, stop: int):
+    """Values start to stop - 1 of the row of (g, side), p = sum(side) % 2
+    (odd totals are empty).  Value t of a value row is the piece
+    (g, (s,) + side) at s = p + 2t; of a cut row it is Q(s), the sum of the
+    pieces (g, (i, j) + side) left by a cut with runs i + j = s, where (i, j)
+    and (j, i) are one key, read once and counted twice.  The row grows one
+    value at a time, each appended as soon as its pieces are read; one that
+    grew while a piece was yielded to the driver raises RuntimeError
+    (``_shape_a`` and ``_shape_b`` say why none can).  Pants values are
+    computed here and not kept."""
+    p, n = sum(side) % 2, len(side) + 1 + cut
+    pants = (g, n) == (0, 3) and fam.pants
+    values = [] if pants else _MEMO.rows[(name, cut, g, side)]
+    memo = _MEMO
+    for s in range(p + 2 * (start if pants else len(values)), p + 2 * stop, 2):
+        have, terms = len(values), []
+        for runs in [(i, s - i) for i in range(s // 2 + 1)] if cut else [(s,)]:
+            if pants:
+                v = pants(*runs, *side)
+            elif (v := memo[key := (name, g, n, _canon(runs + side))]) is None:
+                v = yield key
+                if len(values) != have:
+                    raise RuntimeError(f"engine row {(name, cut, g, side)} grew while a body was extending it")
+            terms.append(v if runs[0] == runs[-1] else 2 * v)
+        values.append(sum(terms[1:], terms[0]))
+    return values if pants else values[start:stop]
 
 
 _SPLITS: dict[int, list] = {}  # len(rest) -> index pairs of the left and right halves
@@ -264,8 +275,10 @@ def _halves(g: int, rest: tuple[int, ...]) -> list:
 def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
     """All arc diagrams: the arc's ends split the other b1 - 2 points.
 
-    A separation reads its pieces from value rows.  No row grows while one
-    of its values is pending: every edge lowers (2g + n - 2, sum(b)), and a
+    A join and a separation read their pieces from value rows.  The cut
+    reads its pieces directly: it needs Q(b1 - 2) alone, and a cut row
+    would read every Q(s) below it too.  No row grows while one of its
+    values is pending: every edge lowers (2g + n - 2, sum(b)), and a
     row's values share (g, n) while sum(b) rises along it, so a body nested
     under the read of value i reads only values below i of that row, which
     were appended before value i was asked for.  This holds even where a
@@ -280,70 +293,43 @@ def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
             if (v := memo[key]) is None:
                 v = yield key
             acc += v if i == j else 2 * v
-    for idx, bk in enumerate(rest):  # the arc runs to another boundary
+    for idx, bk in enumerate(rest):  # the arc runs to another boundary, leaving b1 + bk - 2 points
         if bk:
-            key = (name, g, n - 1, _canon((b1 + bk - 2,) + rest[:idx] + rest[idx + 1 :]))
-            if (v := memo[key]) is None:
-                v = yield key
+            t = (b1 + bk - 2) // 2
+            (v,) = yield from _row(fam, name, False, g, rest[:idx] + rest[idx + 1 :], t, t + 1)
             acc += bk * v
     for g1, left, right, own in _halves(g, rest):  # the arc separates, runs i + j = b1 - 2
         k = (b1 - sum(left) % 2) // 2  # both sides have k runs of the pieces' parity
-        U = yield from _values(fam, name, g1, left, 0, k)
+        U = yield from _row(fam, name, False, g1, left, 0, k)
         if own:  # fold i <-> j as well; the middle run pairs with itself once
             half, middle = divmod(k, 2)
             if middle:
                 acc += U[half] * U[half]
             acc += 2 * sum(map(mul, U[:half], reversed(U)), fam.zero)
         else:
-            V = yield from _values(fam, name, g - g1, right, 0, k)
+            V = yield from _row(fam, name, False, g - g1, right, 0, k)
             acc += 2 * sum(map(mul, U, reversed(V)), fam.zero)
     return acc
 
 
-def _cut_row(fam: _Family, name: str, g: int, rest: tuple[int, ...], start: int, stop: int):
-    """Values start to stop - 1 of the cut row of (g, rest): value t is Q(s)
-    at s = p + 2t, p = sum(rest) % 2, summing the pieces (g, (i, j) + rest)
-    left by a cut with runs i + j = s; (i, j) and (j, i) are one key."""
-    ws, bs, ends = [], [], []
-    for s in range(sum(rest) % 2 + 2 * start, sum(rest) % 2 + 2 * stop, 2):
-        for i in range(s // 2 + 1):
-            ws.append(1 if 2 * i == s else 2)
-            bs.append((i, s - i) + rest)
-        ends.append(len(ws))
-    if fam.pants and (g, len(rest)) == (0, 1):
-        vs = list(starmap(fam.pants, bs))
-    else:
-        memo, vs = _MEMO, []
-        for b in bs:
-            key = (name, g, 2 + len(rest), _canon(b))
-            if (v := memo[key]) is None:
-                v = yield key
-            vs.append(v)
-    terms = list(map(mul, ws, vs))
-    return [sum(terms[a:z], fam.zero) for a, z in zip([0, *ends], ends)]
+def _ramps(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], k: int):
+    """The ramp of one row (``_row``), extended to hold entry k: the sum of
+    (k - t) * v_t over the row's values v_t, t < k.
 
-
-def _ramps(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], M: int):
-    """The ramp list of one shape-B row, extended to hold
-    ramp(M) = sum over t <= M - 2, t = M mod 2 of (M - t)/2 * v_t.
-
-    The row is a cut row or, for a join, the value row of (g, side).  Only
-    values v_t of the row's parity p can be nonzero, and every caller's M
-    has that parity: entry k is ramp(p + 2k), a running-sum fold over the
-    row's first k values, S(M) = S(M - 2) + v_M and R(M + 2) = R(M) + S(M).
-    New entries are appended once the values are read, and only to a ramp
-    that did not grow meanwhile (``_shape_b`` says why none can)."""
+    Entry k is the running-sum fold over the row's first k values,
+    S_k = S_(k-1) + v_(k-1) and ramp_(k+1) = ramp_k + S_(k+1), so
+    ramp[j + 1] is entry j of accumulate(accumulate(values)).  New entries
+    are appended once the values are read, after any that a body below
+    appended meanwhile."""
     row = _MEMO.rows[(name, cut, g, side)]
     if not hasattr(row, "ramp"):
         row.ramp, row.run = [fam.zero], fam.zero
     ramp, have = row.ramp, len(row.ramp)
-    if M // 2 < have:
+    if k < have:
         return ramp
-    values = yield from (_cut_row if cut else _values)(fam, name, g, side, have - 1, M // 2)
-    if len(ramp) != have:
-        raise RuntimeError(f"engine row {(name, cut, g, side)} grew while a body was extending it")
+    values = yield from _row(fam, name, cut, g, side, have - 1, k)
     run = row.run
-    for v in values:
+    for v in values[len(ramp) - have :]:
         run += v
         ramp.append(ramp[-1] + run)
     row.run = run
@@ -353,20 +339,21 @@ def _ramps(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], M:
 def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
     """Parallel-free shape: the arc takes a run of m points with it.
 
-    The cut leaving runs i + j = s weighs m/2 = (b1 - s)/2, and a join onto
+    The cut leaving runs i + j = s weighs m/2 = (b1 - s)/2, a join onto
     boundary j leaving x points weighs bar(bj) times (b1 + bj - x)/2 and,
-    for the difference, (b1 - bj - x)/2: each sum is a ramp (``_ramps``)
-    of a shared row.  No ramp grows while an enclosing body is extending
-    it: every edge lowers 2g + n - 2, a body of (g, n) extends only ramps
-    of values one lower, and a row's key fixes (g, n) of its values, so no
-    body below can ask for the same ramp."""
+    for the difference, (b1 - bj - x)/2, and a separation weighs each value
+    of its second piece by m/2 as well: each sum is an entry of a ramp
+    (``_ramps``) of a shared row.  No row grows while an enclosing body is
+    extending it: every edge lowers 2g + n - 2, a body of (g, n)
+    extends only rows of values lower in it, and a row's key fixes (g, n)
+    of its values, so no body below can ask for the same row."""
     b1, rest = b[0], b[1:]
     acc = fam.zero
     if g:  # the arc and its run are cut away: the genus drops
-        ramp = yield from _ramps(fam, name, True, g - 1, rest, b1)
+        ramp = yield from _ramps(fam, name, True, g - 1, rest, b1 // 2)
         acc += ramp[b1 // 2]
     for idx, bj in enumerate(rest):  # the arc joins boundary j: sum and difference
-        ramp = yield from _ramps(fam, name, False, g, rest[:idx] + rest[idx + 1 :], b1 + bj)
+        ramp = yield from _ramps(fam, name, False, g, rest[:idx] + rest[idx + 1 :], (b1 + bj) // 2)
         term = bar(bj) * (ramp[(b1 + bj) // 2] + ramp[(b1 - bj) // 2])
         acc += term if bj else term * fam.region  # joining an empty boundary creates a region
     for g1, left, right, own in _halves(g, rest):  # the arc separates
@@ -376,15 +363,13 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
         # runs i | m | j along b1 with i + m + j = b1, i = sum(left) % 2 + 2p and
         # j = sum(right) % 2 + 2q (pieces with odd totals are empty)
         k = (b1 - sum(left) % 2 - sum(right) % 2) // 2
-        U = yield from _values(fam, name, g1, left, 0, k)
-        if own:  # the double sum below holds both (i, j) and its mirror (j, i)
-            V = U
-        else:
-            V = yield from _values(fam, name, g2, right, 0, k)
+        U = yield from _row(fam, name, False, g1, left, 0, k)
         # the arc takes m = 2(k - p - q) points; the sum over q < k - p of
-        # (k - p - q) V[q] is entry k - p - 1 of a ramp built by two running sums
-        ramp = list(accumulate(accumulate(V)))
-        sep = sum(map(mul, U, reversed(ramp)), fam.zero)
+        # (k - p - q) V[q] over the other piece's values V is its ramp's entry
+        # k - p; with one boundary and equal genera (own) the two pieces share
+        # a row, and the double sum holds both (i, j) and its mirror (j, i)
+        ramp = yield from _ramps(fam, name, False, g2, right, k)
+        sep = sum(map(mul, U, ramp[k:0:-1]), fam.zero)
         acc += sep if own else 2 * sep
     return acc
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .closed import PantsProfile
+from .exact import _reject
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,7 @@ def enumerate_disc(m: int) -> list[DiscDiagram]:
     Each diagram is a noncrossing perfect matching; the region count is
     computed from the chord arrangement, not assumed.
     """
+    _reject(int, (m,), "m")
     if m < 0:
         raise ValueError("m must be >= 0")
     out = []
@@ -123,9 +125,11 @@ def arrows_to_arcs(labels) -> ArcStructure:
 def all_arrow_labellings(m: int):
     """Every in/out labelling of 2m positions with m of each, in a fixed
     deterministic order."""
-    for in_positions in combinations(range(2 * m), m):
-        chosen = set(in_positions)
-        yield tuple("in" if i in chosen else "out" for i in range(2 * m))
+    _reject(int, (m,), "m")
+    return (
+        tuple("in" if i in chosen else "out" for i in range(2 * m))
+        for chosen in map(set, combinations(range(2 * m), m))
+    )
 
 
 def pants_search(b1: int, b2: int, b3: int) -> list[PantsProfile]:
@@ -136,6 +140,7 @@ def pants_search(b1: int, b2: int, b3: int) -> list[PantsProfile]:
     returning-arc counts, and keeps profiles meeting the exclusion rules.
     Expected to be a singleton for every even-sum input.
     """
+    _reject(int, (b1, b2, b3), "boundary point counts")
     if (b1 + b2 + b3) % 2:
         raise ValueError("no diagram: odd total boundary count")
     found = []

@@ -295,7 +295,10 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 
 
-def _check_order(T):
+def _check_order(T, *bounds):
+    """Reject a truncation order, or an alpha/beta bound, that is not an int,
+    and a negative order."""
+    _reject(int, (T, *bounds), "truncation orders and bounds")
     if T < 0:
         raise ValueError("truncation order must be nonnegative")
 
@@ -349,7 +352,7 @@ def build_fG(g, n, T, t=None):
 
 def build_frak_f(g, n, T, alpha_bound):
     """Region-graded y-series: profile mu at region count r lands on alpha^r."""
-    _check_order(T)
+    _check_order(T, alpha_bound)
     if alpha_bound < 1:
         raise ValueError("alpha_bound must be at least 1")
     return _count_series(
@@ -360,10 +363,10 @@ def build_frak_f(g, n, T, alpha_bound):
 
 def build_bold_fN(g, n, T, beta_bound=None):
     """Grade the z-series by the region excess t, carried on beta."""
-    _check_order(T)
     tmax = 2 * g + n - 1
     if beta_bound is None:
         beta_bound = tmax
+    _check_order(T, beta_bound)
     return _count_series(
         n, T, -1, lambda nu, t: count_N_t(g, n, nu, t), aux="beta", aux_bound=beta_bound,
         grades=lambda nu: range(min(beta_bound, tmax) + 1),
@@ -642,10 +645,11 @@ def diff_recursion_residual(g, n, T, alpha_bound=None):
     """
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
-    work = T + 2
-    safe_alpha = work // 2 + 2
     if alpha_bound is None:
         alpha_bound = T // 2 + 2
+    _check_order(T, alpha_bound)
+    work = T + 2
+    safe_alpha = work // 2 + 2
 
     def piece(g_sub, n_sub):
         return build_frak_f(g_sub, n_sub, work, safe_alpha)
@@ -680,6 +684,7 @@ def first_diff_residual(g, n, T):
     """
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
+    _check_order(T)
     work = T + 2
     residual = _recursion_residual(lambda g_sub, n_sub: build_fG(g_sub, n_sub, work), g, n)
     return residual.deriv_x(0).truncate(T)
@@ -698,6 +703,7 @@ def scaling_check(g, n, T):
     collar-convolution route must agree under the same re-indexing.
     Returns True, or raises SeriesIdentityError with the first mismatch.
     """
+    _check_order(T)
     shift = 2 - 2 * g - n
     tmax = 2 * g + n - 1
 

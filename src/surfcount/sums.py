@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .closed import bar
-from .exact import MultiPoly, QuasiPoly, binomial, certify, interpolate_tensor
+from .exact import MultiPoly, QuasiPoly, _reject, binomial, certify, interpolate_tensor
 
 _ONE_INDEX = {"A", "S"}
 _TWO_INDEX = {"B", "B0", "B1", "R", "R0", "R1"}
@@ -40,10 +40,13 @@ class SumFamily:
     def __post_init__(self):
         if self.tag not in _ONE_INDEX | _TWO_INDEX:
             raise ValueError(f"unknown family {self.tag!r}")
+        _reject(int, (self.m,) if self.n is None else (self.m, self.n), "indices")
         if self.m < 0 or (self.n is not None and self.n < 0):
             raise ValueError("indices must be nonnegative")
         if self.tag in _TWO_INDEX and self.n is None:
             raise ValueError(f"family {self.tag} needs two indices")
+        if self.tag in _ONE_INDEX and self.n is not None:
+            raise ValueError(f"family {self.tag} takes one index, not n = {self.n}")
 
     @property
     def degree(self) -> int:
@@ -81,6 +84,7 @@ def _sum_nonneg(fam: SumFamily, k: int) -> int:
 def sum_direct(fam: SumFamily, k: int) -> int:
     """Exact value of the defining finite sum, extended to k < 0 as an odd
     function: a negative argument negates the sum over -k, and k = 0 gives 0."""
+    _reject(int, (k,), "k")
     if k == 0:
         return 0
     if k < 0:
@@ -141,6 +145,7 @@ def norbury_pq(alpha: int) -> NorburyPolyPair:
     run on ascending integer coefficient lists, where prepending k zeros
     multiplies by u^k.
     """
+    _reject(int, (alpha,), "alpha")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     p = q = [1]
@@ -162,6 +167,7 @@ def tilde_sum(which: str, alpha: int, n: int) -> int:
     'P': sum over l of binom(2n, n-l) bar(2l) (2l)^(2 alpha)
     'q' or 'Q': sum over l of binom(2n+1, n-l) (2l+1)^(2 alpha + 1)
     """
+    _reject(int, (alpha, n), "alpha and n")
     if alpha < 0 or n < 0:
         raise ValueError("need alpha, n >= 0")
     total = 0
@@ -183,6 +189,7 @@ def tilde_sum_factored(which: str, alpha: int, n: int) -> int:
     p~_a(n) = binom(2n,n) n p_a(n);  q~_a(n) = binom(2n,n) (2n+1) q_a(n);
     P~_a = p~_a + binom(2n,n) [a=0];  Q~_a = q~_a.
     """
+    _reject(int, (alpha, n), "alpha and n")
     pair = norbury_pq(alpha)
     cc = binomial(2 * n, n)
     if which == "p":

@@ -216,27 +216,33 @@ def check_disc_catalan() -> str:
     return "Catalan values m <= 12 and odd-input vanishing"
 
 
-def check_closed_vs_recursion_G() -> str:
+def _sweep(surfaces, total: int, want: Callable, got: Callable, mismatch: str) -> int:
+    """Compare two routes on every boundary vector of sum <= total of each
+    (g, n) in surfaces, reference first; a mismatch fails with the template
+    ``mismatch`` filled in.  Returns the number of vectors compared."""
     cases = 0
-    for g, n in ((0, 1), (0, 2), (0, 3), (1, 1)):
-        for b in vectors_with_sum_at_most(n, 14):
-            want = closed_G(g, n, b)
-            got = count_G(g, n, b)
-            if got != want:
-                _fail(f"count_G({g},{n},{b}) = {got} != closed {want}")
+    for g, n in surfaces:
+        for b in vectors_with_sum_at_most(n, total):
+            ref, val = want(g, n, b), got(g, n, b)
+            if val != ref:
+                _fail(mismatch.format(g=g, n=n, b=b, got=val, want=ref))
             cases += 1
+    return cases
+
+
+def check_closed_vs_recursion_G() -> str:
+    cases = _sweep(
+        ((0, 1), (0, 2), (0, 3), (1, 1)), 14, closed_G, count_G,
+        "count_G({g},{n},{b}) = {got} != closed {want}",
+    )
     return f"{cases} boundary vectors across (0,1),(0,2),(0,3),(1,1), sum <= 14"
 
 
 def check_closed_vs_recursion_N() -> str:
-    cases = 0
-    for g, n in ((0, 1), (0, 2), (0, 3), (0, 4), (1, 1)):
-        for b in vectors_with_sum_at_most(n, 14):
-            want = closed_N(g, n, b)
-            got = count_N(g, n, b)
-            if got != want:
-                _fail(f"count_N({g},{n},{b}) = {got} != closed {want}")
-            cases += 1
+    cases = _sweep(
+        ((0, 1), (0, 2), (0, 3), (0, 4), (1, 1)), 14, closed_N, count_N,
+        "count_N({g},{n},{b}) = {got} != closed {want}",
+    )
     return f"{cases} boundary vectors across five (g,n), sum <= 14"
 
 
@@ -245,14 +251,10 @@ def check_closed_vs_recursion_N() -> str:
 # ---------------------------------------------------------------------------
 
 def check_collar_convolution() -> str:
-    cases = 0
-    for g, n in ((0, 2), (0, 3), (0, 4), (1, 1), (1, 2)):
-        for b in vectors_with_sum_at_most(n, 12):
-            want = count_G(g, n, b)
-            got = convolve_G_from_N(g, n, b)
-            if got != want:
-                _fail(f"convolution at ({g},{n},{b}): {got} != {want}")
-            cases += 1
+    cases = _sweep(
+        ((0, 2), (0, 3), (0, 4), (1, 1), (1, 2)), 12, count_G, convolve_G_from_N,
+        "convolution at ({g},{n},{b}): {got} != {want}",
+    )
     return f"{cases} vectors, collar convolution == direct count"
 
 

@@ -228,6 +228,13 @@ def test_sums_command(capsys):
     assert "branches" in fitted
 
 
+@pytest.mark.parametrize("family", ["A", "S"])
+def test_sums_rejects_a_second_index_for_a_one_index_family(capsys, family):
+    rc, out, err = run(capsys, "sums", "--family", family, "--m", "0", "--n", "3")
+    assert (rc, out) == (2, "")
+    assert err.rstrip() == f"error: family {family} takes one index, not n = 3"
+
+
 def test_oracle_commands(capsys):
     rc, out, _ = run(capsys, "oracle", "--disc", "4")
     assert rc == 0 and out.strip() == "14"

@@ -462,9 +462,11 @@ class _CountingMemo(engine._Memo):
         # reads exactly the Nt row below.  Every one-entry piece is then read
         # once per memo through a value row shared by all bodies: the rows
         # read 7,949, 20,101, 45,641 and 440 before; the entries did not move.
+        # Shape A's joins then read their pieces through the same value rows:
+        # the G row read 7,218 before; the entries did not move.
         pytest.param(count_N, (3, 1, (30,)), 4011, 1322, id="count_N(3,1,(30,))"),
         pytest.param(count_G, (0, 1, (400,)), 201, 200, id="count_G(0,1,(400,))"),
-        pytest.param(count_G, (2, 2, (16, 16)), 7218, 1452, id="count_G(2,2,(16,16))"),
+        pytest.param(count_G, (2, 2, (16, 16)), 4662, 1452, id="count_G(2,2,(16,16))"),
         pytest.param(count_N_t, (2, 1, (40,), 0), 421, 229, id="count_N_t(2,1,(40,),0)"),
     ],
 )
@@ -478,13 +480,14 @@ def test_cold_memo_reads_are_pinned(monkeypatch, fn, args, reads, entries):
 # shape-B keys met by every row kind: cuts (g >= 1), joins onto zero and
 # nonzero boundaries, repeated entries, odd entries and deep one-entry pieces;
 # shape-A keys whose separations have a disc or annulus piece and a piece of
-# the body's own (g, n)
+# the body's own (g, n), and one whose joins extend a value row past what its
+# separations read
 ROW_KEYS = [
     ("N", 3, 1, (24,)), ("N", 1, 3, (8, 4, 0)), ("N", 2, 2, (10, 6)), ("N", 0, 5, (6, 4, 4, 2, 0)),
     ("Nt", 2, 1, (20,)), ("Nt", 1, 3, (6, 2, 0)), ("Nt", 0, 4, (8, 2, 0, 0)), ("Nt", 1, 2, (12, 0)),
     ("Nt", 2, 1, (22,)), ("Nt", 1, 3, (7, 5, 2)), ("Nt", 0, 5, (4, 3, 3, 1, 1)),
     ("Nt", 2, 2, (9, 3)),
-    ("G", 1, 1, (20,)), ("G", 0, 2, (9, 5)), ("G", 0, 3, (6, 3, 1)),
+    ("G", 1, 1, (20,)), ("G", 0, 2, (9, 5)), ("G", 0, 3, (6, 3, 1)), ("G", 1, 3, (8, 6, 2)),
     ("Gr", 1, 2, (6, 4)), ("Gr", 0, 1, (30,)),
 ]
 
@@ -519,6 +522,11 @@ def test_rows_live_on_the_memo_and_clear_with_it(monkeypatch):
     kept = lengths(outer)
     kinds = {(name, cut) for name, cut, _, _ in kept}
     assert kinds == {("N", False), ("G", False), ("N", True)}  # value rows of both shapes, cut rows
+    pants = {key for key in kept if key[0] == "N" and (key[2], len(key[3]) + 1 + key[1]) == (0, 3)}
+    assert pants and all(kept[key][0] == 0 for key in pants)  # pants values are not kept
+    # every other row, cut rows too, keeps the values its ramp folded
+    assert all(values >= ramp - 1 for key, (values, ramp) in kept.items() if key not in pants)
+    assert any(kept[key][0] for key in kept if key[1] and key not in pants)
     memo = _CountingMemo()
     assert memo.rows == {}  # a swapped-in memo starts with no rows
     monkeypatch.setattr(engine, "_MEMO", memo)
@@ -565,17 +573,25 @@ def test_a_key_missing_from_a_loaded_cache_gets_the_cold_value(tmp_path):
     assert proc.stdout.split() == [str(v) for v in warm]
 
 
-def test_a_value_row_grown_under_its_extension_raises():
+def _extend_a_row_grown_meanwhile(name, cut, grow):
     clear_memo()
     try:
-        ext = engine._values(engine._FAMILIES["G"], "G", 1, (), 0, 6)
+        ext = engine._row(engine._FAMILIES[name], name, cut, 1, (), 0, 6)
         child = next(ext)  # cold memo: the row waits for its second value
-        count_G(1, 1, (12,))  # a body that extends the same row meanwhile
+        grow()  # a body that extends the same row meanwhile
         with pytest.raises(RuntimeError, match="grew while"):
             while True:
                 child = ext.send(engine._eval(child))
     finally:
         clear_memo()
+
+
+def test_a_value_row_grown_under_its_extension_raises():
+    _extend_a_row_grown_meanwhile("G", False, lambda: count_G(1, 1, (12,)))
+
+
+def test_a_cut_row_grown_under_its_extension_raises():
+    _extend_a_row_grown_meanwhile("N", True, lambda: count_N(2, 1, (12,)))
 
 
 def test_a_row_grown_under_its_extension_raises():

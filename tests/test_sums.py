@@ -7,6 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfcount.exact import binomial
+from surfcount.oracles import all_arrow_labellings, enumerate_disc, pants_search
+from surfcount.series import (
+    build_bold_fN,
+    build_frak_f,
+    build_fN,
+    diff_recursion_residual,
+    expand_closed_form,
+    pullback_check,
+    scaling_check,
+)
 from surfcount.sums import (
     SumFamily,
     fit_sum,
@@ -24,6 +34,37 @@ def test_family_validation():
         SumFamily("X", 0)
     with pytest.raises(ValueError):
         SumFamily("B", 0)  # two-index family needs n
+    for tag in ("A", "S"):  # one-index families take no n
+        with pytest.raises(ValueError, match="takes one index"):
+            SumFamily(tag, 1, 5)
+
+
+@pytest.mark.parametrize(
+    "fn, args, what",
+    [
+        (SumFamily, ("A", True), "indices"),
+        (SumFamily, ("A", 1.0), "indices"),
+        (SumFamily, ("B", 0, 1.0), "indices"),
+        (sum_direct, (SumFamily("A", 0), True), "k"),
+        (tilde_sum, ("p", True, 2), "alpha and n"),
+        (tilde_sum_factored, ("p", 1, True), "alpha and n"),
+        (norbury_pq, (True,), "alpha"),
+        (enumerate_disc, (True,), "m"),
+        (all_arrow_labellings, (True,), "m"),
+        (pants_search, (True, True, 0), "boundary point counts"),
+        (build_fN, (0, 2, True), "truncation orders and bounds"),
+        (build_frak_f, (0, 1, 4, 2.0), "truncation orders and bounds"),
+        (build_bold_fN, (0, 2, 4, True), "truncation orders and bounds"),
+        (expand_closed_form, ("fN01", True), "truncation orders and bounds"),
+        (pullback_check, (0, 2, True), "truncation orders and bounds"),
+        (scaling_check, (0, 1, True), "truncation orders and bounds"),
+        (diff_recursion_residual, (0, 2, 2.0), "truncation orders and bounds"),
+    ],
+)
+def test_lab_entry_points_reject_bools_and_floats(fn, args, what):
+    # each entry names its own argument: nothing is coerced on the way down
+    with pytest.raises(TypeError, match=f"^{what} must be exact"):
+        fn(*args)
 
 
 def test_direct_values():

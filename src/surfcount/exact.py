@@ -75,9 +75,10 @@ class FitInvalid(ValueError):
 
 def _reject(kind: type, items: Iterable, what: str) -> None:
     """Raise TypeError naming the first item that is a bool or not a ``kind``."""
+    want = "an int" if kind is int else "exact"
     for x in items:
         if isinstance(x, bool) or not isinstance(x, kind):
-            raise TypeError(f"{what} must be exact, not {type(x).__name__}: {x!r}")
+            raise TypeError(f"{what} must be {want}, not {type(x).__name__}: {x!r}")
 
 
 class MultiPoly:

@@ -4,14 +4,17 @@ Every check re-derives a quantity along two independent routes (closed form
 vs recursion, convolution vs direct count, fitted polynomial vs frozen
 table, series expansion vs count-built series, brute-force oracle vs
 formula) and demands exact agreement.  Checks are grouped into named
-suites; ``run_suite`` executes one suite (or ``"all"``) sequentially and
-returns one :class:`CheckResult` per check, in definition order.  A check
-depends only on its own inputs, never on which checks ran before it, so
-every report is the same byte for byte.
+suites; ``run_suite`` executes one suite (or ``"all"``) and returns one
+:class:`CheckResult` per check, in definition order.  A check depends only
+on its own inputs, never on which checks ran before it, so every report is
+the same byte for byte at any CPU count.  Where ``fork`` is available and
+the process may use more than one CPU, the suites run in forked worker
+processes, up to one per CPU; otherwise they run inline, one after another.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, NamedTuple
@@ -696,15 +699,58 @@ def _run_one(entry: tuple[str, str, Callable[[], str]]) -> CheckResult:
         return CheckResult(suite, check, False, f"{type(exc).__name__}: {exc}")
 
 
+# A unit of work runs in one worker.  Each suite is a unit, except that
+# ``psi`` joins ``fits``: its checks read the fits that ``fits`` leaves in
+# fitlab's cache, and would fit them again in a worker of their own.
+_UNIT_OF = {"psi": "fits"}
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_unit(indices: list[int]) -> list[CheckResult]:
+    return [_run_one(_REGISTRY[i]) for i in indices]
+
+
 def run_suite(suite: str) -> list[CheckResult]:
-    """Run one suite (or ``"all"``); results come back in definition order."""
+    """Run one suite (or ``"all"``); results come back in definition order.
+
+    The units of work run in ``min(units, CPUs)`` forked worker processes;
+    with one unit, one usable CPU, no ``fork`` or other threads running
+    they run inline.  A worker that dies raises ``BrokenProcessPool``, a
+    ``RuntimeError``.  New memo entries stay in the workers.
+    """
     if suite == "all":
-        chosen = list(_REGISTRY)
+        chosen = list(range(len(_REGISTRY)))
     elif suite in SUITES:
-        chosen = [e for e in _REGISTRY if e[0] == suite]
+        chosen = [i for i, e in enumerate(_REGISTRY) if e[0] == suite]
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    return [_run_one(e) for e in chosen]
+    units: dict[str, list[int]] = {}
+    for i in chosen:
+        name = _REGISTRY[i][0]
+        units.setdefault(_UNIT_OF.get(name, name), []).append(i)
+    workers = min(len(units), _cpu_count())
+    if workers > 1:
+        # imported here so that no other command pays for these modules
+        import multiprocessing
+        import threading
+
+        # a forked child gets only the calling thread; a lock that another
+        # thread held at the fork would stay held in the child forever
+        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+                ran = zip(units.values(), pool.map(_run_unit, units.values()))
+                by_index = {i: r for unit, rs in ran for i, r in zip(unit, rs)}
+            return [by_index[i] for i in chosen]
+    return _run_unit(chosen)
 
 
 def format_report(results: list[CheckResult]) -> str:

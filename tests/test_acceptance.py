@@ -90,10 +90,12 @@ def test_criterion_13_pants_and_arrow_oracles():
     _passes(13, verify.check_pants_oracle, verify.check_arrows_oracle)
 
 
-def test_criterion_14_reports_independent_of_check_order():
+def test_criterion_14_reports_independent_of_check_order(monkeypatch):
     """Every check gives the same result whatever ran before it: the
-    registry run backwards from a cold memo and an empty fit cache matches
-    a forward ``run_suite("all")`` check for check."""
+    registry run backwards, in this process, from a cold memo and an empty
+    fit cache matches a forward ``run_suite("all")`` in two forked workers,
+    check for check."""
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
     forward = verify.run_suite("all")
     assert verify.all_passed(forward)
     report = (verify.format_report(forward) + "\n").encode()

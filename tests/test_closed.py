@@ -135,5 +135,5 @@ def test_closed_refined_small():
          "regions-float"],
 )
 def test_closed_forms_reject_non_int_input(fn, args):
-    with pytest.raises(TypeError, match="must be exact"):
+    with pytest.raises(TypeError, match="must be an int"):
         fn(*args)

@@ -1,5 +1,8 @@
 """Brute-force enumerations against the formulas they certify."""
 
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,13 @@ from surfcount.oracles import (
 def test_disc_counts_are_catalan():
     for m in range(7):
         assert len(enumerate_disc(m)) == catalan(m)
+
+
+def test_an_exact_non_int_is_rejected_as_not_an_int():
+    # Fraction(2) is exact, so the reason is its type, not inexactness
+    want = "m must be an int, not Fraction: Fraction(2, 1)"
+    with pytest.raises(TypeError, match=f"^{re.escape(want)}$"):
+        enumerate_disc(Fraction(2))
 
 
 def test_disc_diagrams_are_noncrossing_matchings():

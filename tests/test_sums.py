@@ -63,7 +63,7 @@ def test_family_validation():
 )
 def test_lab_entry_points_reject_bools_and_floats(fn, args, what):
     # each entry names its own argument: nothing is coerced on the way down
-    with pytest.raises(TypeError, match=f"^{what} must be exact"):
+    with pytest.raises(TypeError, match=f"^{what} must be an int"):
         fn(*args)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -73,12 +73,40 @@ class FitInvalid(ValueError):
     """Raised when a fitted polynomial fails held-out validation."""
 
 
-def _reject(kind: type, items: Iterable, what: str) -> None:
+def _reject(kind: type | tuple[type, ...], items: Iterable, what: str) -> None:
     """Raise TypeError naming the first item that is a bool or not a ``kind``."""
+    items = tuple(items)
+    # the fast test passes the kinds themselves; their subclasses other than bool pass the loop
+    if set(map(type, items)) <= set(kind if isinstance(kind, tuple) else (kind,)):
+        return
     want = "an int" if kind is int else "exact"
     for x in items:
         if isinstance(x, bool) or not isinstance(x, kind):
             raise TypeError(f"{what} must be {want}, not {type(x).__name__}: {x!r}")
+
+
+def _collect(terms: Mapping | Iterable, keylen: int, what: str) -> dict[tuple, Scalar]:
+    """Sum exact terms by key: the one way an exact sparse container takes them.
+
+    ``terms`` is a mapping or an iterable of (key, coefficient) pairs.  Key
+    entries must be ints (``what`` names them in the TypeError) and
+    coefficients ints or Fractions; every key must have ``keylen`` entries.
+    Returns every key that occurs, zero sums included, with the sum of its
+    coefficients.
+    """
+    items = list(terms.items() if isinstance(terms, Mapping) else terms)
+    _reject(int, chain.from_iterable(key for key, _ in items), what)
+    _reject((int, Fraction), (c for _, c in items), "coefficients")
+    sums: dict[tuple, Scalar] = {}
+    for key, coeff in items:
+        key = tuple(key)
+        if len(key) != keylen:
+            raise ValueError(f"exponent key {key} has wrong length (want {keylen})")
+        if key in sums:
+            sums[key] += coeff
+        else:
+            sums[key] = coeff
+    return sums
 
 
 class MultiPoly:
@@ -86,27 +114,22 @@ class MultiPoly:
 
     A value type: stored as a map exponent-vector -> nonzero coefficient,
     with comparison, evaluation, structure maps and serialization but no
-    ring arithmetic.  Exponents must be ints and coefficients ints or
-    Fractions (a bool is neither).  Instances are treated as immutable;
-    all operations return new objects.
+    ring arithmetic.  Terms come as a mapping or as (exponents, coefficient)
+    pairs, repeated exponents summed.  nvars and exponents must be ints and
+    coefficients ints or Fractions (a bool is neither).  Instances are
+    treated as immutable; all operations return new objects.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Scalar] | Iterable = ()):
+        _reject(int, (nvars,), "nvars")
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
-        items = list(terms.items() if isinstance(terms, Mapping) else terms)
-        _reject(int, (e for exps, _ in items for e in exps), "exponents")
-        _reject((int, Fraction), (c for _, c in items), "coefficients")
-        sums: dict[Exponents, Scalar] = {}
-        for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != nvars:
-                raise ValueError(f"exponent vector {exps} has wrong length (want {nvars})")
+        sums = _collect(terms, nvars, "exponents")
+        for exps in sums:
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            sums[exps] = sums.get(exps, 0) + coeff
         self.nvars = nvars
         self.terms = {e: Fraction(c) for e, c in sums.items() if c}
 
@@ -168,10 +191,7 @@ class MultiPoly:
         """Relabel variables: new variable i reads old variable perm[i]."""
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError("not a permutation")
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(e[perm[i]] for i in range(self.nvars))] = c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly(self.nvars, ((tuple(e[p] for p in perm), c) for e, c in self.terms.items()))
 
     def substitute_zero(self, positions: Sequence[int]) -> "MultiPoly":
         """Set the listed variables to 0 and drop them from the variable list."""
@@ -238,11 +258,6 @@ class MultiPoly:
 EVEN, ODD, ZERO = "e", "o", "z"
 
 
-def parity_signature(b: Sequence[int]) -> str:
-    """The parity word of an integer vector: 'e'/'o' per entry."""
-    return "".join(ODD if x & 1 else EVEN for x in b)
-
-
 def signature_matches(sig: str, b: Sequence[int]) -> bool:
     """Whether a branch signature is compatible with a concrete vector.
 
@@ -274,6 +289,7 @@ class QuasiPoly:
     __slots__ = ("nvars", "branches")
 
     def __init__(self, nvars: int, branches: Mapping[str, MultiPoly] | None = None):
+        _reject(int, (nvars,), "nvars")
         self.nvars = nvars
         self.branches: dict[str, MultiPoly] = {}
         for sig, poly in (branches or {}).items():

@@ -15,9 +15,10 @@ variable's minimum.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .engine import count_G, count_G_r, count_G_t, count_N, count_N_t
-from .exact import _reject, binomial, frac_str, ordered_splits, vectors_with_sum_at_most
+from .exact import _collect, _reject, binomial, frac_str, ordered_splits, vectors_with_sum_at_most
 
 
 class SeriesIdentityError(ValueError):
@@ -33,13 +34,18 @@ class TruncSeries:
 
     terms maps exponent keys to nonzero Fractions.  A key is the tuple of
     main-variable exponents, with the auxiliary exponent appended as a final
-    entry when an auxiliary variable is present.  Key entries must be ints
-    and coefficients ints or Fractions (a bool is neither).
+    entry when an auxiliary variable is present.  The constructor takes the
+    terms as a mapping or as (key, coefficient) pairs and sums repeated
+    keys; a key whose sum is zero is dropped, a nonzero one below a
+    variable's minimum raises ValueError, and one beyond the order or the
+    auxiliary bound is dropped.  nvars, order, aux_bound and key entries
+    must be ints and coefficients ints or Fractions (a bool is neither).
     """
 
     __slots__ = ("nvars", "mins", "order", "aux", "aux_bound", "terms")
 
-    def __init__(self, nvars, order, mins=None, aux=None, aux_bound=0, terms=None):
+    def __init__(self, nvars, order, mins=None, aux=None, aux_bound=0, terms=()):
+        _reject(int, (nvars, order, aux_bound), "nvars, order and aux_bound")
         if mins is None:
             mins = (0,) * nvars
         mins = tuple(mins)
@@ -54,27 +60,15 @@ class TruncSeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "aux", aux)
         object.__setattr__(self, "aux_bound", aux_bound if aux else 0)
-        keylen = nvars + (1 if aux else 0)
-        terms = terms or {}
-        _reject(int, (e for key in terms for e in key), "exponent keys")
-        _reject((int, Fraction), terms.values(), "coefficients")
         clean = {}
-        for key, val in terms.items():
-            key = tuple(key)
-            if len(key) != keylen:
-                raise ValueError("exponent key has wrong length")
+        for key, val in _collect(terms, nvars + (1 if aux else 0), "exponent keys").items():
             if not val:
                 continue
-            val = Fraction(val)
-            exps = key[:nvars]
-            for e, m in zip(exps, mins):
+            for e, m in zip(key, mins):  # the main-variable entries
                 if e < m:
                     raise ValueError(f"exponent {e} below minimum {m}")
-            if aux and not (0 <= key[-1] <= aux_bound):
-                continue
-            if sum(exps) > order:
-                continue
-            clean[key] = val
+            if sum(key[:nvars]) <= order and (not aux or 0 <= key[-1] <= aux_bound):
+                clean[key] = val if type(val) is Fraction else Fraction(val)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -165,11 +159,8 @@ class TruncSeries:
 
     def __add__(self, other):
         self._check_shape(other)
-        terms = dict(self.terms)
-        for key, val in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + val
         return self._like(
-            terms,
+            chain(self.terms.items(), other.terms.items()),
             order=min(self.order, other.order),
             aux_bound=min(self.aux_bound, other.aux_bound) if self.aux else 0,
         )
@@ -186,18 +177,20 @@ class TruncSeries:
             raise ValueError("product only supported for y-type series")
         order = min(self.order, other.order)
         aux_bound = min(self.aux_bound, other.aux_bound) if self.aux else 0
-        terms = {}
-        for k1, v1 in self.terms.items():
-            if sum(k1[: self.nvars]) > order:
-                continue
-            for k2, v2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                if sum(key[: self.nvars]) > order:
-                    continue
-                if self.aux and key[-1] > aux_bound:
-                    continue
-                terms[key] = terms.get(key, Fraction(0)) + v1 * v2
-        return TruncSeries(self.nvars, order, self.mins, self.aux, aux_bound, terms)
+        n = self.nvars
+
+        def graded(series):
+            return [(key, val, sum(key[:n])) for key, val in series.terms.items()]
+
+        right = graded(other)
+        # a pair above the order is skipped before its key and product are built
+        terms = (
+            (tuple(a + b for a, b in zip(k1, k2)), v1 * v2)
+            for k1, v1, d1 in graded(self)
+            for k2, v2, d2 in right
+            if d1 + d2 <= order
+        )
+        return TruncSeries(n, order, self.mins, self.aux, aux_bound, terms)
 
     def truncate(self, order, aux_bound=None):
         return self._like(
@@ -210,30 +203,25 @@ class TruncSeries:
 
     def shift_var(self, i, delta):
         """Multiply by the i-th main variable raised to `delta`."""
-        terms = {}
-        for key, val in self.terms.items():
-            key = key[:i] + (key[i] + delta,) + key[i + 1:]
-            terms[key] = terms.get(key, Fraction(0)) + val
-        return self._like(terms)
+        return self._like(
+            (key[:i] + (key[i] + delta,) + key[i + 1:], val) for key, val in self.terms.items()
+        )
 
     def deriv_x(self, i):
         """d/dx_i on a y-type series: y_i^e picks up factor -e and one more power."""
-        if self.mins[i] >= 0:
-            terms = {}
-            for key, val in self.terms.items():
-                e = key[i]
-                if e == 0:
-                    continue
-                new = key[:i] + (e + 1,) + key[i + 1:]
-                terms[new] = terms.get(new, Fraction(0)) - e * val
-            return self._like(terms)
-        raise ValueError("x-derivative is defined on y-type variables")
+        if self.mins[i] < 0:
+            raise ValueError("x-derivative is defined on y-type variables")
+        return self._like(
+            (key[:i] + (key[i] + 1,) + key[i + 1:], -key[i] * val)
+            for key, val in self.terms.items()
+            if key[i]
+        )
 
     def aux_weighted(self):
         """Multiply each term by its auxiliary exponent (alpha * d/d alpha)."""
         if not self.aux:
             raise ValueError("series has no auxiliary variable")
-        return self._like({k: v * k[-1] for k, v in self.terms.items() if k[-1]})
+        return self._like((k, v * k[-1]) for k, v in self.terms.items())
 
     def merge_first_two(self):
         """Set the first two variables equal, producing an (n-1)-variable series."""
@@ -241,10 +229,7 @@ class TruncSeries:
             raise ValueError("need at least two variables to merge")
         if self.mins[0] != self.mins[1]:
             raise ValueError("merged variables must share a minimum")
-        terms = {}
-        for key, val in self.terms.items():
-            new = (key[0] + key[1],) + key[2:]
-            terms[new] = terms.get(new, Fraction(0)) + val
+        terms = (((key[0] + key[1],) + key[2:], val) for key, val in self.terms.items())
         return TruncSeries(
             self.nvars - 1, self.order, self.mins[1:], self.aux, self.aux_bound, terms
         )
@@ -255,16 +240,13 @@ class TruncSeries:
         slots[i] gives the destination index of our i-th variable; unused
         destinations get exponent 0.
         """
-        if len(slots) != self.nvars or len(set(slots)) != self.nvars:
-            raise ValueError("slots must be distinct, one per variable")
-        mins = tuple(mins)
-        terms = {}
-        for key, val in self.terms.items():
-            exps = [0] * nvars
-            for i, s in enumerate(slots):
-                exps[s] = key[i]
-            new = tuple(exps) + ((key[-1],) if self.aux else ())
-            terms[new] = val
+        if len(slots) != self.nvars or len(set(slots) & set(range(nvars))) != self.nvars:
+            raise ValueError("slots must be distinct indices below nvars, one per variable")
+        source = [slots.index(j) if j in slots else None for j in range(nvars)]
+        terms = (
+            (tuple(0 if i is None else key[i] for i in source) + key[self.nvars:], val)
+            for key, val in self.terms.items()
+        )
         return TruncSeries(nvars, self.order, mins, self.aux, self.aux_bound, terms)
 
     def divided_difference(self, k):
@@ -276,18 +258,14 @@ class TruncSeries:
         """
         if k == 0:
             raise ValueError("divided difference pairs variable 0 with another slot")
-        terms = {}
-        for key, val in self.terms.items():
-            if key[0] != 0:
-                raise ValueError("base series must not involve variable 0")
-            c = key[k]
-            base_deg = sum(key[: self.nvars])
-            if base_deg + 1 > self.order:
-                continue
-            for s in range(c):
-                new = (s + 1,) + key[1:k] + (c - s,) + key[k + 1:]
-                terms[new] = terms.get(new, Fraction(0)) - val
-        return self._like(terms)
+        if any(key[0] for key in self.terms):
+            raise ValueError("base series must not involve variable 0")
+        return self._like(
+            ((s + 1,) + key[1:k] + (key[k] - s,) + key[k + 1:], -val)
+            for key, val in self.terms.items()
+            if sum(key[: self.nvars]) < self.order
+            for s in range(key[k])
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +289,13 @@ def _count_series(n, T, shift, count, aux=None, aux_bound=0, grades=None):
     coefficient; with them, count(p, k) is the coefficient of aux^k for each
     k in grades(p).
     """
-    terms = {}
-    for p in vectors_with_sum_at_most(n, T - shift * n):
-        key = tuple(v + shift for v in p)
-        if grades is None:
-            c = count(p)
-            if c:
-                terms[key] = Fraction(c)
-            continue
-        for k in grades(p):
-            c = count(p, k)
-            if c:
-                terms[key + (k,)] = Fraction(c)
+    profiles = vectors_with_sum_at_most(n, T - shift * n)
+    keyed = ((p, tuple(v + shift for v in p)) for p in profiles)
+    # zero counts, most of a graded series, never reach the collector
+    if grades is None:
+        terms = ((key, c) for p, key in keyed if (c := count(p)))
+    else:
+        terms = ((key + (k,), c) for p, key in keyed for k in grades(p) if (c := count(p, k)))
     return TruncSeries(n, T, (min(shift, 0),) * n, aux, aux_bound, terms)
 
 
@@ -381,43 +354,34 @@ def build_bold_fN(g, n, T, beta_bound=None):
 def _collar_coeffs(mu, order):
     """z-coefficients of z^(mu-1) (1 - z^2) (1 + z^2)^(-mu-1) through `order`.
 
-    This is y^(mu+1) (z^(-2) - 1) written in z, using the binomial expansion
-    (1 + z^2)^(-mu-1) = sum_s (-1)^s C(mu+s, s) z^(2s).  The per-variable
+    This is y^(mu+1) (z^(-2) - 1) written in z.  With the binomial expansion
+    (1 + z^2)^(-mu-1) = sum_s c_s z^(2s), c_s = (-1)^s C(mu+s, s), the
+    coefficient of z^(mu-1+2s) is c_s - c_(s-1).  The per-variable
     factor carries the orientation of the substitution x = z + 1/z near
     z = 0, where x is inverted: a direct numerical comparison of the two
     meromorphic sides fixes the sign this way (each variable contributes
     one inversion).
     """
-    out = {}
-    for s in range((order - mu + 1) // 2 + 1):  # mu - 1 + 2s <= order
-        c = Fraction((-1) ** s * binomial(mu + s, s))
-        lo = mu - 1 + 2 * s
-        if lo + 2 <= order:
-            out[lo + 2] = out.get(lo + 2, Fraction(0)) - c
-        out[lo] = out.get(lo, Fraction(0)) + c
-    return {e: v for e, v in out.items() if v}
+    return {
+        mu - 1 + 2 * s: Fraction((-1) ** s * (binomial(mu + s, s) + binomial(mu + s - 1, s - 1)))
+        for s in range((order - mu + 1) // 2 + 1)  # mu - 1 + 2s <= order
+    }
 
 
 def _tensor(factors, order, mins):
-    """Tensor 1-variable coefficient dicts into an n-variable term dict."""
-    n = len(factors)
+    """Tensor 1-variable coefficient dicts into the n-variable term dict
+    through total degree `order`."""
     partial = {(): Fraction(1)}
     for i, fac in enumerate(factors):
         slack = sum(mins[i + 1:])  # later variables can still lower the degree
-        nxt = {}
-        for prefix, pval in partial.items():
-            pdeg = sum(prefix)
-            for e, c in fac.items():
-                if pdeg + e + slack > order:
-                    continue
-                key = prefix + (e,)
-                val = pval * c
-                if key in nxt:
-                    nxt[key] += val
-                else:
-                    nxt[key] = val
-        partial = nxt
-    return {k: v for k, v in partial.items() if v and sum(k) <= order}
+        # distinct prefixes and distinct exponents: no two keys collide
+        partial = {
+            prefix + (e,): pval * c
+            for prefix, pval in partial.items()
+            for e, c in fac.items()
+            if sum(prefix) + e + slack <= order
+        }
+    return partial
 
 
 def pullback_check(g, n, T, t=None):
@@ -433,11 +397,12 @@ def pullback_check(g, n, T, t=None):
     # the y-series at order T + 2n holds every profile with sum(mu) <= T + n
     ys = build_fG(g, n, T + 2 * n, t=t)
     collar = {mu: _collar_coeffs(mu, T + n) for mu in range(T + n + 1)}
-    terms = {}
     mins = (-1,) * n
-    for key, c in ys.terms.items():
-        for exps, val in _tensor([collar[e - 1] for e in key], T, mins).items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c * val
+    terms = (
+        (exps, c * val)
+        for key, c in ys.terms.items()
+        for exps, val in _tensor([collar[e - 1] for e in key], T, mins).items()
+    )
     return TruncSeries(n, T, mins=mins, terms=terms) - rhs
 
 
@@ -566,11 +531,11 @@ def expand_closed_form(name, T):
 
     if name in _FN03_WORDS:
         mins3 = (-1, -1, -1)
-        terms = {}
-        for word in _FN03_WORDS[name]:
-            factors = [_weights(letter, T + 3) for letter in word]
-            for key, val in _tensor(factors, T, mins3).items():
-                terms[key] = terms.get(key, Fraction(0)) + val
+        terms = (
+            term
+            for word in _FN03_WORDS[name]
+            for term in _tensor([_weights(letter, T + 3) for letter in word], T, mins3).items()
+        )
         return TruncSeries(3, T, mins=mins3, terms=terms)
 
     raise ValueError(f"unknown closed form {name!r}")

@@ -17,7 +17,6 @@ from surfcount.exact import (
     certify,
     frac_str,
     interpolate_tensor,
-    parity_signature,
     parse_frac,
     signature_matches,
 )
@@ -78,13 +77,9 @@ def test_pretty_renders_constants_and_powers():
     assert "b1^2" in s and "5/12" in s
 
 
-def test_parity_signature():
-    assert parity_signature((2, 3, 0)) == "eoe"
+def test_quasipoly_branch_dispatch():
     assert signature_matches("eoe", (4, 1, 2))
     assert not signature_matches("eo", (1, 2))
-
-
-def test_quasipoly_branch_dispatch():
     qp = QuasiPoly(1)
     qp.set_branch("e", MultiPoly(1, {(1,): Fraction(1)}))
     qp.set_branch("o", MultiPoly(1, {(0,): Fraction(7)}))
@@ -202,10 +197,13 @@ def test_interpolation_rejects_inexact_input_and_broken_bounds(grid, bound, erro
         (lambda: MultiPoly(1, {(1,): True}), "coefficients must be exact, not bool"),
         (lambda: MultiPoly.constant(2, 1.5), "coefficients must be exact, not float"),
         (lambda: MultiPoly.constant(2, False), "coefficients must be exact, not bool"),
+        (lambda: MultiPoly(True, {(1,): 1}), "nvars must be an int, not bool"),
+        (lambda: MultiPoly(1.0), "nvars must be an int, not float"),
+        (lambda: QuasiPoly(True), "nvars must be an int, not bool"),
     ],
     ids=["float-exponent-and-coefficient", "float-exponent", "fraction-exponent",
          "float-coefficient", "bool-exponent", "bool-coefficient", "float-constant",
-         "bool-constant"],
+         "bool-constant", "bool-nvars", "float-nvars", "bool-quasipoly-nvars"],
 )
 def test_multipoly_rejects_inexact_terms(build, message):
     # an exponent must be an int; a coefficient may be any exact number

@@ -88,21 +88,42 @@ def test_series_immutable_and_shape_checked():
         TruncSeries(1, 4, mins=(-2,))
     with pytest.raises(ValueError):
         TruncSeries(1, 4, mins=(-1,), terms={(-2,): Fraction(1)})
+    with pytest.raises(ValueError, match="^slots"):
+        s.embed(3, (0, 3), (-1, -1, -1))
 
 
 @pytest.mark.parametrize(
-    "terms, message",
+    "build, message",
     [
-        ({(1,): 0.1}, "coefficients must be exact"),
-        ({(1.0,): 1}, "exponent keys must be an int"),
-        ({(True,): 1}, "exponent keys must be an int"),
-        ({(1,): True}, "coefficients must be exact"),
+        (lambda: TruncSeries(1, 3, terms={(1,): 0.1}), "coefficients must be exact"),
+        (lambda: TruncSeries(1, 3, terms={(1.0,): 1}), "exponent keys must be an int"),
+        (lambda: TruncSeries(1, 3, terms={(True,): 1}), "exponent keys must be an int"),
+        (lambda: TruncSeries(1, 3, terms={(1,): True}), "coefficients must be exact"),
+        (lambda: TruncSeries(1, 2.5), "nvars, order and aux_bound must be an int, not float"),
+        (lambda: TruncSeries(1, True), "nvars, order and aux_bound must be an int, not bool"),
+        (lambda: TruncSeries(1, 3).truncate(2.5),
+         "nvars, order and aux_bound must be an int, not float"),
+        (lambda: TruncSeries(1, 3, aux="alpha", aux_bound=1.5),
+         "nvars, order and aux_bound must be an int, not float"),
     ],
-    ids=["float-coefficient", "float-key", "bool-key", "bool-coefficient"],
+    ids=["float-coefficient", "float-key", "bool-key", "bool-coefficient", "float-order",
+         "bool-order", "float-truncate", "float-aux-bound"],
 )
-def test_series_rejects_inexact_terms(terms, message):
+def test_series_rejects_inexact_terms(build, message):
     with pytest.raises(TypeError, match=f"^{message}"):
-        TruncSeries(1, 3, terms=terms)
+        build()
+
+
+def test_series_takes_pairs_and_sums_repeated_keys():
+    pairs = [((1,), 2), ((2,), Fraction(1, 3)), ((1,), Fraction(1, 2)), ((2,), Fraction(-1, 3))]
+    want = {(1,): Fraction(5, 2)}
+    assert TruncSeries(1, 4, terms=pairs).terms == want
+    assert TruncSeries(1, 4, terms=(pair for pair in pairs)).terms == want
+    # a key below a variable's minimum raises only if its coefficients do not cancel
+    cancelled = [((-1,), 1), ((0,), 4), ((-1,), -1)]
+    assert TruncSeries(1, 4, terms=cancelled).terms == {(0,): Fraction(4)}
+    with pytest.raises(ValueError, match="below minimum"):
+        TruncSeries(1, 4, terms=cancelled[:2])
 
 
 def test_y_multiplication_truncates():

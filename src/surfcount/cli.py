@@ -63,13 +63,13 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _parse_b(text: str, n: int) -> tuple[int, ...]:
+def _parse_b(text: str, n: int, option: str = "--b") -> tuple[int, ...]:
     try:
         b = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"--b wants a comma list of integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{option} wants a comma list of integers, got {text!r}")
     if len(b) != n:
-        raise argparse.ArgumentTypeError(f"--b has {len(b)} entries but n = {n}")
+        raise argparse.ArgumentTypeError(f"{option} has {len(b)} entries but n = {n}")
     if any(x < 0 for x in b):
         raise argparse.ArgumentTypeError("boundary entries must be nonnegative")
     return b
@@ -246,7 +246,7 @@ def _cmd_oracle(args) -> int:
                 print(_dumps({"pairs": [list(p) for p in d.pairs], "regions": d.regions}))
         return EXIT_OK
     if args.pants is not None:
-        b = _parse_b(args.pants, 3)
+        b = _parse_b(args.pants, 3, "--pants")
         for profile in pants_search(*b):
             print(_dumps(asdict(profile)))
         return EXIT_OK

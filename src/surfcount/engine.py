@@ -44,9 +44,10 @@ the runs beyond the arc from value rows.  Shape A's cut reads its pieces
 directly.
 
 Every parallel-free count bottoms out in pair-of-pants pieces, (0,3), whose
-value is a product of bar factors.  Shape B computes them where they are
-read, from its family's ``pants`` rule: no key is built, the memo is not
-consulted and no row keeps them.  The (0,3) base values use the same rule.
+value is a product of bar factors.  Shape B's rows of them take each value
+from the family's ``pants`` rule (no key, no memo read) and keep it like any
+other row.  The (0,3) base values use the same rule.  The separations of a
+body come from one index table per shape, genus and number of entries.
 
 Bodies are generators yielding each child key missing from the memo;
 ``_eval`` runs them on an explicit stack, so no input meets Python's
@@ -113,9 +114,9 @@ def _trim(coeffs: list) -> _Grades:
 
 class _Row(list):
     """One row of ``_MEMO.rows``: it lists its values v_t in ascending t
-    (``_row``; a row of pants keeps none).  From the first read of its ramp
-    (``_ramps``) on, ``ramp[k]`` is the sum of (k - t) * v_t over t < k, and
-    ``run`` the sum of the values that ``ramp`` used."""
+    (``_row``).  From the first read of its ramp (``_ramps``) on, ``ramp[k]``
+    is the sum of (k - t) * v_t over t < k, and ``run`` the sum of the values
+    that ``ramp`` used."""
 
     __slots__ = ("ramp", "run")
 
@@ -231,13 +232,12 @@ def _row(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], star
     and (j, i) are one key, read once and counted twice.  The row grows one
     value at a time, each appended as soon as its pieces are read; one that
     grew while a piece was yielded to the driver raises RuntimeError
-    (``_shape_a`` and ``_shape_b`` say why none can).  Pants values are
-    computed here and not kept."""
+    (``_shape_a`` and ``_shape_b`` say why none can).  A pants row keeps
+    its values too, each taken from its family's ``pants`` rule, not the memo."""
     p, n = sum(side) % 2, len(side) + 1 + cut
     pants = (g, n) == (0, 3) and fam.pants
-    values = [] if pants else _MEMO.rows[(name, cut, g, side)]
-    memo = _MEMO
-    for s in range(p + 2 * (start if pants else len(values)), p + 2 * stop, 2):
+    values, memo = _MEMO.rows[(name, cut, g, side)], _MEMO
+    for s in range(p + 2 * len(values), p + 2 * stop, 2):
         have, terms = len(values), []
         for runs in [(i, s - i) for i in range(s // 2 + 1)] if cut else [(s,)]:
             if pants:
@@ -248,28 +248,31 @@ def _row(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], star
                     raise RuntimeError(f"engine row {(name, cut, g, side)} grew while a body was extending it")
             terms.append(v if runs[0] == runs[-1] else 2 * v)
         values.append(sum(terms[1:], terms[0]))
-    return values if pants else values[start:stop]
+    return values[start:stop]
 
 
-_SPLITS: dict[int, list] = {}  # len(rest) -> index pairs of the left and right halves
+_HALVES: dict[tuple, list] = {}  # (parallel_free, g, len(rest)) -> (g1, left, right, own) in indices
 
 
-def _halves(g: int, rest: tuple[int, ...]) -> list:
+def _halves(g: int, rest: tuple[int, ...], parallel_free: bool) -> list:
     """The arc's separations up to mirror image, as a list of (g1, left,
     right, own): the piece of genus g1 keeps the entries left (rest[0] among
     them), the other piece the entries right.  Each stands for itself and
     its mirror image, except one that is its own (own: n = 1 and g1 = g -
-    g1).  The splits are index tables, built once per length of rest."""
-    if not rest:
-        return [(g1, (), (), 2 * g1 == g) for g1 in range(g // 2 + 1)]
-    if (table := _SPLITS.get(len(rest))) is None:
-        splits = ordered_splits(range(1, len(rest)))
-        table = _SPLITS[len(rest)] = [((0, *left), right) for left, right in splits]
-    halves, get = [], rest.__getitem__
-    for left, right in table:
-        left, right = tuple(map(get, left)), tuple(map(get, right))
-        halves += [(g1, left, right, False) for g1 in range(g + 1)]
-    return halves
+    g1).  They come from an index table built once per shape, g and
+    len(rest); shape B's (parallel_free) has no split leaving a disc or an
+    annulus piece."""
+    if (table := _HALVES.get(tkey := (parallel_free, g, len(rest)))) is None:
+        splits = [((0, *x), y) for x, y in ordered_splits(range(1, len(rest)))] if rest else [((), ())]
+        table = _HALVES[tkey] = [
+            (g1, left, right, not rest and 2 * g1 == g)
+            for left, right in splits
+            for g1 in range(g + 1 if rest else g // 2 + 1)  # one boundary: g1 <= g - g1
+            if not parallel_free
+            or {(g1, 1 + len(left)), (g - g1, 1 + len(right))}.isdisjoint(_DISC_OR_ANNULUS)
+        ]
+    get = rest.__getitem__
+    return [(g1, tuple(map(get, left)), tuple(map(get, right)), own) for g1, left, right, own in table]
 
 
 def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
@@ -298,7 +301,7 @@ def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
             t = (b1 + bk - 2) // 2
             (v,) = yield from _row(fam, name, False, g, rest[:idx] + rest[idx + 1 :], t, t + 1)
             acc += bk * v
-    for g1, left, right, own in _halves(g, rest):  # the arc separates, runs i + j = b1 - 2
+    for g1, left, right, own in _halves(g, rest, False):  # the arc separates, runs i + j = b1 - 2
         k = (b1 - sum(left) % 2) // 2  # both sides have k runs of the pieces' parity
         U = yield from _row(fam, name, False, g1, left, 0, k)
         if own:  # fold i <-> j as well; the middle run pairs with itself once
@@ -356,10 +359,7 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
         ramp = yield from _ramps(fam, name, False, g, rest[:idx] + rest[idx + 1 :], (b1 + bj) // 2)
         term = bar(bj) * (ramp[(b1 + bj) // 2] + ramp[(b1 - bj) // 2])
         acc += term if bj else term * fam.region  # joining an empty boundary creates a region
-    for g1, left, right, own in _halves(g, rest):  # the arc separates
-        g2 = g - g1
-        if (g1, 1 + len(left)) in _DISC_OR_ANNULUS or (g2, 1 + len(right)) in _DISC_OR_ANNULUS:
-            continue
+    for g1, left, right, own in _halves(g, rest, True):  # the arc separates, leaving no disc or annulus
         # runs i | m | j along b1 with i + m + j = b1, i = sum(left) % 2 + 2p and
         # j = sum(right) % 2 + 2q (pieces with odd totals are empty)
         k = (b1 - sum(left) % 2 - sum(right) % 2) // 2
@@ -368,7 +368,7 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
         # (k - p - q) V[q] over the other piece's values V is its ramp's entry
         # k - p; with one boundary and equal genera (own) the two pieces share
         # a row, and the double sum holds both (i, j) and its mirror (j, i)
-        ramp = yield from _ramps(fam, name, False, g2, right, k)
+        ramp = yield from _ramps(fam, name, False, g - g1, right, k)
         sep = sum(map(mul, U, ramp[k:0:-1]), fam.zero)
         acc += sep if own else 2 * sep
     return acc

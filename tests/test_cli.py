@@ -247,6 +247,13 @@ def test_oracle_commands(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["1,1", "x"])
+def test_oracle_pants_usage_errors_name_the_option(capsys, value):
+    rc, out, err = run(capsys, "oracle", "--pants", value)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: --pants ")
+
+
 def test_verify_suite_exit_zero(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "oracles")
     assert rc == 0

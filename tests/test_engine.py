@@ -496,6 +496,37 @@ def _values(keys):
     return {key: engine._eval(key) for key in keys}
 
 
+@pytest.mark.parametrize("g", range(4))
+def test_separation_tables_list_each_separation_once(g):
+    def disc_or_annulus(genus, entries):  # a piece of Euler characteristic >= 0
+        return 2 * genus - 2 + entries + 1 <= 0
+
+    for m in range(5):
+        rest = tuple(range(10, 10 + m))  # distinct entries, so each split is visible
+        # brute force: every genus and subset of rest for one piece, the rest
+        # for the other, up to swapping the pieces (mirror image)
+        brute = set()
+        for g1 in range(g + 1):
+            for mask in range(1 << m):
+                left = tuple(x for i, x in enumerate(rest) if mask >> i & 1)
+                right = tuple(x for i, x in enumerate(rest) if not mask >> i & 1)
+                brute.add(frozenset({(g1, left), (g - g1, right)}))
+        shape_a = engine._halves(g, rest, False)
+        pairs = [frozenset({(g1, left), (g - g1, right)}) for g1, left, right, _ in shape_a]
+        assert len(pairs) == len(set(pairs)) and set(pairs) == brute
+        assert all(not left or left[0] == rest[0] for _, left, _, _ in shape_a)
+        assert [own for *_, own in shape_a] == [m == 0 and 2 * g1 == g for g1, *_ in shape_a]
+        assert [own for *_, own in shape_a] == [len(pair) == 1 for pair in pairs]
+        assert engine._halves(g, rest, True) == [
+            (g1, left, right, own)
+            for g1, left, right, own in shape_a
+            if not disc_or_annulus(g1, len(left)) and not disc_or_annulus(g - g1, len(right))
+        ]
+        table = engine._HALVES[(True, g, m)]
+        engine._halves(g, tuple(range(20, 20 + m)), True)  # same length, other entries
+        assert engine._HALVES[(True, g, m)] is table
+
+
 def test_rows_give_the_same_values_in_any_order():
     clear_memo()
     try:
@@ -523,9 +554,9 @@ def test_rows_live_on_the_memo_and_clear_with_it(monkeypatch):
     kinds = {(name, cut) for name, cut, _, _ in kept}
     assert kinds == {("N", False), ("G", False), ("N", True)}  # value rows of both shapes, cut rows
     pants = {key for key in kept if key[0] == "N" and (key[2], len(key[3]) + 1 + key[1]) == (0, 3)}
-    assert pants and all(kept[key][0] == 0 for key in pants)  # pants values are not kept
-    # every other row, cut rows too, keeps the values its ramp folded
-    assert all(values >= ramp - 1 for key, (values, ramp) in kept.items() if key not in pants)
+    # every row, pants rows and cut rows too, keeps the values its ramp folded
+    assert all(values >= ramp - 1 for values, ramp in kept.values())
+    assert any(kept[key][0] for key in pants)
     assert any(kept[key][0] for key in kept if key[1] and key not in pants)
     memo = _CountingMemo()
     assert memo.rows == {}  # a swapped-in memo starts with no rows
@@ -535,6 +566,35 @@ def test_rows_live_on_the_memo_and_clear_with_it(monkeypatch):
     monkeypatch.undo()
     clear_memo()
     assert outer.rows == {} and memo_size() == 0
+
+
+def test_pants_rows_compute_each_value_once(monkeypatch):
+    rule, calls = engine._pants_N, []
+
+    def counted(*b):
+        calls.append(b)
+        return rule(*b)
+
+    monkeypatch.setattr(engine, "_pants_N", counted)
+    monkeypatch.setitem(engine._FAMILIES, "N", engine._FAMILIES["N"]._replace(pants=counted))
+    clear_memo()
+    try:
+        assert count_N(1, 3, (20, 8, 4)) == 23970080
+        rows = {
+            key: row for key, row in engine._MEMO.rows.items() if (key[2], len(key[3]) + 1 + key[1]) == (0, 3)
+        }
+        assert not any((key[1], key[2]) == (0, 3) for key in engine._MEMO)  # no pants key is stored
+    finally:
+        clear_memo()
+    # one call per kept value of a pants value row; a pants cut row's value
+    # Q(s) takes one call per run pair i <= s - i
+    per_value = [
+        1 if not cut else s // 2 + 1
+        for (_, cut, _, side), row in rows.items()
+        for s in range(sum(side) % 2, sum(side) % 2 + 2 * len(row), 2)
+    ]
+    assert any(cut for _, cut, _, _ in rows) and sum(map(len, rows.values())) > 0
+    assert len(calls) == sum(per_value)
 
 
 def test_a_key_missing_from_a_loaded_cache_gets_the_cold_value(tmp_path):

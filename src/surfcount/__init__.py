@@ -51,7 +51,6 @@ from .exact import (
     frac_str,
     interpolate_tensor,
     parse_frac,
-    quasipoly_eval,
 )
 from .fitlab import (
     FitReport,
@@ -160,7 +159,6 @@ __all__ = [
     "pants_search",
     "parse_frac",
     "pullback_check",
-    "quasipoly_eval",
     "run_suite",
     "save_cache",
     "scaling_check",

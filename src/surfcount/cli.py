@@ -206,6 +206,8 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_sums(args) -> int:
+    if args.k_max < 0:
+        raise argparse.ArgumentTypeError(f"--k-max must be nonnegative, got {args.k_max}")
     fam = SumFamily(args.family, args.m, args.n)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["k", "value"])

@@ -148,7 +148,9 @@ def local_count(b: int, a: int) -> int:
     else 0.
     """
     _reject(int, (b, a), "point counts")
-    if a < 0 or a > b or (b - a) % 2:
+    if b < 0 or a < 0:
+        raise ValueError("negative point count")
+    if a > b or (b - a) % 2:
         return 0
     return binomial(b, (b - a) // 2) * bar(a)
 
@@ -230,6 +232,8 @@ def pants_regions(b1: int, b2: int, b3: int) -> tuple[int, int]:
     """
     b = (b1, b2, b3)
     _reject(int, b, "boundary point counts")
+    if any(x < 0 for x in b):
+        raise ValueError("negative boundary count")
     if sum(b) % 2:
         raise ValueError("no diagram: odd total boundary count")
     half = sum(b) // 2

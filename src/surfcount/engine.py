@@ -32,16 +32,17 @@ A row is keyed by the family, its kind, the genus and the entries the arc
 leaves alone (side), so bodies of any first entry b1 share it, each
 extending it only as far as its b1 needs; rows live on the memo
 (``_MEMO.rows``), are never saved and are cleared with it.  One builder,
-``_row``, grows them all.  A value row holds the pieces (g, (x,) + side) in
-ascending x: every piece that a join or a separation leaves, one new entry
-beside entries the arc leaves alone, is read through one, in both shapes,
-so each is keyed and read once per memo.  A cut row holds Q(s), the sum of
-the pieces (g, (i, j) + side) over the runs i + j = s.  Shape B reads each
-of its sums from the ramp of a row, a running sum of running sums kept with
-it (``_ramps``): the cut sum from a cut row, and the join sums (around the
-sum and the difference of the two boundaries) and a separation's sum over
-the runs beyond the arc from value rows.  Shape A's cut reads its pieces
-directly.
+``_row``, grows them all and returns the row itself.  A value row holds the
+pieces (g, (x,) + side) in ascending x: every piece that a join or a
+separation leaves, one new entry beside entries the arc leaves alone, is
+read through one, in both shapes, so each is keyed and read once per memo.
+A cut row holds Q(s), the sum of the pieces (g, (i, j) + side) over the
+runs i + j = s.  A shape-B row keeps its ramp, a running sum of running
+sums, in step with its values, and shape B reads each of its sums from a
+ramp: the cut sum from a cut row, and the join sums (around the sum and the
+difference of the two boundaries) and a separation's sum over the runs
+beyond the arc from value rows.  Shape A's rows keep no ramp, and its cut
+reads its pieces directly.
 
 Every parallel-free count bottoms out in pair-of-pants pieces, (0,3), whose
 value is a product of bar factors.  Shape B's rows of them take each value
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 import os
 import sys
-from collections import defaultdict
 from fractions import Fraction
 from itertools import product, zip_longest
 from math import prod
@@ -114,9 +114,9 @@ def _trim(coeffs: list) -> _Grades:
 
 class _Row(list):
     """One row of ``_MEMO.rows``: it lists its values v_t in ascending t
-    (``_row``).  From the first read of its ramp (``_ramps``) on, ``ramp[k]``
-    is the sum of (k - t) * v_t over t < k, and ``run`` the sum of the values
-    that ``ramp`` used."""
+    (``_row``).  A shape-B row keeps its ramp in step with them: ``ramp[k]``
+    is the sum of (k - t) * v_t over t < k, for k up to the number of values,
+    and ``run`` the sum of all values.  A shape-A row has neither."""
 
     __slots__ = ("ramp", "run")
 
@@ -130,14 +130,14 @@ class _Memo(dict):
     its entries never change, so it still holds exactly those records while
     its size and the file's identity are unchanged.
 
-    ``rows`` holds the rows of ``_row`` and their ramps (``_ramps``):
-    derived from the entries, never saved, cleared with them."""
+    ``rows`` holds the rows that ``_row`` creates, shape B's with their
+    ramps: derived from the entries, never saved, cleared with them."""
 
     synced = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.rows = defaultdict(_Row)  # (family, cut, g, side) -> row
+        self.rows = {}  # (family, cut, g, side) -> _Row
 
     def __missing__(self, key):
         return _FAMILIES[key[0]].base(*key[1:])
@@ -224,31 +224,40 @@ def _base_Nt(g, n, b):
 
 # -- the two recursion shapes -------------------------------------------------
 
-def _row(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], start: int, stop: int):
-    """Values start to stop - 1 of the row of (g, side), p = sum(side) % 2
-    (odd totals are empty).  Value t of a value row is the piece
+def _row(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], stop: int):
+    """The row of (g, side), p = sum(side) % 2 (odd totals are empty), grown
+    to at least stop values.  Value t of a value row is the piece
     (g, (s,) + side) at s = p + 2t; of a cut row it is Q(s), the sum of the
     pieces (g, (i, j) + side) left by a cut with runs i + j = s, where (i, j)
     and (j, i) are one key, read once and counted twice.  The row grows one
-    value at a time, each appended as soon as its pieces are read; one that
-    grew while a piece was yielded to the driver raises RuntimeError
-    (``_shape_a`` and ``_shape_b`` say why none can).  A pants row keeps
-    its values too, each taken from its family's ``pants`` rule, not the memo."""
+    value at a time, each appended as soon as its pieces are read, and a
+    shape-B row appends its ramp entry in the same step, so
+    len(row.ramp) == len(row) + 1.  A row that grew while a piece was
+    yielded to the driver raises RuntimeError (``_shape_a`` and
+    ``_shape_b`` say why none can).  A pants row keeps its values too, each
+    taken from its family's ``pants`` rule, not the memo."""
     p, n = sum(side) % 2, len(side) + 1 + cut
     pants = (g, n) == (0, 3) and fam.pants
-    values, memo = _MEMO.rows[(name, cut, g, side)], _MEMO
-    for s in range(p + 2 * len(values), p + 2 * stop, 2):
-        have, terms = len(values), []
+    memo, rkey, shape_b = _MEMO, (name, cut, g, side), fam.body is _shape_b
+    if (row := memo.rows.get(rkey)) is None:
+        row = memo.rows[rkey] = _Row()
+        if shape_b:
+            row.ramp, row.run = [fam.zero], fam.zero
+    for s in range(p + 2 * len(row), p + 2 * stop, 2):
+        have, terms = len(row), []
         for runs in [(i, s - i) for i in range(s // 2 + 1)] if cut else [(s,)]:
             if pants:
                 v = pants(*runs, *side)
             elif (v := memo[key := (name, g, n, _canon(runs + side))]) is None:
                 v = yield key
-                if len(values) != have:
-                    raise RuntimeError(f"engine row {(name, cut, g, side)} grew while a body was extending it")
+                if len(row) != have:
+                    raise RuntimeError(f"engine row {rkey} grew while a body was extending it")
             terms.append(v if runs[0] == runs[-1] else 2 * v)
-        values.append(sum(terms[1:], terms[0]))
-    return values[start:stop]
+        row.append(value := sum(terms[1:], terms[0]))
+        if shape_b:  # S_k = S_(k-1) + v_(k-1) and ramp_k = ramp_(k-1) + S_k
+            row.run += value
+            row.ramp.append(row.ramp[-1] + row.run)
+    return row
 
 
 _HALVES: dict[tuple, list] = {}  # (parallel_free, g, len(rest)) -> (g1, left, right, own) in indices
@@ -298,45 +307,20 @@ def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
             acc += v if i == j else 2 * v
     for idx, bk in enumerate(rest):  # the arc runs to another boundary, leaving b1 + bk - 2 points
         if bk:
-            t = (b1 + bk - 2) // 2
-            (v,) = yield from _row(fam, name, False, g, rest[:idx] + rest[idx + 1 :], t, t + 1)
-            acc += bk * v
+            row = yield from _row(fam, name, False, g, rest[:idx] + rest[idx + 1 :], (b1 + bk) // 2)
+            acc += bk * row[(b1 + bk - 2) // 2]
     for g1, left, right, own in _halves(g, rest, False):  # the arc separates, runs i + j = b1 - 2
         k = (b1 - sum(left) % 2) // 2  # both sides have k runs of the pieces' parity
-        U = yield from _row(fam, name, False, g1, left, 0, k)
+        U = yield from _row(fam, name, False, g1, left, k)  # rows may hold more than k values
         if own:  # fold i <-> j as well; the middle run pairs with itself once
             half, middle = divmod(k, 2)
             if middle:
                 acc += U[half] * U[half]
-            acc += 2 * sum(map(mul, U[:half], reversed(U)), fam.zero)
+            acc += 2 * sum(map(mul, U[:half], reversed(U[:k])), fam.zero)
         else:
-            V = yield from _row(fam, name, False, g - g1, right, 0, k)
-            acc += 2 * sum(map(mul, U, reversed(V)), fam.zero)
+            V = yield from _row(fam, name, False, g - g1, right, k)
+            acc += 2 * sum(map(mul, U, reversed(V[:k])), fam.zero)
     return acc
-
-
-def _ramps(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], k: int):
-    """The ramp of one row (``_row``), extended to hold entry k: the sum of
-    (k - t) * v_t over the row's values v_t, t < k.
-
-    Entry k is the running-sum fold over the row's first k values,
-    S_k = S_(k-1) + v_(k-1) and ramp_(k+1) = ramp_k + S_(k+1), so
-    ramp[j + 1] is entry j of accumulate(accumulate(values)).  New entries
-    are appended once the values are read, after any that a body below
-    appended meanwhile."""
-    row = _MEMO.rows[(name, cut, g, side)]
-    if not hasattr(row, "ramp"):
-        row.ramp, row.run = [fam.zero], fam.zero
-    ramp, have = row.ramp, len(row.ramp)
-    if k < have:
-        return ramp
-    values = yield from _row(fam, name, cut, g, side, have - 1, k)
-    run = row.run
-    for v in values[len(ramp) - have :]:
-        run += v
-        ramp.append(ramp[-1] + run)
-    row.run = run
-    return ramp
 
 
 def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
@@ -345,31 +329,32 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
     The cut leaving runs i + j = s weighs m/2 = (b1 - s)/2, a join onto
     boundary j leaving x points weighs bar(bj) times (b1 + bj - x)/2 and,
     for the difference, (b1 - bj - x)/2, and a separation weighs each value
-    of its second piece by m/2 as well: each sum is an entry of a ramp
-    (``_ramps``) of a shared row.  No row grows while an enclosing body is
-    extending it: every edge lowers 2g + n - 2, a body of (g, n)
+    of its second piece by m/2 as well: each sum is an entry of the ramp
+    that a shared row keeps in step with its values (``_row``), and entry k
+    needs the row's first k values.  No row grows while an enclosing body
+    is extending it: every edge lowers 2g + n - 2, a body of (g, n)
     extends only rows of values lower in it, and a row's key fixes (g, n)
     of its values, so no body below can ask for the same row."""
     b1, rest = b[0], b[1:]
     acc = fam.zero
     if g:  # the arc and its run are cut away: the genus drops
-        ramp = yield from _ramps(fam, name, True, g - 1, rest, b1 // 2)
-        acc += ramp[b1 // 2]
+        row = yield from _row(fam, name, True, g - 1, rest, b1 // 2)
+        acc += row.ramp[b1 // 2]
     for idx, bj in enumerate(rest):  # the arc joins boundary j: sum and difference
-        ramp = yield from _ramps(fam, name, False, g, rest[:idx] + rest[idx + 1 :], (b1 + bj) // 2)
-        term = bar(bj) * (ramp[(b1 + bj) // 2] + ramp[(b1 - bj) // 2])
+        row = yield from _row(fam, name, False, g, rest[:idx] + rest[idx + 1 :], (b1 + bj) // 2)
+        term = bar(bj) * (row.ramp[(b1 + bj) // 2] + row.ramp[(b1 - bj) // 2])
         acc += term if bj else term * fam.region  # joining an empty boundary creates a region
     for g1, left, right, own in _halves(g, rest, True):  # the arc separates, leaving no disc or annulus
         # runs i | m | j along b1 with i + m + j = b1, i = sum(left) % 2 + 2p and
         # j = sum(right) % 2 + 2q (pieces with odd totals are empty)
         k = (b1 - sum(left) % 2 - sum(right) % 2) // 2
-        U = yield from _row(fam, name, False, g1, left, 0, k)
+        U = yield from _row(fam, name, False, g1, left, k)
         # the arc takes m = 2(k - p - q) points; the sum over q < k - p of
         # (k - p - q) V[q] over the other piece's values V is its ramp's entry
         # k - p; with one boundary and equal genera (own) the two pieces share
         # a row, and the double sum holds both (i, j) and its mirror (j, i)
-        ramp = yield from _ramps(fam, name, False, g - g1, right, k)
-        sep = sum(map(mul, U, ramp[k:0:-1]), fam.zero)
+        V = yield from _row(fam, name, False, g - g1, right, k)
+        sep = sum(map(mul, U, V.ramp[k:0:-1]), fam.zero)
         acc += sep if own else 2 * sep
     return acc
 

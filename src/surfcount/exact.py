@@ -340,9 +340,6 @@ class QuasiPoly:
         }
 
 
-quasipoly_eval = QuasiPoly.eval  # (qp, b): the branch chosen by the parities of b
-
-
 # -- exact interpolation ---------------------------------------------------
 
 def _lagrange_basis(nodes: Sequence[int]) -> tuple[list[list[int]], int]:

@@ -126,6 +126,8 @@ def all_arrow_labellings(m: int):
     """Every in/out labelling of 2m positions with m of each, in a fixed
     deterministic order."""
     _reject(int, (m,), "m")
+    if m < 0:
+        raise ValueError("m must be >= 0")
     return (
         tuple("in" if i in chosen else "out" for i in range(2 * m))
         for chosen in map(set, combinations(range(2 * m), m))
@@ -141,6 +143,8 @@ def pants_search(b1: int, b2: int, b3: int) -> list[PantsProfile]:
     Expected to be a singleton for every even-sum input.
     """
     _reject(int, (b1, b2, b3), "boundary point counts")
+    if min(b1, b2, b3) < 0:
+        raise ValueError("negative boundary count")
     if (b1 + b2 + b3) % 2:
         raise ValueError("no diagram: odd total boundary count")
     found = []

@@ -137,6 +137,12 @@ def test_table_rejects_a_negative_bound(capsys):
     assert err.startswith("error:") and "--b-max" in err
 
 
+def test_sums_rejects_a_negative_bound(capsys):
+    rc, out, err = run(capsys, "sums", "--family", "A", "--m", "0", "--k-max", "-3")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "--k-max" in err
+
+
 def test_fit_gpoly_outside_the_t_window_exits_0(capsys):
     rc, out, _ = run(capsys, "fit", "--mode", "gpoly", "--g", "0", "--n", "3", "--t", "-1")
     assert rc == 0

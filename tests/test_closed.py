@@ -84,6 +84,10 @@ def test_local_count():
     assert local_count(3, 1) == 3
     assert local_count(3, 2) == 0  # parity mismatch
     assert local_count(0, 0) == 1
+    assert local_count(2, 4) == 0  # more inner than outer points
+    for b, a in [(-2, 0), (2, -2), (-2, -4)]:
+        with pytest.raises(ValueError, match="negative"):
+            local_count(b, a)
 
 
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
@@ -102,6 +106,9 @@ def test_pants_regions_cases():
     assert pants_regions(2, 0, 0) == (2, 2)
     assert pants_regions(2, 2, 2) == (2, 0)
     assert pants_regions(6, 2, 2) == (4, 0)
+    for b in [(-2, 2, 0), (2, 0, -2), (-1, -1, 0)]:
+        with pytest.raises(ValueError, match="negative"):
+            pants_regions(*b)
 
 
 def test_closed_refined_small():

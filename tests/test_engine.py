@@ -543,8 +543,8 @@ def test_rows_give_the_same_values_in_any_order():
 
 
 def test_rows_live_on_the_memo_and_clear_with_it(monkeypatch):
-    def lengths(memo):  # the values a row keeps, and its ramp
-        return {key: (len(row), len(getattr(row, "ramp", ()))) for key, row in memo.rows.items()}
+    def lengths(memo):  # the values a row keeps, and its ramp (None: it keeps none)
+        return {key: (len(row), len(row.ramp) if hasattr(row, "ramp") else None) for key, row in memo.rows.items()}
 
     clear_memo()
     count_N(2, 1, (12,))
@@ -554,8 +554,10 @@ def test_rows_live_on_the_memo_and_clear_with_it(monkeypatch):
     kinds = {(name, cut) for name, cut, _, _ in kept}
     assert kinds == {("N", False), ("G", False), ("N", True)}  # value rows of both shapes, cut rows
     pants = {key for key in kept if key[0] == "N" and (key[2], len(key[3]) + 1 + key[1]) == (0, 3)}
-    # every row, pants rows and cut rows too, keeps the values its ramp folded
-    assert all(values >= ramp - 1 for values, ramp in kept.values())
+    # a shape-B row, pants rows and cut rows too, keeps its ramp in step with
+    # its values; a shape-A row keeps none
+    assert all(ramp == values + 1 for (name, *_), (values, ramp) in kept.items() if name in ("N", "Nt"))
+    assert all(ramp is None for (name, *_), (_, ramp) in kept.items() if name in ("G", "Gr"))
     assert any(kept[key][0] for key in pants)
     assert any(kept[key][0] for key in kept if key[1] and key not in pants)
     memo = _CountingMemo()
@@ -566,6 +568,33 @@ def test_rows_live_on_the_memo_and_clear_with_it(monkeypatch):
     monkeypatch.undo()
     clear_memo()
     assert outer.rows == {} and memo_size() == 0
+
+
+def test_every_ramp_entry_is_its_weighted_sum():
+    # a cold mixed op list: shape-B rows of both families grown by cuts,
+    # joins and separations in any order, and shape-A separations with k = 0
+    # (no run pairs) read after their rows have grown
+    clear_memo()
+    try:
+        count_N(2, 1, (16,))
+        count_N_t(1, 3, (8, 3, 1), 1)
+        count_G(1, 2, (8, 4))
+        count_N(0, 5, (6, 4, 4, 2, 0))
+        count_G_r(1, 2, (6, 4), 3)
+        count_N_t(2, 2, (9, 3), 0)
+        assert count_G(0, 3, (1, 1, 0)) == 1
+        assert count_G(1, 3, (3, 1, 0)) == 15
+        rows = dict(engine._MEMO.rows)
+    finally:
+        clear_memo()
+    assert {name for name, *_ in rows} == {"N", "Nt", "G", "Gr"}
+    for (name, *_), row in rows.items():
+        if name in ("G", "Gr"):
+            continue
+        zero = engine._FAMILIES[name].zero
+        brute = [sum(((k - t) * row[t] for t in range(k)), zero) for k in range(len(row) + 1)]
+        assert row.ramp == brute
+        assert row.run == sum(row, zero)
 
 
 def test_pants_rows_compute_each_value_once(monkeypatch):
@@ -636,7 +665,7 @@ def test_a_key_missing_from_a_loaded_cache_gets_the_cold_value(tmp_path):
 def _extend_a_row_grown_meanwhile(name, cut, grow):
     clear_memo()
     try:
-        ext = engine._row(engine._FAMILIES[name], name, cut, 1, (), 0, 6)
+        ext = engine._row(engine._FAMILIES[name], name, cut, 1, (), 6)
         child = next(ext)  # cold memo: the row waits for its second value
         grow()  # a body that extends the same row meanwhile
         with pytest.raises(RuntimeError, match="grew while"):
@@ -652,16 +681,3 @@ def test_a_value_row_grown_under_its_extension_raises():
 
 def test_a_cut_row_grown_under_its_extension_raises():
     _extend_a_row_grown_meanwhile("N", True, lambda: count_N(2, 1, (12,)))
-
-
-def test_a_row_grown_under_its_extension_raises():
-    clear_memo()
-    try:
-        ext = engine._ramps(engine._FAMILIES["N"], "N", True, 1, (), 10)
-        child = next(ext)  # cold memo: the extension waits for a child
-        count_N(2, 1, (12,))  # a body that extends the same row meanwhile
-        with pytest.raises(RuntimeError, match="grew while"):
-            while True:
-                child = ext.send(engine._eval(child))
-    finally:
-        clear_memo()

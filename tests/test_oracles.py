@@ -59,6 +59,9 @@ def test_disc_region_census_matches_refined_count():
 def test_arrow_labellings_count():
     for m in range(6):
         assert len(list(all_arrow_labellings(m))) == binomial(2 * m, m)
+    for oracle in (all_arrow_labellings, enumerate_disc):
+        with pytest.raises(ValueError, match="^m must be >= 0$"):
+            oracle(-1)
 
 
 def test_arrow_decode_injective():
@@ -77,3 +80,11 @@ def test_pants_search_unique_and_classified(b1, b2, b3):
     found = pants_search(b1, b2, b3)
     assert len(found) == 1
     assert found[0] == pants_classify(b1, b2, b3)
+
+
+@pytest.mark.parametrize("b", [(-1, 1, 0), (2, -2, 0), (0, 0, -2)])
+def test_pants_search_rejects_negative_entries(b):
+    with pytest.raises(ValueError, match="negative"):
+        pants_search(*b)
+    with pytest.raises(ValueError, match="negative"):
+        pants_classify(*b)

@@ -8,10 +8,12 @@ oracles (``oracle``), and the verification suites (``verify``).
 Conventions: every count is exact; big integers appear in JSON as decimal
 strings, never as native numbers.  Exit codes: 0 success, 1 verification
 failure (a fit that fails certification included), 2 usage error,
-3 unsupported request, 4 I/O error, 5 internal error.  The optional
-persistent memo cache is enabled with ``--cache [PATH]``; without an
-explicit path it falls back to the ``SURFCOUNT_CACHE`` environment
-variable.  Cached values never change any output.
+3 unsupported request, 4 I/O error, 5 internal error.  The subcommands
+that run the engine take the optional persistent memo cache,
+``--cache [PATH]``; without an explicit path it falls back to the
+``SURFCOUNT_CACHE`` environment variable.  Cached values never change any
+output: a file written by other source code is ignored, and the file is
+rewritten only when the command added records to the memo.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .engine import (
     count_N,
     count_N_t,
     load_cache,
+    memo_size,
     save_cache,
 )
 from .exact import EVEN, ODD, ZERO, FitInvalid, frac_str
@@ -332,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     surface(p)
     p.set_defaults(fn=_cmd_psi)
 
-    p = sub.add_parser("sums", parents=[common], help="weighted boundary-sum families")
+    p = sub.add_parser("sums", help="weighted boundary-sum families")
     p.add_argument("--family", choices=("A", "S", "B", "B0", "B1", "R", "R0", "R1"), required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="second index (B/R families)")
@@ -352,14 +355,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-bound", type=int)
     p.set_defaults(fn=_cmd_series)
 
-    p = sub.add_parser("oracle", parents=[common], help="brute-force enumerations")
+    p = sub.add_parser("oracle", help="brute-force enumerations")
     p.add_argument("--disc", type=int, metavar="M", help="enumerate disc diagrams on 2M points")
     p.add_argument("--pants", metavar="B1,B2,B3", help="search pants profiles")
     p.add_argument("--arrows", type=int, metavar="M", help="decode all arrow labellings")
     p.add_argument("--list", action="store_true", help="also print each object")
     p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.set_defaults(fn=_cmd_verify)
 
@@ -372,16 +375,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     cache_path = None
-    if args.cache is not None:
+    if getattr(args, "cache", None) is not None:  # only the engine's subcommands take --cache
         cache_path = args.cache or os.environ.get("SURFCOUNT_CACHE", "")
         if not cache_path:
             print("error: --cache given but no path and no SURFCOUNT_CACHE", file=sys.stderr)
             return EXIT_USAGE
     try:
         if cache_path:
-            load_cache(cache_path)
+            loaded = load_cache(cache_path)
         rc = args.fn(args)
-        if cache_path and rc == EXIT_OK:
+        # the memo holds every loaded record: the same size means the same records
+        if cache_path and rc == EXIT_OK and memo_size() != loaded:
             save_cache(cache_path)
         return rc
     except argparse.ArgumentTypeError as exc:

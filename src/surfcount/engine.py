@@ -61,6 +61,7 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import product, zip_longest
 from math import prod
 from operator import mul
@@ -72,7 +73,7 @@ except ImportError:
     from hashlib import sha256
 
 from .closed import bar, catalan, closed_N, closed_refined
-from .exact import binomial, ordered_splits
+from .exact import _reject, binomial, ordered_splits
 
 _DISC_OR_ANNULUS = {(0, 1), (0, 2)}
 
@@ -125,15 +126,8 @@ class _Memo(dict):
     """The memo table.  A missing key answers with its family's base value,
     or None when its body has to run; base values are never stored.
 
-    ``synced`` is ``(path, records, file identity)`` of the cache file whose
-    records the table last held exactly, or None.  The table only grows and
-    its entries never change, so it still holds exactly those records while
-    its size and the file's identity are unchanged.
-
     ``rows`` holds the rows that ``_row`` creates, shape B's with their
     ramps: derived from the entries, never saved, cleared with them."""
-
-    synced = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -149,7 +143,6 @@ _MEMO = _Memo()
 def clear_memo() -> None:
     _MEMO.clear()
     _MEMO.rows.clear()
-    _MEMO.synced = None
 
 
 def memo_size() -> int:
@@ -162,10 +155,7 @@ def _canon(b) -> tuple[int, ...]:
 
 def _check(g: int, n: int, b, *grades: int) -> tuple[int, ...]:
     b = tuple(b)
-    if {type(g), type(n), *map(type, b), *map(type, grades)} != {int} and any(
-        not isinstance(x, int) or isinstance(x, bool) for x in (g, n, *b, *grades)
-    ):  # the fast test passes plain ints only; int subclasses other than bool pass the slow one
-        raise TypeError("g, n, the boundary point counts, r and t must be ints")
+    _reject(int, (g, n, *b, *grades), "g, n, the boundary point counts, r and t")
     if g < 0:
         raise ValueError("genus must be >= 0")
     if n < 1 or len(b) != n:
@@ -499,7 +489,17 @@ def dilaton_reduce(g: int, n: int, b, r: int) -> int:
 
 # -- optional persistent cache ------------------------------------------------
 
-CACHE_HEADER = "surfcount-cache v2"
+@cache
+def _fingerprint() -> str:
+    """The SHA-256 of the package source, every ``*.py`` file's bytes in
+    sorted name order: a cache file names the code that wrote its values."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    digest = sha256()
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
 
 
 def _read_grades(text: str) -> _Grades:
@@ -509,26 +509,11 @@ def _read_grades(text: str) -> _Grades:
 _READ = dict(G=int, N=int, Gr=_read_grades, Nt=_read_grades, Gt=_read_grades)
 
 
-def _identity(stat: os.stat_result) -> tuple[int, ...]:
-    """Changes whenever the file is rewritten: os.replace makes a new inode."""
-    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
-
-
-def _on_disk(path: str) -> tuple[int, ...] | None:
-    try:
-        return _identity(os.stat(path))
-    except OSError:
-        return None
-
-
 def save_cache(path: str) -> int:
     """Write the memo table to a line-based cache file, replacing it
-    atomically; the header carries the record count and the SHA-256 of the
-    body.  A memo that holds exactly the records last loaded from or written
-    to ``path``, with the file unchanged since, is not written again.
-    Returns the number of records in the memo, written or not."""
-    if _MEMO.synced == (path, len(_MEMO), _on_disk(path)):
-        return len(_MEMO)
+    atomically.  The header ``surfcount-cache <fingerprint> <records>
+    <sha256 of body>`` names the source that computed the values.  Returns
+    the number of records written."""
     body = "".join(
         f"{name} {g} {n} {','.join(map(str, b))} {v}\n"
         for (name, g, n, b), v in sorted(_MEMO.items())
@@ -537,41 +522,38 @@ def save_cache(path: str) -> int:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(f"{CACHE_HEADER} {len(_MEMO)} {digest}\n{body}")
-            fh.flush()
-            written = _identity(os.fstat(fh.fileno()))
+            fh.write(f"surfcount-cache {_fingerprint()} {len(_MEMO)} {digest}\n{body}")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    _MEMO.synced = (path, len(_MEMO), written)
     return len(_MEMO)
 
 
 def load_cache(path: str) -> int:
-    """Load a cache file into the memo table.  A file of another version, or
-    with a wrong digest, record count or record, is ignored as a whole with a
-    warning on stderr.  Each distinct ``family g n`` head and each distinct
-    boundary is parsed once.  When every memo entry then came from the file,
-    the memo counts as in sync with it, and ``save_cache(path)`` skips the
-    write until the memo grows or the file changes.  Returns the number of
-    records loaded."""
-    _MEMO.synced = None
+    """Load a cache file into the memo table; a missing file loads nothing.
+    A file written by other source code (another fingerprint, or a header of
+    another format), or with a wrong digest, record count or record, is
+    ignored as a whole with a warning on stderr.  Each distinct ``family g
+    n`` head and each distinct boundary is parsed once.  Returns the number
+    of records loaded: the memo then holds them all, so a memo of that size
+    holds exactly the file's records."""
     try:
         with open(path, "rb") as fh:
-            stamp = _identity(os.fstat(fh.fileno()))
             data = fh.read()
     except FileNotFoundError:
         return 0
     try:
         header, _, body = data.partition(b"\n")
-        fields = header.decode("ascii").rsplit(" ", 2)
-        if len(fields) != 3 or fields[0] != CACHE_HEADER:
+        fields = header.decode("ascii").split(" ")
+        if len(fields) != 4 or fields[0] != "surfcount-cache":
             raise ValueError("unknown version")
-        if sha256(body).hexdigest() != fields[2]:
+        if fields[1] != _fingerprint():
+            raise ValueError("written by other source code")
+        if sha256(body).hexdigest() != fields[3]:
             raise ValueError("digest mismatch")
         lines = body.decode("ascii").splitlines()
-        if len(lines) != int(fields[1]):
+        if len(lines) != int(fields[2]):
             raise ValueError("record count mismatch")
         heads, bounds, entries = {}, {}, {}
         for no, line in enumerate(lines, 2):
@@ -594,7 +576,4 @@ def load_cache(path: str) -> int:
         print(f"warning: ignoring cache {path!r} ({exc})", file=sys.stderr)
         return 0
     _MEMO.update(entries)
-    # in sync only if every memo entry came from the file: save_cache compares
-    # this count with the memo size
-    _MEMO.synced = (path, len(entries), stamp)
     return len(entries)

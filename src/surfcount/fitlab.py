@@ -43,6 +43,7 @@ from .exact import (
     ODD,
     QuasiPoly,
     ZERO,
+    _reject,
     binomial,
     certify,
     interpolate_tensor,
@@ -125,8 +126,7 @@ def _assert_symmetric(poly: MultiPoly, freesig: str, context: str) -> None:
 
 
 def _check_args(g: int, n: int, *grades: int) -> None:
-    if any(not isinstance(x, int) or isinstance(x, bool) for x in (g, n, *grades)):
-        raise TypeError("g, n, t and k must be ints")
+    _reject(int, (g, n, *grades), "g, n, t and k")
     if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
         raise ValueError("need a hyperbolic-type surface: 2g - 2 + n > 0")
 

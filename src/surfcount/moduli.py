@@ -12,16 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-
-def _ints(*xs) -> None:
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in xs):
-        raise TypeError("g, n and m must be ints")
+from .exact import _reject
 
 
 def bernoulli(m: int) -> Fraction:
     """B_m, with B_1 = -1/2: B_0 = 1 and sum over k <= j of C(j + 1, k) B_k
     = 0 for every j >= 1."""
-    _ints(m)
+    _reject(int, (m,), "m")
     if m < 0:
         raise ValueError("Bernoulli numbers need m >= 0")
     B = [Fraction(1)]
@@ -32,7 +29,7 @@ def bernoulli(m: int) -> Fraction:
 
 def euler_characteristic(g: int, n: int) -> Fraction:
     """chi(M_{g,n}) for n >= 1 and 2g - 2 + n >= 1."""
-    _ints(g, n)
+    _reject(int, (g, n), "g and n")
     if g < 0 or n < 1 or 2 * g - 2 + n < 1:
         raise ValueError("chi(M_{g,n}) needs g >= 0, n >= 1 and 2g - 2 + n >= 1")
     k, chi = (3, Fraction(1)) if g == 0 else (1, -bernoulli(2 * g) / (2 * g))

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -327,11 +330,9 @@ def test_truncated_cache_line_cannot_change_the_output(tmp_path, capsys):
     assert "ignoring cache" in err
 
 
-def test_malformed_cache_record_is_not_a_usage_error(tmp_path, capsys):
+def test_malformed_cache_record_is_not_a_usage_error(tmp_path, capsys, write_cache):
     path = tmp_path / "memo.cache"
-    body = "G 1 1 40 5881451896320 extra\n"
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    path.write_text(f"surfcount-cache v2 1 {digest}\n{body}")
+    write_cache(path, "G 1 1 40 5881451896320 extra\n")
     clear_memo()
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"
@@ -368,12 +369,83 @@ def test_ignored_cache_is_rewritten_without_new_records(tmp_path, capsys):
     assert path.read_text() == text
 
 
-def test_cache_with_a_removed_family_is_ignored_and_rewritten(tmp_path, capsys):
+def test_cache_grown_by_another_process_keeps_its_records(tmp_path, capsys, monkeypatch):
+    path, grown = tmp_path / "memo.cache", tmp_path / "grown.cache"
+    clear_memo()
+    assert run(capsys, *TORUS_40, "--cache", str(grown))[0] == 0
+    assert run(capsys, "count", "--mode", "N", "--g", "1", "--n", "1", "--b", "20",
+               "--cache", str(grown))[0] == 0
+    clear_memo()
+    assert run(capsys, *TORUS_40, "--cache", str(path))[0] == 0
+    load = cli.load_cache
+
+    def load_then_grown_elsewhere(where):
+        loaded = load(where)
+        shutil.copy(grown, where)  # another process saves its larger memo
+        return loaded
+
+    monkeypatch.setattr(cli, "load_cache", load_then_grown_elsewhere)
+    clear_memo()
+    rc, out, _ = run(capsys, *TORUS_40, "--cache", str(path))  # adds no record
+    assert rc == 0 and out.strip() == "5881451896320"
+    assert path.read_bytes() == grown.read_bytes()
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+@pytest.mark.parametrize(
+    "module, old, new, argv, cold, poisoned",
+    [
+        ("engine.py", "acc += sep if own else 2 * sep", "acc += 2 * sep",
+         ("--mode", "N", "--g", "2", "--n", "1", "--b", "4"), "13", "17"),
+        ("closed.py", "return bar(b[0]) if", "return 2 * bar(b[0]) if",
+         ("--mode", "N", "--g", "1", "--n", "2", "--b", "4,2"), "32", "42"),
+    ],
+    ids=["engine", "closed"],
+)
+def test_cache_written_by_a_mutant_source_is_ignored(tmp_path, capsys, module, old, new, argv,
+                                                      cold, poisoned):
+    shutil.copytree(SRC, tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "src" / "surfcount" / module
+    text = source.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    source.write_text(text.replace(old, new), encoding="utf-8")
+    path = tmp_path / "memo.cache"
+    proc = subprocess.run(
+        [sys.executable, "-m", "surfcount.cli", "count", *argv, "--cache", str(path)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")),
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == poisoned, proc.stderr
+    clear_memo()
+    rc, out, err = run(capsys, "count", *argv, "--cache", str(path))
+    assert rc == 0 and out.strip() == cold
+    assert "ignoring cache" in err and "written by other source code" in err
+    clear_memo()  # the clean run rewrote the file: it now serves its own values
+    assert run(capsys, "count", *argv, "--cache", str(path)) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "closed-forms"),
+        ("sums", "--family", "A", "--m", "0", "--k-max", "2"),
+        ("oracle", "--disc", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cache_is_a_usage_error_where_the_engine_does_not_run(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cache", str(tmp_path / "memo.cache")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "memo.cache").exists()
+
+
+def test_cache_with_a_removed_family_is_ignored_and_rewritten(tmp_path, capsys, write_cache):
     # a cache written while the lattice twin was an engine family of its own
     path = tmp_path / "memo.cache"
-    body = "G 1 1 40 5881451896320\nLatticeN 1 1 4 1/4\n"
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    path.write_text(f"surfcount-cache v2 2 {digest}\n{body}")
+    write_cache(path, "G 1 1 40 5881451896320\nLatticeN 1 1 4 1/4\n")
     clear_memo()
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"

@@ -136,7 +136,7 @@ def test_cache_roundtrip(tmp_path):
     text = path.read_text()
     head, body = text.split("\n", 1)
     digest = hashlib.sha256(body.encode()).hexdigest()
-    assert head == f"surfcount-cache v2 {written} {digest}"
+    assert head == f"surfcount-cache {engine._fingerprint()} {written} {digest}"
     clear_memo()
     assert memo_size() == 0
     loaded = load_cache(str(path))
@@ -180,10 +180,10 @@ class _Int(int):
 
 def test_check_takes_plain_ints_fast_and_keeps_its_rules():
     for args in ((True, 1, (4,)), (1, 1, (4.0,)), (1, 1, (Fraction(4),)), (1, Fraction(1), (4,))):
-        with pytest.raises(TypeError, match="must be ints"):
+        with pytest.raises(TypeError, match="must be an int"):
             engine._check(*args)
     for grade in (False, 0.0, Fraction(0)):
-        with pytest.raises(TypeError, match="must be ints"):
+        with pytest.raises(TypeError, match="must be an int"):
             engine._check(1, 1, (4,), grade)
     assert engine._check(_Int(1), _Int(1), [_Int(4)], _Int(0)) == (4,)
     assert count_N(_Int(1), 1, (_Int(4),)) == count_N(1, 1, (4,))
@@ -279,11 +279,6 @@ def test_deep_disc_needs_no_recursion_limit_or_asserts():
     assert proc.stdout.split() == ["True"] * 4
 
 
-def _write_cache(path, body):
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    path.write_text(f"surfcount-cache v2 {body.count(chr(10))} {digest}\n{body}")
-
-
 def test_cache_with_a_truncated_line_is_ignored(tmp_path, capsys):
     path = tmp_path / "memo.cache"
     clear_memo()
@@ -311,20 +306,18 @@ def test_cache_with_a_truncated_line_is_ignored(tmp_path, capsys):
         "LatticeN 1 1 4 1/0\n",
     ],
 )
-def test_cache_with_a_malformed_record_is_ignored(tmp_path, capsys, body):
+def test_cache_with_a_malformed_record_is_ignored(tmp_path, capsys, write_cache, body):
     path = tmp_path / "memo.cache"
-    _write_cache(path, body)
+    write_cache(path, body)
     clear_memo()
     assert load_cache(str(path)) == 0
     assert "ignoring cache" in capsys.readouterr().err
     assert memo_size() == 0
 
 
-def test_cache_record_count_and_old_version_are_checked(tmp_path, capsys):
+def test_cache_record_count_and_old_version_are_checked(tmp_path, capsys, write_cache):
     path = tmp_path / "memo.cache"
-    body = "G 0 1 2 1\n"
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    path.write_text(f"surfcount-cache v2 2 {digest}\n{body}")
+    write_cache(path, "G 0 1 2 1\n", records=2)
     assert load_cache(str(path)) == 0
     assert "record count" in capsys.readouterr().err
     path.write_text("surfcount-cache v1\nG 0 1 - 2 1\n")
@@ -365,19 +358,35 @@ def test_cache_load_into_a_nonempty_memo_saves_the_union(tmp_path):
     assert load_cache(path) == union
 
 
-def test_cache_save_skips_only_an_unchanged_file_and_memo(tmp_path):
+def test_cache_save_always_writes(tmp_path):
+    # whether to save is the caller's call (the CLI saves only a grown memo)
     path = str(tmp_path / "memo.cache")
     clear_memo()
     count_G(1, 1, (10,))
     written = save_cache(path)
-    assert not _rewrites(path, lambda: save_cache(path))
-    assert load_cache(path) == written
-    assert not _rewrites(path, lambda: save_cache(path)) and save_cache(path) == written
+    assert _rewrites(path, lambda: save_cache(path))
+    clear_memo()
+    assert load_cache(path) == written == memo_size()
+    assert _rewrites(path, lambda: save_cache(path)) and save_cache(path) == written
     count_G(1, 1, (12,))  # the memo grew
     assert _rewrites(path, lambda: save_cache(path))
-    clear_memo()  # the same records again, recomputed
-    count_G(1, 1, (12,))
-    assert _rewrites(path, lambda: save_cache(path))
+    clear_memo()
+    assert load_cache(path) == memo_size() > written
+
+
+def test_cache_written_by_other_source_is_ignored(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "memo.cache")
+    clear_memo()
+    cold = count_N(2, 1, (4,))
+    written = save_cache(path)
+    clear_memo()
+    assert load_cache(path) == written
+    clear_memo()
+    monkeypatch.setattr(engine, "_fingerprint", lambda: "0" * 64)
+    assert load_cache(path) == 0
+    assert "ignoring cache" in capsys.readouterr().err
+    assert memo_size() == 0
+    assert count_N(2, 1, (4,)) == cold == 13
 
 
 def test_cache_changed_on_disk_after_a_load_is_written(tmp_path):

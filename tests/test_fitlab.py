@@ -87,7 +87,7 @@ def test_refined_fit_cells():
 def test_fit_entry_points_reject_bools_and_floats(fit, args):
     # a warm (1,1) fit must not answer for True == 1 or 1.0 == 1
     fit_Nhat(1, 1)
-    with pytest.raises(TypeError, match="must be ints"):
+    with pytest.raises(TypeError, match="must be an int"):
         fit(*args)
 
 

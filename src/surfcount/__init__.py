@@ -13,7 +13,13 @@ checks, brute-force oracles, and the verification suites wired into the
 
 All arithmetic is exact: Python integers and ``fractions.Fraction``
 throughout; nothing is ever rounded.
+
+``import surfcount`` loads ``closed``, ``engine``, ``exact``, ``fitlab`` and
+``series``; the names of ``oracles``, ``sums`` and ``verify`` load their
+module on first use.
 """
+
+from importlib import import_module
 
 from .closed import (
     NoClosedForm,
@@ -60,14 +66,6 @@ from .fitlab import (
     fit_Nhat,
     fit_Nhat_refined,
 )
-from .oracles import (
-    ArcStructure,
-    DiscDiagram,
-    all_arrow_labellings,
-    arrows_to_arcs,
-    enumerate_disc,
-    pants_search,
-)
 from .series import (
     CLOSED_FORM_NAMES,
     SeriesIdentityError,
@@ -83,16 +81,27 @@ from .series import (
     pullback_check,
     scaling_check,
 )
-from .sums import (
-    NorburyPolyPair,
-    SumFamily,
-    fit_sum,
-    norbury_pq,
-    sum_direct,
-    tilde_sum,
-    tilde_sum_factored,
-)
-from .verify import CheckResult, SUITES, all_passed, format_report, run_suite
+
+# The names that load their module on first use, through ``__getattr__``.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("oracles", ("ArcStructure", "DiscDiagram", "all_arrow_labellings", "arrows_to_arcs",
+                     "enumerate_disc", "pants_search")),
+        ("sums", ("NorburyPolyPair", "SumFamily", "fit_sum", "norbury_pq", "sum_direct",
+                  "tilde_sum", "tilde_sum_factored")),
+        ("verify", ("CheckResult", "SUITES", "all_passed", "format_report", "run_suite")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -14,8 +14,8 @@ diagram; bar(b) = b for b > 0 and 1 for b = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import _reject, binomial
 
@@ -155,8 +155,7 @@ def local_count(b: int, a: int) -> int:
     return binomial(b, (b - a) // 2) * bar(a)
 
 
-@dataclass(frozen=True)
-class PantsProfile:
+class PantsProfile(NamedTuple):
     """Arc-type census on a pair of pants without boundary-parallel arcs.
 
     p1, p2, p3 count arcs returning to boundary 1, 2, 3; t12, t23, t31

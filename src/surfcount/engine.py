@@ -59,6 +59,7 @@ lexicographically; a key met again on its own stack raises RuntimeError.
 from __future__ import annotations
 
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -127,14 +128,40 @@ class _Memo(dict):
     or None when its body has to run; base values are never stored.
 
     ``rows`` holds the rows that ``_row`` creates, shape B's with their
-    ramps: derived from the entries, never saved, cleared with them."""
+    ramps: derived from the entries, never saved, cleared with them.
+    ``pending`` holds the blocks of a loaded cache file that no read has
+    asked for yet, by head (family, g, n): ``load_cache`` checked them,
+    ``take`` parses one into the table.  ``unparsed`` counts their records."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.rows = {}  # (family, cut, g, side) -> _Row
+        self.pending = {}  # (family, g, n) -> [runs of record lines, ...]
+        self.unparsed = 0
 
     def __missing__(self, key):
+        if self.pending and self.take(key[:3]):
+            return self[key]
         return _FAMILIES[key[0]].base(*key[1:])
+
+    def take(self, head: tuple) -> bool:
+        """Parse the pending block of ``head`` into the table, if there is one."""
+        chunks = self.pending.pop(head, None)
+        if chunks is None:
+            return False
+        name, g, n = head
+        read = _READ[name]
+        for chunk in chunks:
+            self.unparsed -= chunk.count("\n")
+            self.update(
+                ((name, g, n, tuple(map(int, b.split(",")))), read(v))
+                for b, v in re.findall(_FIELDS, chunk)
+            )
+        return True
+
+    def take_all(self) -> None:
+        for head in list(self.pending):
+            self.take(head)
 
 
 _MEMO = _Memo()
@@ -143,10 +170,13 @@ _MEMO = _Memo()
 def clear_memo() -> None:
     _MEMO.clear()
     _MEMO.rows.clear()
+    _MEMO.pending.clear()
+    _MEMO.unparsed = 0
 
 
 def memo_size() -> int:
-    return len(_MEMO)
+    """The number of entries, the records of a loaded file not yet parsed included."""
+    return len(_MEMO) + _MEMO.unparsed
 
 
 def _canon(b) -> tuple[int, ...]:
@@ -373,6 +403,7 @@ def _body(key):
 def _eval(key):
     """The value of one key: bodies of missing entries run on an explicit
     stack, each resumed with the value of the child it yielded."""
+    _MEMO.take(key[:3])
     value = _MEMO[key]
     if value is not None:
         return value
@@ -438,6 +469,7 @@ def count_G_t(g: int, n: int, b, t: int) -> int:
     if (g, n) == (0, 1):  # every disc diagram has t = 0
         return catalan(b[0] // 2) if t == 0 else 0
     key = ("Gt", g, n, _canon(b))
+    _MEMO.take(key[:3])
     if (vec := _MEMO.get(key)) is None:
         vec = _MEMO[key] = sum((w * _eval(("Nt", g, n, a)) for a, w in _collars(b).items()), _Grades())
     return vec.coeff(t)
@@ -508,12 +540,82 @@ def _read_grades(text: str) -> _Grades:
 
 _READ = dict(G=int, N=int, Gr=_read_grades, Nt=_read_grades, Gt=_read_grades)
 
+# A block is a run of records that share their head "family g n"; save_cache
+# writes the records sorted, so each head's records are one run (a file
+# written otherwise may hold several runs of one head).  The patterns compile on first use, so that a process loading no cache
+# file never compiles them.
+_HEAD = rf"({'|'.join(_READ)}) ([0-9]{{1,9}}) ([1-9][0-9]{{0,8}}) "
+_FIELDS = r"[^ ]+ [^ ]+ [^ ]+ ([^ ]+) ([^ \n]+)\n"  # a record's b and value
+
+
+@cache
+def _block_form(scalar: bool, n: int, limit: int) -> re.Pattern:
+    """A block of records with n boundary entries, each as ``save_cache``
+    writes it: unsigned entries, a signed value (``scalar``) or a comma list
+    of signed grades or ``-``, no integer of more than ``limit`` digits (the
+    interpreter's int/str limit; 0: none).  A match ends where the head
+    changes or a record breaks the form, or after 256 records: each record
+    that one match repeats over grows the regex engine's backtracking stack."""
+    d = f"[0-9]{{1,{limit}}}" if limit else "[0-9]+"
+    v = f"-?{d}" if scalar else f"(?:-|-?{d}(?:,-?{d})*)"
+    record = f"{','.join([d] * n)} {v}\n"
+    return re.compile(f"([^ ]+ [^ ]+ [^ ]+) {record}(?:\\1 {record}){{0,255}}")
+
+
+def _blocks(text: str, records: int) -> dict | None:
+    """The body of a cache file as its blocks by head (family, g, n), every
+    record checked at C speed; None if the record count is wrong or a record
+    is not in the form ``save_cache`` writes."""
+    if text.count("\n") != records:
+        return None
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    blocks, pos, heads = {}, 0, re.compile(_HEAD)
+    while pos < len(text):
+        if (head := heads.match(text, pos)) is None:
+            return None
+        name, g, n = head.groups()
+        if (m := _block_form(_READ[name] is int, int(n), limit).match(text, pos)) is None:
+            return None
+        blocks.setdefault((name, int(g), int(n)), []).append(text[pos : m.end()])
+        pos = m.end()
+    return blocks
+
+
+def _records(text: str, records: int) -> dict:
+    """The body of a cache file parsed line by line: the records by key, or
+    ValueError naming the first fault.  ``load_cache`` runs it on a body
+    that ``_blocks`` refused, to name the fault (or to load a body whose
+    integers are spelt in another way ``int`` reads)."""
+    lines = text.splitlines()
+    if len(lines) != records:
+        raise ValueError("record count mismatch")
+    heads, bounds, entries = {}, {}, {}
+    for no, line in enumerate(lines, 2):
+        parts = line.rsplit(" ", 2)  # "family g n", b, value
+        if len(parts) != 3:
+            raise ValueError(f"malformed record on line {no}")
+        head, b, v = parts
+        if (parsed := heads.get(head)) is None:
+            name, *gn = head.split(" ")
+            if len(gn) != 2 or name not in _READ:
+                raise ValueError(f"malformed record on line {no}")
+            parsed = heads[head] = (name, *map(int, gn), _READ[name])
+        name, g, n, read = parsed
+        if (bt := bounds.get(b)) is None:
+            bt = bounds[b] = tuple(map(int, b.split(",")))
+        if len(bt) != n:
+            raise ValueError(f"malformed record on line {no}")
+        entries[(name, g, n, bt)] = read(v)
+    return entries
+
 
 def save_cache(path: str) -> int:
     """Write the memo table to a line-based cache file, replacing it
     atomically.  The header ``surfcount-cache <fingerprint> <records>
-    <sha256 of body>`` names the source that computed the values.  Returns
-    the number of records written."""
+    <sha256 of body>`` names the source that computed the values.  Blocks
+    of a loaded file that no read asked for are parsed first.  Returns the
+    number of records written."""
+    _MEMO.take_all()
     body = "".join(
         f"{name} {g} {n} {','.join(map(str, b))} {v}\n"
         for (name, g, n, b), v in sorted(_MEMO.items())
@@ -534,10 +636,11 @@ def load_cache(path: str) -> int:
     """Load a cache file into the memo table; a missing file loads nothing.
     A file written by other source code (another fingerprint, or a header of
     another format), or with a wrong digest, record count or record, is
-    ignored as a whole with a warning on stderr.  Each distinct ``family g
-    n`` head and each distinct boundary is parsed once.  Returns the number
-    of records loaded: the memo then holds them all, so a memo of that size
-    holds exactly the file's records."""
+    ignored as a whole with a warning on stderr.  Every record is checked
+    here, but a block of records sharing one ``family g n`` head is parsed
+    only when a read first asks for that head (``_Memo.take``).  Returns
+    the number of records loaded: ``memo_size()`` counts them all from
+    here on, so a memo of that size holds exactly the file's records."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -552,28 +655,19 @@ def load_cache(path: str) -> int:
             raise ValueError("written by other source code")
         if sha256(body).hexdigest() != fields[3]:
             raise ValueError("digest mismatch")
-        lines = body.decode("ascii").splitlines()
-        if len(lines) != int(fields[2]):
-            raise ValueError("record count mismatch")
-        heads, bounds, entries = {}, {}, {}
-        for no, line in enumerate(lines, 2):
-            parts = line.rsplit(" ", 2)  # "family g n", b, value
-            if len(parts) != 3:
-                raise ValueError(f"malformed record on line {no}")
-            head, b, v = parts
-            if (parsed := heads.get(head)) is None:
-                name, *gn = head.split(" ")
-                if len(gn) != 2 or name not in _READ:
-                    raise ValueError(f"malformed record on line {no}")
-                parsed = heads[head] = (name, *map(int, gn), _READ[name])
-            name, g, n, read = parsed
-            if (bt := bounds.get(b)) is None:
-                bt = bounds[b] = tuple(map(int, b.split(",")))
-            if len(bt) != n:
-                raise ValueError(f"malformed record on line {no}")
-            entries[(name, g, n, bt)] = read(v)
+        text, records = body.decode("ascii"), int(fields[2])
+        if (blocks := _blocks(text, records)) is None:
+            entries = _records(text, records)
     except ValueError as exc:  # UnicodeDecodeError is a ValueError
         print(f"warning: ignoring cache {path!r} ({exc})", file=sys.stderr)
         return 0
-    _MEMO.update(entries)
-    return len(entries)
+    if blocks is None:
+        _MEMO.update(entries)
+        return len(entries)
+    merge = bool(_MEMO or _MEMO.pending)
+    for head, chunks in blocks.items():
+        _MEMO.pending.setdefault(head, []).extend(chunks)
+    _MEMO.unparsed += records
+    if merge:  # a key may now be held twice: parse every block, so that each counts once
+        _MEMO.take_all()
+    return records

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import factorial, prod
+from typing import NamedTuple
 
 from .closed import bar
 from .engine import count_G, count_G_t, count_lattice, count_N, count_N_t
@@ -51,8 +51,7 @@ from .exact import (
 )
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     """Outcome of one fitting run.
 
     ``branches`` holds one polynomial per parity signature.  For the

@@ -248,8 +248,7 @@ def test_oracle_commands(capsys):
     rc, out, _ = run(capsys, "oracle", "--disc", "4")
     assert rc == 0 and out.strip() == "14"
     rc, out, _ = run(capsys, "oracle", "--pants", "6,2,2")
-    prof = json.loads(out)
-    assert prof == {"p1": 1, "p2": 0, "p3": 0, "t12": 2, "t23": 0, "t31": 2}
+    assert out == '{"p1":1,"p2":0,"p3":0,"t12":2,"t23":0,"t31":2}\n'
     rc, out, _ = run(capsys, "oracle", "--arrows", "2")
     assert "6 labellings, 6 distinct" in out
     rc, _, _ = run(capsys, "oracle", "--disc", "1", "--pants", "0,0,0")
@@ -487,3 +486,60 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--mode", "Q", "--g", "0", "--n", "1", "--b", "2"])
     assert exc.value.code == 2
+
+
+def test_cli_suite_names_are_verify_suites():
+    from surfcount import verify
+
+    assert cli._SUITES == verify.SUITES
+
+
+def _fresh(*argv):
+    """Run ``python -S argv`` on this checkout's source: no site hooks, so the
+    modules it ends with are the ones the package imported."""
+    proc = subprocess.run(
+        [sys.executable, "-S", *argv], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+UNUSED_BY_COUNT = ("surfcount.verify", "surfcount.sums", "surfcount.oracles", "surfcount.moduli",
+                   "dataclasses")
+
+
+def test_count_imports_only_the_modules_it_runs():
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['surfcount', 'count', '--mode', 'G', '--g', '1', '--n', '1', '--b', '4']\n"
+        "try:\n"
+        "    runpy.run_module('surfcount.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(*sorted(sys.modules))\n"
+    )
+    count, modules = _fresh("-c", code).split("\n", 1)
+    assert count == "13"
+    assert "surfcount.engine" in modules.split()
+    assert set(UNUSED_BY_COUNT).isdisjoint(modules.split())
+
+
+def test_every_public_name_resolves_and_loads_its_module_on_first_use():
+    code = (
+        "import sys, surfcount\n"
+        "print(*sorted(sys.modules))\n"
+        "print(all(getattr(surfcount, name) is not None for name in surfcount.__all__))\n"
+        "print(*sorted(sys.modules))\n"
+    )
+    before, resolved, after = _fresh("-c", code).splitlines()
+    assert set(UNUSED_BY_COUNT).isdisjoint(before.split())
+    assert resolved == "True"
+    assert {"surfcount.verify", "surfcount.sums", "surfcount.oracles"} <= set(after.split())
+
+
+def test_an_unknown_public_name_is_an_attribute_error():
+    import surfcount
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        surfcount.no_such_name

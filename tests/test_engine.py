@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfcount import engine
-from surfcount.closed import closed_G, closed_N
+from surfcount.closed import catalan, closed_G, closed_N
 from surfcount.engine import (
     clear_memo,
     convolve_G_from_N,
@@ -690,3 +690,109 @@ def test_a_value_row_grown_under_its_extension_raises():
 
 def test_a_cut_row_grown_under_its_extension_raises():
     _extend_a_row_grown_meanwhile("N", True, lambda: count_N(2, 1, (12,)))
+
+
+def _heads(path) -> set:
+    with open(path, encoding="ascii") as fh:
+        next(fh)
+        return {tuple(int(x) if x.isdigit() else x for x in line.split(" ", 3)[:3]) for line in fh}
+
+
+def test_a_loaded_cache_parses_a_block_when_a_read_first_asks_for_its_head(tmp_path):
+    path = str(tmp_path / "memo.cache")
+    clear_memo()
+    try:
+        want = count_G(1, 1, (10,)), count_N(1, 2, (6, 4)), count_G_t(1, 2, (4, 2), 1)
+        count_G_r(0, 3, (4, 2, 2), 3)
+        written = save_cache(path)
+        heads = _heads(path)
+        assert {("G", 1, 1), ("N", 1, 2), ("Gt", 1, 2), ("Gr", 0, 3)} <= heads
+        clear_memo()
+        assert load_cache(path) == written == memo_size()
+        assert set(engine._MEMO.pending) == heads and len(engine._MEMO) == 0
+        assert count_G(1, 1, (10,)) == want[0]  # a key of the file: its block alone
+        assert set(engine._MEMO.pending) == heads - {("G", 1, 1)}
+        assert memo_size() == written
+        assert count_G_t(1, 2, (4, 2), 1) == want[2]  # Gt has no body: read straight from the memo
+        assert ("Gt", 1, 2) not in engine._MEMO.pending and memo_size() == written
+        assert count_N(1, 2, (6, 4)) == want[1]
+        assert memo_size() == written
+        count_G(1, 1, (12,))  # not on file: its body reads pieces from the blocks that hold them
+        assert ("G", 0, 2) not in engine._MEMO.pending
+        assert memo_size() == save_cache(path) > written  # every key counted once
+        assert load_cache(path) == memo_size()  # loaded over the same keys: still counted once
+    finally:
+        clear_memo()
+
+
+def test_a_save_right_after_a_load_writes_the_same_bytes(tmp_path):
+    path, again = str(tmp_path / "memo.cache"), str(tmp_path / "again.cache")
+    clear_memo()
+    try:
+        count_N_t(2, 2, (10, 4), 1)
+        count_G(1, 3, (6, 4, 2))
+        save_cache(path)
+        clear_memo()
+        load_cache(path)
+        assert engine._MEMO.pending
+        save_cache(again)
+        assert not engine._MEMO.pending
+        with open(path, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
+    finally:
+        clear_memo()
+
+
+@pytest.fixture
+def default_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_a_value_past_the_digit_limit_is_refused_at_load(tmp_path, capsys, write_cache,
+                                                         default_digit_limit):
+    path = tmp_path / "memo.cache"
+    sys.set_int_max_str_digits(0)
+    write_cache(path, f"G 0 1 2 1\nG 0 1 16000 {catalan(8000)}\n")
+    sys.set_int_max_str_digits(4300)
+    clear_memo()
+    assert load_cache(str(path)) == 0
+    err = capsys.readouterr().err
+    assert "ignoring cache" in err and "4300" in err
+    assert memo_size() == 0 and not engine._MEMO.pending
+
+
+@pytest.mark.parametrize(
+    "body, records, fault",
+    [
+        ("G 0 1 2 1\nG 0 1 4 2\nG 0 1 6\n", 3, "malformed record on line 4"),
+        ("G 0 1 2 1\nN 0 2 4,2,2 8\n", 2, "malformed record on line 3"),
+        ("G 0 1 2 1\nGr 0 1 4 0,x\n", 2, "invalid literal for int() with base 10: 'x'"),
+        ("G 0 1 2 1\nG 0 1 4 2", 3, "record count mismatch"),
+        ("G 0 1 2 1\nG 0 1 4 2\xe9\n", 2, "'ascii' codec can't decode byte"),
+    ],
+)
+def test_a_refused_cache_names_its_first_fault(tmp_path, capsys, write_cache, body, records, fault):
+    path = tmp_path / "memo.cache"
+    write_cache(path, body, records)
+    clear_memo()
+    assert load_cache(str(path)) == 0
+    assert fault in capsys.readouterr().err
+    assert memo_size() == 0
+
+
+def test_integers_that_int_reads_in_another_spelling_still_load(tmp_path, write_cache):
+    # not what save_cache writes, so the record-by-record parse loads them
+    path = tmp_path / "memo.cache"
+    write_cache(path, "G 0 1 2 +1\nG 0 1 04 2\nG 0 1 6 5", records=3)  # no last newline
+    clear_memo()
+    try:
+        assert load_cache(str(path)) == 3 == memo_size()
+        assert not engine._MEMO.pending
+        assert [count_G(0, 1, (b,)) for b in (2, 4, 6)] == [1, 2, 5]
+    finally:
+        clear_memo()

@@ -130,14 +130,15 @@ class _Memo(dict):
     ``rows`` holds the rows that ``_row`` creates, shape B's with their
     ramps: derived from the entries, never saved, cleared with them.
     ``pending`` holds the blocks of a loaded cache file that no read has
-    asked for yet, by head (family, g, n): ``load_cache`` checked them,
-    ``take`` parses one into the table.  ``unparsed`` counts their records."""
+    asked for yet, by head (family, g, n): ``load_cache`` checked them
+    under the int/str digit limit ``limit``, ``take`` parses one into the
+    table under that limit.  ``unparsed`` counts their records."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.rows = {}  # (family, cut, g, side) -> _Row
         self.pending = {}  # (family, g, n) -> [runs of record lines, ...]
-        self.unparsed = 0
+        self.unparsed = self.limit = 0
 
     def __missing__(self, key):
         if self.pending and self.take(key[:3]):
@@ -151,12 +152,19 @@ class _Memo(dict):
             return False
         name, g, n = head
         read = _READ[name]
-        for chunk in chunks:
-            self.unparsed -= chunk.count("\n")
-            self.update(
-                ((name, g, n, tuple(map(int, b.split(",")))), read(v))
-                for b, v in re.findall(_FIELDS, chunk)
-            )
+        limit = _digit_limit()
+        if limit != self.limit:  # changed since the load: parse as the load checked
+            sys.set_int_max_str_digits(self.limit)
+        try:
+            for chunk in chunks:
+                self.unparsed -= chunk.count("\n")
+                self.update(
+                    ((name, g, n, tuple(map(int, b.split(",")))), read(v))
+                    for b, v in re.findall(_FIELDS, chunk)
+                )
+        finally:
+            if limit != self.limit:
+                sys.set_int_max_str_digits(limit)
         return True
 
     def take_all(self) -> None:
@@ -542,71 +550,47 @@ _READ = dict(G=int, N=int, Gr=_read_grades, Nt=_read_grades, Gt=_read_grades)
 
 # A block is a run of records that share their head "family g n"; save_cache
 # writes the records sorted, so each head's records are one run (a file
-# written otherwise may hold several runs of one head).  The patterns compile on first use, so that a process loading no cache
-# file never compiles them.
+# written otherwise may hold several runs of one head).  The patterns
+# compile on first use, so that a process loading no cache file never
+# compiles them.
 _HEAD = rf"({'|'.join(_READ)}) ([0-9]{{1,9}}) ([1-9][0-9]{{0,8}}) "
 _FIELDS = r"[^ ]+ [^ ]+ [^ ]+ ([^ ]+) ([^ \n]+)\n"  # a record's b and value
+
+# The interpreter's int/str digit limit (0: none, as on interpreters without one).
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 @cache
 def _block_form(scalar: bool, n: int, limit: int) -> re.Pattern:
     """A block of records with n boundary entries, each as ``save_cache``
     writes it: unsigned entries, a signed value (``scalar``) or a comma list
-    of signed grades or ``-``, no integer of more than ``limit`` digits (the
-    interpreter's int/str limit; 0: none).  A match ends where the head
-    changes or a record breaks the form, or after 256 records: each record
-    that one match repeats over grows the regex engine's backtracking stack."""
+    of signed grades or ``-``, no integer of more than ``limit`` digits
+    (0: any number).  A match ends where the head changes or a record
+    breaks the form, or after 256 records: each record that one match
+    repeats over grows the regex engine's backtracking stack."""
     d = f"[0-9]{{1,{limit}}}" if limit else "[0-9]+"
     v = f"-?{d}" if scalar else f"(?:-|-?{d}(?:,-?{d})*)"
     record = f"{','.join([d] * n)} {v}\n"
     return re.compile(f"([^ ]+ [^ ]+ [^ ]+) {record}(?:\\1 {record}){{0,255}}")
 
 
-def _blocks(text: str, records: int) -> dict | None:
+def _blocks(text: str, limit: int) -> dict:
     """The body of a cache file as its blocks by head (family, g, n), every
-    record checked at C speed; None if the record count is wrong or a record
-    is not in the form ``save_cache`` writes."""
-    if text.count("\n") != records:
-        return None
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    record checked at C speed against the form ``save_cache`` writes, with
+    no integer of more than ``limit`` digits; ValueError names the first
+    record that breaks it."""
     blocks, pos, heads = {}, 0, re.compile(_HEAD)
     while pos < len(text):
-        if (head := heads.match(text, pos)) is None:
-            return None
-        name, g, n = head.groups()
-        if (m := _block_form(_READ[name] is int, int(n), limit).match(text, pos)) is None:
-            return None
-        blocks.setdefault((name, int(g), int(n)), []).append(text[pos : m.end()])
+        head = heads.match(text, pos)
+        form = head and _block_form(_READ[head[1]] is int, int(head[3]), limit)
+        if not (form and (m := form.match(text, pos))):
+            end = text.find("\n", pos) + 1 or len(text)
+            long = limit and re.compile(f"[0-9]{{{limit + 1}}}").search(text, pos, end)
+            fault = f"an integer of more than {limit} digits" if long else "malformed record"
+            raise ValueError(f"{fault} on line {text.count(chr(10), 0, pos) + 2}")
+        blocks.setdefault((head[1], int(head[2]), int(head[3])), []).append(text[pos : m.end()])
         pos = m.end()
     return blocks
-
-
-def _records(text: str, records: int) -> dict:
-    """The body of a cache file parsed line by line: the records by key, or
-    ValueError naming the first fault.  ``load_cache`` runs it on a body
-    that ``_blocks`` refused, to name the fault (or to load a body whose
-    integers are spelt in another way ``int`` reads)."""
-    lines = text.splitlines()
-    if len(lines) != records:
-        raise ValueError("record count mismatch")
-    heads, bounds, entries = {}, {}, {}
-    for no, line in enumerate(lines, 2):
-        parts = line.rsplit(" ", 2)  # "family g n", b, value
-        if len(parts) != 3:
-            raise ValueError(f"malformed record on line {no}")
-        head, b, v = parts
-        if (parsed := heads.get(head)) is None:
-            name, *gn = head.split(" ")
-            if len(gn) != 2 or name not in _READ:
-                raise ValueError(f"malformed record on line {no}")
-            parsed = heads[head] = (name, *map(int, gn), _READ[name])
-        name, g, n, read = parsed
-        if (bt := bounds.get(b)) is None:
-            bt = bounds[b] = tuple(map(int, b.split(",")))
-        if len(bt) != n:
-            raise ValueError(f"malformed record on line {no}")
-        entries[(name, g, n, bt)] = read(v)
-    return entries
 
 
 def save_cache(path: str) -> int:
@@ -656,18 +640,15 @@ def load_cache(path: str) -> int:
         if sha256(body).hexdigest() != fields[3]:
             raise ValueError("digest mismatch")
         text, records = body.decode("ascii"), int(fields[2])
-        if (blocks := _blocks(text, records)) is None:
-            entries = _records(text, records)
+        if text.count("\n") != records:
+            raise ValueError("record count mismatch")
+        blocks = _blocks(text, limit := _digit_limit())
     except ValueError as exc:  # UnicodeDecodeError is a ValueError
         print(f"warning: ignoring cache {path!r} ({exc})", file=sys.stderr)
         return 0
-    if blocks is None:
-        _MEMO.update(entries)
-        return len(entries)
     merge = bool(_MEMO or _MEMO.pending)
-    for head, chunks in blocks.items():
-        _MEMO.pending.setdefault(head, []).extend(chunks)
-    _MEMO.unparsed += records
+    _MEMO.take_all()  # an earlier file's blocks, under the limit that checked them
+    _MEMO.pending, _MEMO.unparsed, _MEMO.limit = blocks, records, limit
     if merge:  # a key may now be held twice: parse every block, so that each counts once
         _MEMO.take_all()
     return records

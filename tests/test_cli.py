@@ -488,10 +488,10 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-def test_cli_suite_names_are_verify_suites():
-    from surfcount import verify
-
-    assert cli._SUITES == verify.SUITES
+def test_an_unknown_suite_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "verify", "--suite", "no-such-suite")
+    assert rc == 2 and out == ""
+    assert "unknown suite 'no-such-suite'" in err
 
 
 def _fresh(*argv):

@@ -762,8 +762,46 @@ def test_a_value_past_the_digit_limit_is_refused_at_load(tmp_path, capsys, write
     clear_memo()
     assert load_cache(str(path)) == 0
     err = capsys.readouterr().err
-    assert "ignoring cache" in err and "4300" in err
+    assert "ignoring cache" in err and "more than 4300 digits on line 3" in err
     assert memo_size() == 0 and not engine._MEMO.pending
+
+
+def test_a_block_loaded_without_a_digit_limit_parses_after_the_limit_returns(
+    tmp_path, write_cache, default_digit_limit
+):
+    path = tmp_path / "memo.cache"
+    sys.set_int_max_str_digits(0)
+    write_cache(path, f"G 0 1 2 1\nG 0 1 16000 {catalan(8000)}\n")
+    clear_memo()
+    try:
+        assert load_cache(str(path)) == 2
+        sys.set_int_max_str_digits(4300)
+        assert engine._MEMO.pending
+        assert engine._MEMO[("G", 0, 1, (16000,))] == catalan(8000)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        clear_memo()
+
+
+def test_a_load_over_pending_blocks_counts_each_key_once(tmp_path, write_cache,
+                                                       default_digit_limit):
+    big, small = tmp_path / "big.cache", tmp_path / "small.cache"
+    clear_memo()
+    try:
+        count_N(1, 2, (6, 4))
+        written = save_cache(str(small))
+        sys.set_int_max_str_digits(0)
+        body = small.read_text().split("\n", 1)[1]
+        write_cache(big, f"G 0 1 16000 {catalan(8000)}\n{body}")
+        clear_memo()
+        assert load_cache(str(big)) == written + 1 == memo_size()
+        sys.set_int_max_str_digits(4300)
+        # the earlier blocks parse under the limit that checked them, then merge
+        assert load_cache(str(small)) == written
+        assert not engine._MEMO.pending and memo_size() == len(engine._MEMO) == written + 1
+        assert engine._MEMO[("G", 0, 1, (16000,))] == catalan(8000)
+    finally:
+        clear_memo()
 
 
 @pytest.mark.parametrize(
@@ -771,7 +809,9 @@ def test_a_value_past_the_digit_limit_is_refused_at_load(tmp_path, capsys, write
     [
         ("G 0 1 2 1\nG 0 1 4 2\nG 0 1 6\n", 3, "malformed record on line 4"),
         ("G 0 1 2 1\nN 0 2 4,2,2 8\n", 2, "malformed record on line 3"),
-        ("G 0 1 2 1\nGr 0 1 4 0,x\n", 2, "invalid literal for int() with base 10: 'x'"),
+        ("G 0 1 2 1\nGr 0 1 4 0,x\n", 2, "malformed record on line 3"),
+        ("G 0 1 2 +1\n", 1, "malformed record on line 2"),  # int() reads it; save_cache never writes it
+        ("G 0 1 2 1\nG 0 1 4 2", 1, "malformed record on line 3"),  # no last newline
         ("G 0 1 2 1\nG 0 1 4 2", 3, "record count mismatch"),
         ("G 0 1 2 1\nG 0 1 4 2\xe9\n", 2, "'ascii' codec can't decode byte"),
     ],
@@ -784,15 +824,3 @@ def test_a_refused_cache_names_its_first_fault(tmp_path, capsys, write_cache, bo
     assert fault in capsys.readouterr().err
     assert memo_size() == 0
 
-
-def test_integers_that_int_reads_in_another_spelling_still_load(tmp_path, write_cache):
-    # not what save_cache writes, so the record-by-record parse loads them
-    path = tmp_path / "memo.cache"
-    write_cache(path, "G 0 1 2 +1\nG 0 1 04 2\nG 0 1 6 5", records=3)  # no last newline
-    clear_memo()
-    try:
-        assert load_cache(str(path)) == 3 == memo_size()
-        assert not engine._MEMO.pending
-        assert [count_G(0, 1, (b,)) for b in (2, 4, 6)] == [1, 2, 5]
-    finally:
-        clear_memo()

@@ -15,8 +15,10 @@ that run the engine take the optional persistent memo cache,
 output: a file written by other source code is ignored, and the file is
 rewritten only when the command added records to the memo.
 
-``oracle``, ``sums`` and ``verify`` import their modules when they run, so
-no other subcommand loads them.
+Each subcommand imports the modules it runs when it runs: ``count`` and
+``table`` load ``closed``, ``exact`` and ``engine`` alone, and ``fitlab``,
+``series``, ``sums``, ``oracles`` and ``verify`` load only in the
+subcommands that call them.
 """
 
 from __future__ import annotations
@@ -40,14 +42,6 @@ from .engine import (
     save_cache,
 )
 from .exact import EVEN, ODD, ZERO, FitInvalid, frac_str
-from .fitlab import extract_psi, fit_G_poly, fit_Nhat, fit_Nhat_refined
-from .series import (
-    CLOSED_FORM_NAMES,
-    build_fG,
-    build_fN,
-    build_frak_f,
-    expand_closed_form,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -176,6 +170,8 @@ def _report_json(report) -> dict:
 
 
 def _cmd_fit(args) -> int:
+    from .fitlab import fit_G_poly, fit_Nhat, fit_Nhat_refined
+
     _reject_unread(args, _FIT_UNREAD[args.mode], f"fit --mode {args.mode}")
     if args.mode == "nhat":
         report = fit_Nhat(args.g, args.n)
@@ -201,6 +197,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_psi(args) -> int:
+    from .fitlab import extract_psi
+
     values = extract_psi(args.g, args.n)
     for d in sorted(values):
         print(_dumps({"d": list(d), "value": frac_str(values[d])}))
@@ -222,7 +220,11 @@ def _cmd_sums(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .series import CLOSED_FORM_NAMES, build_fG, build_fN, build_frak_f, expand_closed_form
+
     which = args.which
+    if which not in _SERIES_UNREAD and which not in CLOSED_FORM_NAMES:
+        raise argparse.ArgumentTypeError(f"unknown series {which!r}")
     _reject_unread(args, _SERIES_UNREAD.get(which, _CATALOGUE_UNREAD), f"series --which {which}")
     if which in CLOSED_FORM_NAMES:
         s = expand_closed_form(which, args.order)
@@ -356,11 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sums)
 
     p = sub.add_parser("series", parents=[common], help="truncated generating series as JSON")
-    p.add_argument(
-        "--which",
-        choices=("fN", "fG", "frakf") + CLOSED_FORM_NAMES,
-        required=True,
-    )
+    p.add_argument("--which", required=True, help="fN, fG, frakf, or a catalogued closed form")
     p.add_argument("--g", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--order", type=int, required=True)
@@ -383,8 +381,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # exact counts may have any number of digits, in the output and the cache
-    getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)(0)
+    # exact counts may have any number of digits, in the output and the cache;
+    # the caller's int/str digit limit (Python 3.11 and later) comes back after
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _main(argv)
+    finally:
+        set_limit(limit)
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     cache_path = None

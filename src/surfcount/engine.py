@@ -31,11 +31,13 @@ A also folds its runs i <-> j there).
 A row is keyed by the family, its kind, the genus and the entries the arc
 leaves alone (side), so bodies of any first entry b1 share it, each
 extending it only as far as its b1 needs; rows live on the memo
-(``_MEMO.rows``), are never saved and are cleared with it.  One builder,
-``_row``, grows them all and returns the row itself.  A value row holds the
-pieces (g, (x,) + side) in ascending x: every piece that a join or a
-separation leaves, one new entry beside entries the arc leaves alone, is
-read through one, in both shapes, so each is keyed and read once per memo.
+(``_MEMO.rows``), are never saved and are cleared with it.  Bodies read
+every row through ``_row``: a row that holds the values a body needs comes
+back as it is, and any other row is grown by one builder, ``_grow``, which
+returns the row itself.  A value row holds the pieces (g, (x,) + side) in
+ascending x: every piece that a join or a separation leaves, one new entry
+beside entries the arc leaves alone, is read through one, in both shapes,
+so each is keyed and read once per memo.
 A cut row holds Q(s), the sum of the pieces (g, (i, j) + side) over the
 runs i + j = s.  A shape-B row keeps its ramp, a running sum of running
 sums, in step with its values, and shape B reads each of its sums from a
@@ -116,7 +118,7 @@ def _trim(coeffs: list) -> _Grades:
 
 class _Row(list):
     """One row of ``_MEMO.rows``: it lists its values v_t in ascending t
-    (``_row``).  A shape-B row keeps its ramp in step with them: ``ramp[k]``
+    (``_grow``).  A shape-B row keeps its ramp in step with them: ``ramp[k]``
     is the sum of (k - t) * v_t over t < k, for k up to the number of values,
     and ``run`` the sum of all values.  A shape-A row has neither."""
 
@@ -127,7 +129,7 @@ class _Memo(dict):
     """The memo table.  A missing key answers with its family's base value,
     or None when its body has to run; base values are never stored.
 
-    ``rows`` holds the rows that ``_row`` creates, shape B's with their
+    ``rows`` holds the rows that ``_grow`` creates, shape B's with their
     ramps: derived from the entries, never saved, cleared with them.
     ``pending`` holds the blocks of a loaded cache file that no read has
     asked for yet, by head (family, g, n): ``load_cache`` checked them
@@ -257,17 +259,32 @@ def _row(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], stop
     to at least stop values.  Value t of a value row is the piece
     (g, (s,) + side) at s = p + 2t; of a cut row it is Q(s), the sum of the
     pieces (g, (i, j) + side) left by a cut with runs i + j = s, where (i, j)
-    and (j, i) are one key, read once and counted twice.  The row grows one
-    value at a time, each appended as soon as its pieces are read, and a
-    shape-B row appends its ramp entry in the same step, so
-    len(row.ramp) == len(row) + 1.  A row that grew while a piece was
-    yielded to the driver raises RuntimeError (``_shape_a`` and
+    and (j, i) are one key, read once and counted twice.  A row that already
+    holds stop values is returned as it is; otherwise the result is a
+    generator for the driver that grows the row and returns it (``_grow``),
+    so a body reads a row with
+
+        if type(row := _row(...)) is not _Row:
+            row = yield from row
+    """
+    if (row := _MEMO.rows.get(rkey := (name, cut, g, side))) is not None and len(row) >= stop:
+        return row
+    return _grow(fam, rkey, row, stop)
+
+
+def _grow(fam: _Family, rkey: tuple, row: _Row | None, stop: int):
+    """Grow ``row``, the row of ``rkey``, to stop values, creating it if it
+    is None.  The row grows one value at a time, each appended as soon as
+    its pieces are read, and a shape-B row appends its ramp entry in the
+    same step, so len(row.ramp) == len(row) + 1.  A row that grew while a
+    piece was yielded to the driver raises RuntimeError (``_shape_a`` and
     ``_shape_b`` say why none can).  A pants row keeps its values too, each
     taken from its family's ``pants`` rule, not the memo."""
+    name, cut, g, side = rkey
     p, n = sum(side) % 2, len(side) + 1 + cut
     pants = (g, n) == (0, 3) and fam.pants
-    memo, rkey, shape_b = _MEMO, (name, cut, g, side), fam.body is _shape_b
-    if (row := memo.rows.get(rkey)) is None:
+    memo, shape_b = _MEMO, fam.body is _shape_b
+    if row is None:
         row = memo.rows[rkey] = _Row()
         if shape_b:
             row.ramp, row.run = [fam.zero], fam.zero
@@ -335,18 +352,23 @@ def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
             acc += v if i == j else 2 * v
     for idx, bk in enumerate(rest):  # the arc runs to another boundary, leaving b1 + bk - 2 points
         if bk:
-            row = yield from _row(fam, name, False, g, rest[:idx] + rest[idx + 1 :], (b1 + bk) // 2)
+            other = rest[:idx] + rest[idx + 1 :]
+            if type(row := _row(fam, name, False, g, other, (b1 + bk) // 2)) is not _Row:
+                row = yield from row
             acc += bk * row[(b1 + bk - 2) // 2]
     for g1, left, right, own in _halves(g, rest, False):  # the arc separates, runs i + j = b1 - 2
         k = (b1 - sum(left) % 2) // 2  # both sides have k runs of the pieces' parity
-        U = yield from _row(fam, name, False, g1, left, k)  # rows may hold more than k values
+        # rows may hold more than k values
+        if type(U := _row(fam, name, False, g1, left, k)) is not _Row:
+            U = yield from U
         if own:  # fold i <-> j as well; the middle run pairs with itself once
             half, middle = divmod(k, 2)
             if middle:
                 acc += U[half] * U[half]
             acc += 2 * sum(map(mul, U[:half], reversed(U[:k])), fam.zero)
         else:
-            V = yield from _row(fam, name, False, g - g1, right, k)
+            if type(V := _row(fam, name, False, g - g1, right, k)) is not _Row:
+                V = yield from V
             acc += 2 * sum(map(mul, U, reversed(V[:k])), fam.zero)
     return acc
 
@@ -358,7 +380,7 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
     boundary j leaving x points weighs bar(bj) times (b1 + bj - x)/2 and,
     for the difference, (b1 - bj - x)/2, and a separation weighs each value
     of its second piece by m/2 as well: each sum is an entry of the ramp
-    that a shared row keeps in step with its values (``_row``), and entry k
+    that a shared row keeps in step with its values (``_grow``), and entry k
     needs the row's first k values.  No row grows while an enclosing body
     is extending it: every edge lowers 2g + n - 2, a body of (g, n)
     extends only rows of values lower in it, and a row's key fixes (g, n)
@@ -366,22 +388,27 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
     b1, rest = b[0], b[1:]
     acc = fam.zero
     if g:  # the arc and its run are cut away: the genus drops
-        row = yield from _row(fam, name, True, g - 1, rest, b1 // 2)
+        if type(row := _row(fam, name, True, g - 1, rest, b1 // 2)) is not _Row:
+            row = yield from row
         acc += row.ramp[b1 // 2]
     for idx, bj in enumerate(rest):  # the arc joins boundary j: sum and difference
-        row = yield from _row(fam, name, False, g, rest[:idx] + rest[idx + 1 :], (b1 + bj) // 2)
+        other = rest[:idx] + rest[idx + 1 :]
+        if type(row := _row(fam, name, False, g, other, (b1 + bj) // 2)) is not _Row:
+            row = yield from row
         term = bar(bj) * (row.ramp[(b1 + bj) // 2] + row.ramp[(b1 - bj) // 2])
         acc += term if bj else term * fam.region  # joining an empty boundary creates a region
     for g1, left, right, own in _halves(g, rest, True):  # the arc separates, leaving no disc or annulus
         # runs i | m | j along b1 with i + m + j = b1, i = sum(left) % 2 + 2p and
         # j = sum(right) % 2 + 2q (pieces with odd totals are empty)
         k = (b1 - sum(left) % 2 - sum(right) % 2) // 2
-        U = yield from _row(fam, name, False, g1, left, k)
+        if type(U := _row(fam, name, False, g1, left, k)) is not _Row:
+            U = yield from U
         # the arc takes m = 2(k - p - q) points; the sum over q < k - p of
         # (k - p - q) V[q] over the other piece's values V is its ramp's entry
         # k - p; with one boundary and equal genera (own) the two pieces share
         # a row, and the double sum holds both (i, j) and its mirror (j, i)
-        V = yield from _row(fam, name, False, g - g1, right, k)
+        if type(V := _row(fam, name, False, g - g1, right, k)) is not _Row:
+            V = yield from V
         sep = sum(map(mul, U, V.ramp[k:0:-1]), fam.zero)
         acc += sep if own else 2 * sep
     return acc

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, cache, determinism."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -456,13 +457,29 @@ def test_cache_with_a_removed_family_is_ignored_and_rewritten(tmp_path, capsys, 
 BIG_DISC = ("count", "--mode", "G", "--g", "0", "--n", "1", "--b", "16000")
 
 
+@contextlib.contextmanager
+def _digit_limit(limit):
+    """The int/str digit limit ``limit`` inside, where the interpreter has one."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    set_limit(limit)
+    try:
+        yield
+    finally:
+        set_limit(before)
+
+
 @pytest.mark.parametrize("extra", [("--t", "0"), ("--closed-only",)])
 def test_counts_of_any_size_are_printed(capsys, extra):
     want = catalan(8000)  # 4,811 digits
     rc, out, _ = run(capsys, *BIG_DISC, *extra)
-    assert rc == 0 and int(out) == want
-    rc, out, _ = run(capsys, *BIG_DISC, *extra, "--json")
-    assert rc == 0 and int(json.loads(out)["count"]) == want
+    rc_json, out_json, _ = run(capsys, *BIG_DISC, *extra, "--json")
+    with _digit_limit(0):  # the test's own reading of a big count
+        assert rc == 0 and int(out) == want
+        assert rc_json == 0 and int(json.loads(out_json)["count"]) == want
 
 
 class _CacheOnlyMemo(engine._Memo):
@@ -476,7 +493,8 @@ def test_counts_of_any_size_round_trip_through_the_cache(tmp_path, capsys, monke
     memo[("G", 0, 1, (16000,))] = catalan(8000)  # too slow to recompute here
     monkeypatch.setattr(engine, "_MEMO", memo)
     rc, first, _ = run(capsys, *BIG_DISC, "--cache", str(path))
-    assert rc == 0 and int(first) == catalan(8000)
+    with _digit_limit(0):  # the test's own reading of a big count
+        assert rc == 0 and int(first) == catalan(8000)
     monkeypatch.setattr(engine, "_MEMO", _CacheOnlyMemo())
     rc, out, err = run(capsys, *BIG_DISC, "--cache", str(path))
     assert (rc, out, err) == (0, first, "")
@@ -494,6 +512,19 @@ def test_an_unknown_suite_is_a_usage_error(capsys):
     assert "unknown suite 'no-such-suite'" in err
 
 
+def test_an_unknown_series_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "series", "--which", "nope", "--order", "3")
+    assert (rc, out, err) == (2, "", "error: unknown series 'nope'\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+def test_main_restores_the_digit_limit_it_lifts(capsys):
+    with _digit_limit(4300):
+        rc, out, _ = run(capsys, "count", "--mode", "G", "--g", "1", "--n", "1", "--b", "4")
+        assert (rc, out) == (0, "13\n")
+        assert sys.get_int_max_str_digits() == 4300
+
+
 def _fresh(*argv):
     """Run ``python -S argv`` on this checkout's source: no site hooks, so the
     modules it ends with are the ones the package imported."""
@@ -506,36 +537,67 @@ def _fresh(*argv):
 
 
 UNUSED_BY_COUNT = ("surfcount.verify", "surfcount.sums", "surfcount.oracles", "surfcount.moduli",
-                   "dataclasses")
+                   "surfcount.fitlab", "surfcount.series", "dataclasses")
 
 
-def test_count_imports_only_the_modules_it_runs():
+def _modules_after(*argv):
+    """Run ``surfcount argv`` in a fresh interpreter: its output lines and the
+    modules it ended with."""
     code = (
         "import runpy, sys\n"
-        "sys.argv = ['surfcount', 'count', '--mode', 'G', '--g', '1', '--n', '1', '--b', '4']\n"
+        f"sys.argv = ['surfcount', *{list(argv)!r}]\n"
         "try:\n"
         "    runpy.run_module('surfcount.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
         "print(*sorted(sys.modules))\n"
     )
-    count, modules = _fresh("-c", code).split("\n", 1)
-    assert count == "13"
-    assert "surfcount.engine" in modules.split()
-    assert set(UNUSED_BY_COUNT).isdisjoint(modules.split())
+    *out, modules = _fresh("-c", code).splitlines()
+    return out, set(modules.split())
+
+
+def test_count_imports_only_the_modules_it_runs():
+    out, modules = _modules_after("count", "--mode", "G", "--g", "1", "--n", "1", "--b", "4")
+    assert out == ["13"]
+    assert "surfcount.engine" in modules
+    assert modules.isdisjoint(UNUSED_BY_COUNT)
+
+
+@pytest.mark.parametrize(
+    "argv, first, unused",
+    [
+        (("table", "--mode", "G", "--g", "0", "--n", "1", "--b-max", "2"), "b1,count",
+         UNUSED_BY_COUNT),
+        (("psi", "--g", "1", "--n", "1"), '{"d":[1],"value":"1/24"}',
+         tuple(m for m in UNUSED_BY_COUNT if m != "surfcount.fitlab")),
+    ],
+    ids=["table", "psi"],
+)
+def test_table_and_psi_import_only_the_modules_they_run(argv, first, unused):
+    out, modules = _modules_after(*argv)
+    assert out[0] == first
+    assert "surfcount.engine" in modules
+    assert modules.isdisjoint(unused)
 
 
 def test_every_public_name_resolves_and_loads_its_module_on_first_use():
     code = (
         "import sys, surfcount\n"
         "print(*sorted(sys.modules))\n"
+        "print(set(surfcount.__all__) <= set(dir(surfcount)))\n"
         "print(all(getattr(surfcount, name) is not None for name in surfcount.__all__))\n"
         "print(*sorted(sys.modules))\n"
     )
-    before, resolved, after = _fresh("-c", code).splitlines()
-    assert set(UNUSED_BY_COUNT).isdisjoint(before.split())
-    assert resolved == "True"
-    assert {"surfcount.verify", "surfcount.sums", "surfcount.oracles"} <= set(after.split())
+    before, listed, resolved, after = _fresh("-c", code).splitlines()
+    assert [m for m in before.split() if m.startswith("surfcount.")] == []
+    assert listed == resolved == "True"
+    assert {f"surfcount.{m}" for m in ("closed", "engine", "exact", "fitlab", "oracles", "series",
+                                      "sums", "verify")} <= set(after.split())
+
+
+def test_a_submodule_resolves_as_an_attribute_before_any_count():
+    out = _fresh("-c", "import surfcount; print(surfcount.engine.memo_size())")
+    assert out == "0\n"
 
 
 def test_an_unknown_public_name_is_an_attribute_error():

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings
@@ -690,6 +691,18 @@ def test_a_value_row_grown_under_its_extension_raises():
 
 def test_a_cut_row_grown_under_its_extension_raises():
     _extend_a_row_grown_meanwhile("N", True, lambda: count_N(2, 1, (12,)))
+
+
+def test_a_row_that_holds_the_values_read_comes_back_without_a_generator():
+    clear_memo()
+    try:
+        count_N(2, 1, (12,))
+        fam = engine._FAMILIES["N"]
+        for (name, cut, g, side), row in engine._MEMO.rows.items():
+            assert engine._row(fam, name, cut, g, side, len(row)) is row
+            assert isinstance(engine._row(fam, name, cut, g, side, len(row) + 1), GeneratorType)
+    finally:
+        clear_memo()
 
 
 def _heads(path) -> set:

@@ -383,10 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # exact counts may have any number of digits, in the output and the cache;
     # the caller's int/str digit limit (Python 3.11 and later) comes back after
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        return _main(argv)
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)
     set_limit(0)
     try:
         return _main(argv)

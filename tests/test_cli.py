@@ -460,11 +460,8 @@ BIG_DISC = ("count", "--mode", "G", "--g", "0", "--n", "1", "--b", "16000")
 @contextlib.contextmanager
 def _digit_limit(limit):
     """The int/str digit limit ``limit`` inside, where the interpreter has one."""
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        yield
-        return
-    before = sys.get_int_max_str_digits()
+    before = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)
     set_limit(limit)
     try:
         yield

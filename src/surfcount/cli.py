@@ -13,7 +13,9 @@ that run the engine take the optional persistent memo cache,
 ``--cache [PATH]``; without an explicit path it falls back to the
 ``SURFCOUNT_CACHE`` environment variable.  Cached values never change any
 output: a file written by other source code is ignored, and the file is
-rewritten only when the command added records to the memo.
+rewritten only when the command added records to the memo.  The file
+writes its integers in hexadecimal, so it holds counts of any size under
+any int/str digit limit; ``main`` lifts that limit for the output alone.
 
 Each subcommand imports the modules it runs when it runs: ``count`` and
 ``table`` load ``closed``, ``exact`` and ``engine`` alone, and ``fitlab``,
@@ -381,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # exact counts may have any number of digits, in the output and the cache;
+    # exact counts may have any number of digits in the output;
     # the caller's int/str digit limit (Python 3.11 and later) comes back after
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_limit = getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)

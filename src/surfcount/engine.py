@@ -56,6 +56,11 @@ Bodies are generators yielding each child key missing from the memo;
 ``_eval`` runs them on an explicit stack, so no input meets Python's
 recursion limit.  Every edge lowers ``(2g + n - 2, sum(b))``
 lexicographically; a key met again on its own stack raises RuntimeError.
+
+The memo persists in an optional cache file (``save_cache``, ``load_cache``)
+of one line per head ``family g n``, every integer in hexadecimal, which no
+int/str digit limit covers; a loaded line is parsed when a read first asks
+for its head.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ import os
 import re
 import sys
 from fractions import Fraction
-from functools import cache
-from itertools import product, zip_longest
+from functools import cache, partial
+from itertools import groupby, product, zip_longest
 from math import prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -106,9 +111,6 @@ class _Grades(tuple):
     def coeff(self, k: int) -> int:
         return self[k] if 0 <= k < len(self) else 0
 
-    def __str__(self) -> str:  # the cache text
-        return ",".join(map(str, self)) or "-"
-
 
 def _trim(coeffs: list) -> _Grades:
     while coeffs and not coeffs[-1]:
@@ -132,15 +134,15 @@ class _Memo(dict):
     ``rows`` holds the rows that ``_grow`` creates, shape B's with their
     ramps: derived from the entries, never saved, cleared with them.
     ``pending`` holds the blocks of a loaded cache file that no read has
-    asked for yet, by head (family, g, n): ``load_cache`` checked them
-    under the int/str digit limit ``limit``, ``take`` parses one into the
-    table under that limit.  ``unparsed`` counts their records."""
+    asked for yet, by head (family, g, n): the text of the records on the
+    head's line, which ``load_cache`` checked; ``take`` parses one into the
+    table.  ``unparsed`` counts their records."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.rows = {}  # (family, cut, g, side) -> _Row
-        self.pending = {}  # (family, g, n) -> [runs of record lines, ...]
-        self.unparsed = self.limit = 0
+        self.pending = {}  # (family, g, n) -> "b:v b:v ..."
+        self.unparsed = 0
 
     def __missing__(self, key):
         if self.pending and self.take(key[:3]):
@@ -149,24 +151,16 @@ class _Memo(dict):
 
     def take(self, head: tuple) -> bool:
         """Parse the pending block of ``head`` into the table, if there is one."""
-        chunks = self.pending.pop(head, None)
-        if chunks is None:
+        block = self.pending.pop(head, None)
+        if block is None:
             return False
-        name, g, n = head
-        read = _READ[name]
-        limit = _digit_limit()
-        if limit != self.limit:  # changed since the load: parse as the load checked
-            sys.set_int_max_str_digits(self.limit)
-        try:
-            for chunk in chunks:
-                self.unparsed -= chunk.count("\n")
-                self.update(
-                    ((name, g, n, tuple(map(int, b.split(",")))), read(v))
-                    for b, v in re.findall(_FIELDS, chunk)
-                )
-        finally:
-            if limit != self.limit:
-                sys.set_int_max_str_digits(limit)
+        read = _READ[head[0]]
+        fields = block.replace(":", " ").split(" ")  # b, v, b, v, ...
+        self.unparsed -= len(fields) // 2
+        self.update(
+            ((*head, tuple(map(_int, b.split(",")))), read(v))
+            for b, v in zip(fields[::2], fields[1::2])
+        )
         return True
 
     def take_all(self) -> None:
@@ -569,67 +563,72 @@ def _fingerprint() -> str:
     return digest.hexdigest()
 
 
+_int = partial(int, base=16)
+
+
 def _read_grades(text: str) -> _Grades:
-    return _Grades(() if text == "-" else map(int, text.split(",")))
+    return _Grades(() if text == "-" else map(_int, text.split(",")))
 
 
-_READ = dict(G=int, N=int, Gr=_read_grades, Nt=_read_grades, Gt=_read_grades)
+_READ = dict(G=_int, N=_int, Gr=_read_grades, Nt=_read_grades, Gt=_read_grades)
 
-# A block is a run of records that share their head "family g n"; save_cache
-# writes the records sorted, so each head's records are one run (a file
-# written otherwise may hold several runs of one head).  The patterns
-# compile on first use, so that a process loading no cache file never
-# compiles them.
-_HEAD = rf"({'|'.join(_READ)}) ([0-9]{{1,9}}) ([1-9][0-9]{{0,8}}) "
-_FIELDS = r"[^ ]+ [^ ]+ [^ ]+ ([^ ]+) ([^ \n]+)\n"  # a record's b and value
 
-# The interpreter's int/str digit limit (0: none, as on interpreters without one).
-_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+def _hex(x) -> str:
+    """An int, or a tuple of them (entries, grades) as a comma list, "-" if
+    empty, in lowercase hexadecimal, which no int/str digit limit covers."""
+    return format(x, "x") if isinstance(x, int) else ",".join(map(_hex, x)) or "-"
+
+
+# The body holds one line per head "family g n", "Gr 1 2 4,2:0,3,1 6,0:1,2\n":
+# each record the entries and value of one key, every integer in lowercase
+# hexadecimal with no leading zeros.  The patterns compile on first use, so
+# that a process loading no cache file never compiles them.
+_UINT, _SINT = "(?:0|[1-9a-f][0-9a-f]*)", "(?:0|-?[1-9a-f][0-9a-f]*)"
+_HEAD = rf"({'|'.join(_READ)}) (0|[1-9a-f][0-9a-f]{{0,7}}) ([1-9a-f][0-9a-f]{{0,7}}) "
 
 
 @cache
-def _block_form(scalar: bool, n: int, limit: int) -> re.Pattern:
-    """A block of records with n boundary entries, each as ``save_cache``
-    writes it: unsigned entries, a signed value (``scalar``) or a comma list
-    of signed grades or ``-``, no integer of more than ``limit`` digits
-    (0: any number).  A match ends where the head changes or a record
-    breaks the form, or after 256 records: each record that one match
-    repeats over grows the regex engine's backtracking stack."""
-    d = f"[0-9]{{1,{limit}}}" if limit else "[0-9]+"
-    v = f"-?{d}" if scalar else f"(?:-|-?{d}(?:,-?{d})*)"
-    record = f"{','.join([d] * n)} {v}\n"
-    return re.compile(f"([^ ]+ [^ ]+ [^ ]+) {record}(?:\\1 {record}){{0,255}}")
+def _record_form(scalar: bool, n: int) -> re.Pattern:
+    """One record with n boundary entries, then the space before the next
+    record or the end of its line: unsigned entries, then a signed value
+    (``scalar``) or a comma list of signed grades or ``-``."""
+    v = _SINT if scalar else f"(?:-|{_SINT}(?:,{_SINT})*)"
+    return re.compile(rf"{_UINT}(?:,{_UINT}){{{n - 1}}}:{v}(?: (?=.)|\Z)")
 
 
-def _blocks(text: str, limit: int) -> dict:
-    """The body of a cache file as its blocks by head (family, g, n), every
-    record checked at C speed against the form ``save_cache`` writes, with
-    no integer of more than ``limit`` digits; ValueError names the first
-    record that breaks it."""
+def _blocks(text: str) -> dict:
+    """The body of a cache file as its blocks, the text of each line's
+    records, by head (family, g, n).  Every line is checked at C speed
+    against the form ``save_cache`` writes: deleting every record from a
+    line of records one space apart leaves nothing.  Each record is a
+    match of its own, so a long line does not grow the regex engine's
+    backtracking stack.  ValueError names the first line that breaks the
+    form or repeats the head of an earlier line."""
     blocks, pos, heads = {}, 0, re.compile(_HEAD)
     while pos < len(text):
-        head = heads.match(text, pos)
-        form = head and _block_form(_READ[head[1]] is int, int(head[3]), limit)
-        if not (form and (m := form.match(text, pos))):
-            end = text.find("\n", pos) + 1 or len(text)
-            long = limit and re.compile(f"[0-9]{{{limit + 1}}}").search(text, pos, end)
-            fault = f"an integer of more than {limit} digits" if long else "malformed record"
-            raise ValueError(f"{fault} on line {text.count(chr(10), 0, pos) + 2}")
-        blocks.setdefault((head[1], int(head[2]), int(head[3])), []).append(text[pos : m.end()])
-        pos = m.end()
+        end = text.find("\n", pos)
+        if head := end >= 0 and heads.match(text, pos, end):
+            key = (head[1], _int(head[2]), _int(head[3]))
+            line = text[head.end() : end]
+        form = head and line and key not in blocks and _record_form(_READ[key[0]] is _int, key[2])
+        if not form or form.sub("", line):
+            raise ValueError(f"malformed record on line {text.count(chr(10), 0, pos) + 2}")
+        blocks[key] = line
+        pos = end + 1
     return blocks
 
 
 def save_cache(path: str) -> int:
-    """Write the memo table to a line-based cache file, replacing it
-    atomically.  The header ``surfcount-cache <fingerprint> <records>
-    <sha256 of body>`` names the source that computed the values.  Blocks
-    of a loaded file that no read asked for are parsed first.  Returns the
-    number of records written."""
+    """Write the memo table to a cache file, replacing it atomically: the
+    header ``surfcount-cache <fingerprint> <records> <sha256 of body>``
+    names the source that computed the values, and the body holds one line
+    per head ``family g n``, its records in ascending entries, every integer
+    in hexadecimal (``_hex``).  Lines of a loaded file that no read asked
+    for are parsed first.  Returns the number of records written."""
     _MEMO.take_all()
     body = "".join(
-        f"{name} {g} {n} {','.join(map(str, b))} {v}\n"
-        for (name, g, n, b), v in sorted(_MEMO.items())
+        f"{name} {g:x} {n:x} {' '.join(f'{_hex(b)}:{_hex(v)}' for (*_, b), v in records)}\n"
+        for (name, g, n), records in groupby(sorted(_MEMO.items()), key=lambda item: item[0][:3])
     )
     digest = sha256(body.encode("ascii")).hexdigest()
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -646,12 +645,12 @@ def save_cache(path: str) -> int:
 def load_cache(path: str) -> int:
     """Load a cache file into the memo table; a missing file loads nothing.
     A file written by other source code (another fingerprint, or a header of
-    another format), or with a wrong digest, record count or record, is
-    ignored as a whole with a warning on stderr.  Every record is checked
-    here, but a block of records sharing one ``family g n`` head is parsed
-    only when a read first asks for that head (``_Memo.take``).  Returns
-    the number of records loaded: ``memo_size()`` counts them all from
-    here on, so a memo of that size holds exactly the file's records."""
+    another format), or with a wrong digest, record count or line, is
+    ignored as a whole with a warning on stderr.  Every line is checked
+    here, but the records of a line, which share one ``family g n`` head,
+    are parsed only when a read first asks for that head (``_Memo.take``).
+    Returns the number of records loaded: ``memo_size()`` counts them all
+    from here on, so a memo of that size holds exactly the file's records."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -667,15 +666,15 @@ def load_cache(path: str) -> int:
         if sha256(body).hexdigest() != fields[3]:
             raise ValueError("digest mismatch")
         text, records = body.decode("ascii"), int(fields[2])
-        if text.count("\n") != records:
+        if text.count(":") != records:  # one colon per record
             raise ValueError("record count mismatch")
-        blocks = _blocks(text, limit := _digit_limit())
+        blocks = _blocks(text)
     except ValueError as exc:  # UnicodeDecodeError is a ValueError
         print(f"warning: ignoring cache {path!r} ({exc})", file=sys.stderr)
         return 0
     merge = bool(_MEMO or _MEMO.pending)
-    _MEMO.take_all()  # an earlier file's blocks, under the limit that checked them
-    _MEMO.pending, _MEMO.unparsed, _MEMO.limit = blocks, records, limit
+    _MEMO.take_all()  # an earlier file's blocks
+    _MEMO.pending, _MEMO.unparsed = blocks, records
     if merge:  # a key may now be held twice: parse every block, so that each counts once
         _MEMO.take_all()
     return records

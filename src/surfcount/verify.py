@@ -679,16 +679,7 @@ _REGISTRY: list[tuple[str, str, Callable[[], str]]] = [
     ("oracles", "arrow-decoding", check_arrows_oracle),
 ]
 
-SUITES: tuple[str, ...] = (
-    "closed-forms",
-    "recursion-consistency",
-    "refined",
-    "sums",
-    "fits",
-    "psi",
-    "series",
-    "oracles",
-)
+SUITES: tuple[str, ...] = tuple(dict.fromkeys(s for s, _, _ in _REGISTRY))
 
 
 def _run_one(entry: tuple[str, str, Callable[[], str]]) -> CheckResult:

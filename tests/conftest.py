@@ -10,11 +10,11 @@ from surfcount import engine
 @pytest.fixture
 def write_cache():
     """Write a cache file of ``body`` headed as this source heads one, with
-    the record count of the body unless told another."""
+    the record count of the body (one colon per record) unless told another."""
 
     def write(path, body, records=None):
         digest = hashlib.sha256(body.encode()).hexdigest()
-        records = body.count("\n") if records is None else records
+        records = body.count(":") if records is None else records
         path.write_text(f"surfcount-cache {engine._fingerprint()} {records} {digest}\n{body}")
 
     return write

@@ -321,7 +321,8 @@ def test_truncated_cache_line_cannot_change_the_output(tmp_path, capsys):
     rc, out, _ = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"
     lines = path.read_text().splitlines()
-    k = next(i for i, ln in enumerate(lines) if ln.startswith("G 1 1 40 "))
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("G 1 1 "))
+    assert lines[k].endswith(f" 28:{5881451896320:x}")  # b = (40,) comes last on its line
     lines[k] = lines[k][:-1]  # the value loses its last digit
     path.write_text("\n".join(lines) + "\n")
     clear_memo()
@@ -332,7 +333,7 @@ def test_truncated_cache_line_cannot_change_the_output(tmp_path, capsys):
 
 def test_malformed_cache_record_is_not_a_usage_error(tmp_path, capsys, write_cache):
     path = tmp_path / "memo.cache"
-    write_cache(path, "G 1 1 40 5881451896320 extra\n")
+    write_cache(path, f"G 1 1 28:{5881451896320:x} extra\n")
     clear_memo()
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"
@@ -362,7 +363,8 @@ def test_ignored_cache_is_rewritten_without_new_records(tmp_path, capsys):
     clear_memo()
     rc, first, _ = run(capsys, *TORUS_40, "--cache", str(path))
     text, stamp = path.read_text(), path.stat()
-    path.write_text(text.replace("G 1 1 40 5881451896320", "G 1 1 40 5881451896321"))
+    assert f" 28:{5881451896320:x}\n" in text  # b = (40,)
+    path.write_text(text.replace(f" 28:{5881451896320:x}\n", f" 28:{5881451896321:x}\n"))
     os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))  # unchanged to os.stat
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))  # the memo holds every key
     assert rc == 0 and out == first and "digest mismatch" in err
@@ -445,13 +447,13 @@ def test_cache_is_a_usage_error_where_the_engine_does_not_run(tmp_path, argv):
 def test_cache_with_a_removed_family_is_ignored_and_rewritten(tmp_path, capsys, write_cache):
     # a cache written while the lattice twin was an engine family of its own
     path = tmp_path / "memo.cache"
-    write_cache(path, "G 1 1 40 5881451896320\nLatticeN 1 1 4 1/4\n")
+    write_cache(path, f"G 1 1 28:{5881451896320:x}\nLatticeN 1 1 4:1/4\n")
     clear_memo()
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"
     assert "ignoring cache" in err and "malformed record on line 3" in err
     text = path.read_text()
-    assert "G 1 1 40 5881451896320\n" in text and "LatticeN" not in text
+    assert f" 28:{5881451896320:x}\n" in text and "LatticeN" not in text
 
 
 BIG_DISC = ("count", "--mode", "G", "--g", "0", "--n", "1", "--b", "16000")

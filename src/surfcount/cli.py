@@ -8,14 +8,15 @@ oracles (``oracle``), and the verification suites (``verify``).
 Conventions: every count is exact; big integers appear in JSON as decimal
 strings, never as native numbers.  Exit codes: 0 success, 1 verification
 failure (a fit that fails certification included), 2 usage error,
-3 unsupported request, 4 I/O error, 5 internal error.  The subcommands
-that run the engine take the optional persistent memo cache,
-``--cache [PATH]``; without an explicit path it falls back to the
-``SURFCOUNT_CACHE`` environment variable.  Cached values never change any
-output: a file written by other source code is ignored, and the file is
-rewritten only when the command added records to the memo.  The file
-writes its integers in hexadecimal, so it holds counts of any size under
-any int/str digit limit; ``main`` lifts that limit for the output alone.
+3 unsupported request, 4 I/O error, 5 internal error (running out of
+memory included).  The subcommands that run the engine take the optional
+persistent memo cache, ``--cache [PATH]``; without an explicit path it
+falls back to the ``SURFCOUNT_CACHE`` environment variable.  Cached values
+never change any output: a file written by other source code is ignored,
+and the file is rewritten only when the command added records to the memo.
+The file writes its integers in hexadecimal, so it holds counts of any
+size under any int/str digit limit; ``main`` lifts that limit for the
+output alone.
 
 Each subcommand imports the modules it runs when it runs: ``count`` and
 ``table`` load ``closed``, ``exact`` and ``engine`` alone, and ``fitlab``,
@@ -135,12 +136,13 @@ def _cmd_count(args) -> int:
 def _cmd_table(args) -> int:
     if args.b_max < 0:
         raise argparse.ArgumentTypeError(f"--b-max must be nonnegative, got {args.b_max}")
-    grid = list(product(range(args.b_max + 1), repeat=args.n))
-    values = [_one_count(args.mode, args.g, args.n, b, args.r, args.t, False) for b in grid]
+    # the first grid point checks the other arguments before any row is written;
+    # rows are then written as they are computed, so memory stays flat on a large grid
+    _one_count(args.mode, args.g, args.n, (0,) * args.n, args.r, args.t, False)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow([f"b{i+1}" for i in range(args.n)] + ["count"])
-    for b, v in zip(grid, values):
-        writer.writerow(list(b) + [v])
+    for b in product(range(args.b_max + 1), repeat=args.n):
+        writer.writerow([*b, _one_count(args.mode, args.g, args.n, b, args.r, args.t, False)])
     return EXIT_OK
 
 
@@ -428,6 +430,9 @@ def _main(argv) -> int:
         return EXIT_IO
     except (RuntimeError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:  # its message is empty, or names no request
+        print("internal error: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
 
 

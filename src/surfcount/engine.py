@@ -1,13 +1,13 @@
 """Memoized exact evaluation of the recursive arc-diagram counts.
 
-The memo is keyed by ``(family, g, n, b)``, with ``b`` sorted decreasingly
-since every count is symmetric in the boundary labels.  Families: ``G``
-(all diagrams), ``N`` (no boundary-parallel arcs), ``Gr`` (all diagrams by
-number r of complementary regions), ``Nt`` (parallel-free diagrams by the
-stable region parameter t = r - (2 - 2g - n) - half the boundary points),
-and ``Gt``, which ``count_G_t`` assembles from ``Nt``.  The lattice-count
-twin is no family of its own: ``count_lattice`` reads the t = 0 grade of
-``Nt`` and divides by the product of the entries.
+The memo holds one table per head ``(family, g, n)``, keyed by ``b``
+sorted decreasingly, since every count is symmetric in the boundary labels.
+Families: ``G`` (all diagrams), ``N`` (no boundary-parallel arcs), ``Gr``
+(all diagrams by number r of complementary regions), ``Nt`` (parallel-free
+diagrams by the stable region parameter t = r - (2 - 2g - n) - half the
+boundary points), and ``Gt``, which ``count_G_t`` assembles from ``Nt``.
+The lattice-count twin is no family of its own: ``count_lattice`` reads
+the t = 0 grade of ``Nt`` and divides by the product of the entries.
 
 Each step removes the arc at the first (maximal) entry: it cuts a handle,
 joins another boundary, or separates the surface (summed over the genus
@@ -56,11 +56,12 @@ Bodies are generators yielding each child key missing from the memo;
 ``_eval`` runs them on an explicit stack, so no input meets Python's
 recursion limit.  Every edge lowers ``(2g + n - 2, sum(b))``
 lexicographically; a key met again on its own stack raises RuntimeError.
+A key ``(family, g, n, b)`` lives only there, while its body runs.
 
 The memo persists in an optional cache file (``save_cache``, ``load_cache``)
 of one line per head ``family g n``, every integer in hexadecimal, which no
-int/str digit limit covers; a loaded line is parsed when a read first asks
-for its head.
+int/str digit limit covers; a loaded line is parsed into its head's table
+when a read first fetches that table.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache, partial
-from itertools import groupby, product, zip_longest
+from itertools import product, zip_longest
 from math import prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -127,39 +128,55 @@ class _Row(list):
     __slots__ = ("ramp", "run")
 
 
+class _Table(dict):
+    """The entries of one head (family, g, n), keyed by b.  A missing b
+    answers with the family's base value, or None when its body has to run;
+    base values are never stored.  ``Gt`` has no family and no base values:
+    ``count_G_t`` reads its tables with ``get``."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, head: tuple):
+        name, g, n = head
+        fam = _FAMILIES.get(name)
+        self.base = fam and partial(fam.base, g, n)
+
+    def __missing__(self, b):
+        return self.base(b)
+
+
 class _Memo(dict):
-    """The memo table.  A missing key answers with its family's base value,
-    or None when its body has to run; base values are never stored.
+    """The memo: one ``_Table`` per head (family, g, n).  A missing head
+    answers with a new table, into which ``take`` first parses the head's
+    pending block, if there is one.
 
     ``rows`` holds the rows that ``_grow`` creates, shape B's with their
     ramps: derived from the entries, never saved, cleared with them.
     ``pending`` holds the blocks of a loaded cache file that no read has
-    asked for yet, by head (family, g, n): the text of the records on the
-    head's line, which ``load_cache`` checked; ``take`` parses one into the
-    table.  ``unparsed`` counts their records."""
+    asked for yet, by head: the text of the records on the head's line,
+    which ``load_cache`` checked.  ``unparsed`` counts their records."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self):
+        super().__init__()
         self.rows = {}  # (family, cut, g, side) -> _Row
         self.pending = {}  # (family, g, n) -> "b:v b:v ..."
         self.unparsed = 0
 
-    def __missing__(self, key):
-        if self.pending and self.take(key[:3]):
-            return self[key]
-        return _FAMILIES[key[0]].base(*key[1:])
+    def __missing__(self, head):
+        table = self[head] = _Table(head)
+        self.take(head)
+        return table
 
     def take(self, head: tuple) -> bool:
-        """Parse the pending block of ``head`` into the table, if there is one."""
+        """Parse the pending block of ``head`` into its table, if there is one."""
         block = self.pending.pop(head, None)
         if block is None:
             return False
         read = _READ[head[0]]
         fields = block.replace(":", " ").split(" ")  # b, v, b, v, ...
         self.unparsed -= len(fields) // 2
-        self.update(
-            ((*head, tuple(map(_int, b.split(",")))), read(v))
-            for b, v in zip(fields[::2], fields[1::2])
+        self[head].update(
+            (tuple(map(_int, b.split(","))), read(v)) for b, v in zip(fields[::2], fields[1::2])
         )
         return True
 
@@ -180,7 +197,7 @@ def clear_memo() -> None:
 
 def memo_size() -> int:
     """The number of entries, the records of a loaded file not yet parsed included."""
-    return len(_MEMO) + _MEMO.unparsed
+    return sum(map(len, _MEMO.values())) + _MEMO.unparsed
 
 
 def _canon(b) -> tuple[int, ...]:
@@ -277,9 +294,9 @@ def _grow(fam: _Family, rkey: tuple, row: _Row | None, stop: int):
     name, cut, g, side = rkey
     p, n = sum(side) % 2, len(side) + 1 + cut
     pants = (g, n) == (0, 3) and fam.pants
-    memo, shape_b = _MEMO, fam.body is _shape_b
+    table, shape_b = None if pants else _MEMO[name, g, n], fam.body is _shape_b
     if row is None:
-        row = memo.rows[rkey] = _Row()
+        row = _MEMO.rows[rkey] = _Row()
         if shape_b:
             row.ramp, row.run = [fam.zero], fam.zero
     for s in range(p + 2 * len(row), p + 2 * stop, 2):
@@ -287,8 +304,8 @@ def _grow(fam: _Family, rkey: tuple, row: _Row | None, stop: int):
         for runs in [(i, s - i) for i in range(s // 2 + 1)] if cut else [(s,)]:
             if pants:
                 v = pants(*runs, *side)
-            elif (v := memo[key := (name, g, n, _canon(runs + side))]) is None:
-                v = yield key
+            elif (v := table[b := _canon(runs + side)]) is None:
+                v = yield name, g, n, b
                 if len(row) != have:
                     raise RuntimeError(f"engine row {rkey} grew while a body was extending it")
             terms.append(v if runs[0] == runs[-1] else 2 * v)
@@ -334,15 +351,14 @@ def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
     under the read of value i reads only values below i of that row, which
     were appended before value i was asked for.  This holds even where a
     disc or annulus piece leaves its other piece the body's own (g, n)."""
-    memo = _MEMO
     b1, rest = b[0], b[1:]
     acc = fam.zero
     if g:  # cut along the arc: the genus drops; runs (i, j) and (j, i) are one key
+        table = _MEMO[name, g - 1, n + 1]
         for i in range(b1 // 2):
             j = b1 - 2 - i
-            key = (name, g - 1, n + 1, _canon((i, j) + rest))
-            if (v := memo[key]) is None:
-                v = yield key
+            if (v := table[pair := _canon((i, j) + rest)]) is None:
+                v = yield name, g - 1, n + 1, pair
             acc += v if i == j else 2 * v
     for idx, bk in enumerate(rest):  # the arc runs to another boundary, leaving b1 + bk - 2 points
         if bk:
@@ -432,8 +448,8 @@ def _body(key):
 def _eval(key):
     """The value of one key: bodies of missing entries run on an explicit
     stack, each resumed with the value of the child it yielded."""
-    _MEMO.take(key[:3])
-    value = _MEMO[key]
+    name, g, n, b = key
+    value = _MEMO[name, g, n][b]
     if value is not None:
         return value
     stack = [(key, _body(key))]
@@ -443,7 +459,8 @@ def _eval(key):
         try:
             child = body.send(value)
         except StopIteration as done:
-            value = _MEMO[key] = done.value
+            name, g, n, b = key
+            value = _MEMO[name, g, n][b] = done.value
             stack.pop()
             active.discard(key)
             continue
@@ -497,10 +514,9 @@ def count_G_t(g: int, n: int, b, t: int) -> int:
         return 0
     if (g, n) == (0, 1):  # every disc diagram has t = 0
         return catalan(b[0] // 2) if t == 0 else 0
-    key = ("Gt", g, n, _canon(b))
-    _MEMO.take(key[:3])
-    if (vec := _MEMO.get(key)) is None:
-        vec = _MEMO[key] = sum((w * _eval(("Nt", g, n, a)) for a, w in _collars(b).items()), _Grades())
+    table, b = _MEMO["Gt", g, n], _canon(b)
+    if (vec := table.get(b)) is None:
+        vec = table[b] = sum((w * _eval(("Nt", g, n, a)) for a, w in _collars(b).items()), _Grades())
     return vec.coeff(t)
 
 
@@ -619,36 +635,39 @@ def _blocks(text: str) -> dict:
 
 
 def save_cache(path: str) -> int:
-    """Write the memo table to a cache file, replacing it atomically: the
-    header ``surfcount-cache <fingerprint> <records> <sha256 of body>``
-    names the source that computed the values, and the body holds one line
-    per head ``family g n``, its records in ascending entries, every integer
-    in hexadecimal (``_hex``).  Lines of a loaded file that no read asked
-    for are parsed first.  Returns the number of records written."""
+    """Write the memo to a cache file, replacing it atomically: the header
+    ``surfcount-cache <fingerprint> <records> <sha256 of body>`` names the
+    source that computed the values, and the body holds one line per table
+    that holds records, in ascending head ``family g n``, its records in
+    ascending entries, every integer in hexadecimal (``_hex``).  Lines of a
+    loaded file that no read asked for are parsed first.  Returns the number
+    of records written."""
     _MEMO.take_all()
     body = "".join(
-        f"{name} {g:x} {n:x} {' '.join(f'{_hex(b)}:{_hex(v)}' for (*_, b), v in records)}\n"
-        for (name, g, n), records in groupby(sorted(_MEMO.items()), key=lambda item: item[0][:3])
+        f"{name} {g:x} {n:x} {' '.join(f'{_hex(b)}:{_hex(v)}' for b, v in sorted(table.items()))}\n"
+        for (name, g, n), table in sorted(_MEMO.items())
+        if table
     )
-    digest = sha256(body.encode("ascii")).hexdigest()
+    digest, records = sha256(body.encode("ascii")).hexdigest(), memo_size()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(f"surfcount-cache {_fingerprint()} {len(_MEMO)} {digest}\n{body}")
+            fh.write(f"surfcount-cache {_fingerprint()} {records} {digest}\n{body}")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    return len(_MEMO)
+    return records
 
 
 def load_cache(path: str) -> int:
-    """Load a cache file into the memo table; a missing file loads nothing.
+    """Load a cache file into the memo; a missing file loads nothing.
     A file written by other source code (another fingerprint, or a header of
     another format), or with a wrong digest, record count or line, is
     ignored as a whole with a warning on stderr.  Every line is checked
     here, but the records of a line, which share one ``family g n`` head,
-    are parsed only when a read first asks for that head (``_Memo.take``).
+    are parsed into that head's table only when a read first fetches it
+    (``_Memo.take``).
     Returns the number of records loaded: ``memo_size()`` counts them all
     from here on, so a memo of that size holds exactly the file's records."""
     try:
@@ -675,6 +694,8 @@ def load_cache(path: str) -> int:
     merge = bool(_MEMO or _MEMO.pending)
     _MEMO.take_all()  # an earlier file's blocks
     _MEMO.pending, _MEMO.unparsed = blocks, records
-    if merge:  # a key may now be held twice: parse every block, so that each counts once
+    # a table that exists never parses its block, and a key may now be held
+    # twice: parse every block, so that each is in its table and counts once
+    if merge:
         _MEMO.take_all()
     return records

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -9,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfcount import cli, engine, fitlab
 from surfcount.cli import main
@@ -481,15 +484,24 @@ def test_counts_of_any_size_are_printed(capsys, extra):
         assert rc_json == 0 and int(json.loads(out_json)["count"]) == want
 
 
+class _CacheOnlyTable(engine._Table):
+    __slots__ = ()
+
+    def __missing__(self, b):
+        raise RuntimeError(f"{b} did not come from the cache")
+
+
 class _CacheOnlyMemo(engine._Memo):
-    def __missing__(self, key):
-        raise RuntimeError(f"{key} did not come from the cache")
+    def __missing__(self, head):
+        table = self[head] = _CacheOnlyTable(head)
+        self.take(head)
+        return table
 
 
 def test_counts_of_any_size_round_trip_through_the_cache(tmp_path, capsys, monkeypatch):
     path = tmp_path / "memo.cache"
     memo = engine._Memo()
-    memo[("G", 0, 1, (16000,))] = catalan(8000)  # too slow to recompute here
+    memo["G", 0, 1][16000,] = catalan(8000)  # too slow to recompute here
     monkeypatch.setattr(engine, "_MEMO", memo)
     rc, first, _ = run(capsys, *BIG_DISC, "--cache", str(path))
     with _digit_limit(0):  # the test's own reading of a big count
@@ -604,3 +616,94 @@ def test_an_unknown_public_name_is_an_attribute_error():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         surfcount.no_such_name
+
+
+@pytest.mark.parametrize(
+    "argv, rc, err",
+    [
+        (("oracle", "--arrows", "14"), 5, "internal error: out of memory\n"),
+        # refused before the 9^6-point grid is built
+        (("table", "--mode", "N", "--g", "0", "--n", "6", "--b-max", "9", "--r", "1"), 3,
+         "unsupported: parallel-free counts are refined by t, not by r\n"),
+    ],
+    ids=["oracle-out-of-memory", "table-refused-first"],
+)
+def test_a_capped_address_space_ends_in_one_stderr_line(argv, rc, err):
+    resource = pytest.importorskip("resource")
+    cap = 400_000 * 1024  # ulimit -v 400000
+
+    def limit():  # runs in the child alone
+        resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "surfcount.cli", *argv], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, "", err)
+
+
+_INT = st.integers(-2, 6).map(str)
+
+
+_HYPERBOLIC = [(0, 3), (1, 1), (0, 4), (1, 2)]  # 2g - 2 + n = 1 or 2
+_FITTED = [(g, n) for g in range(-2, 3) for n in range(-2, 4) if 2 * g - 2 + n <= 2]
+
+
+@st.composite
+def _command_lines(draw):
+    """A small command line for one of the subcommands that compute: integers
+    from -2 to 6 (g from -2 to 2, n from -2 to 3), and 2g - 2 + n <= 2 for
+    fit and psi, so that each call stays cheap."""
+    command = draw(st.sampled_from(("count", "table", "sums", "oracle", "series", "fit", "psi")))
+    g, n = draw(st.integers(-2, 2)), draw(st.integers(-2, 3))
+    if command in ("fit", "psi"):
+        g, n = draw(st.sampled_from(_HYPERBOLIC) | st.sampled_from(_FITTED))
+    surface = ["--g", str(g), "--n", str(n)]
+
+    def entries(size):  # a comma list, often of the length the surface wants
+        size = size if size > 0 and draw(st.booleans()) else draw(st.integers(1, 4))
+        return ",".join(draw(st.lists(_INT, min_size=size, max_size=size)))
+
+    def maybe(option, value=lambda: draw(_INT)):
+        return [option, value()] if draw(st.booleans()) else []
+
+    refined = draw(st.sampled_from([[], ["--r"], ["--t"]]))
+    refined += [draw(_INT)] if refined else []
+    if command == "count":
+        argv = ["--mode", draw(st.sampled_from("GN")), *surface, "--b", entries(n), *refined]
+        argv += draw(st.sampled_from([[], ["--closed-only"], ["--json"]]))
+    elif command == "table":
+        argv = ["--mode", draw(st.sampled_from("GN")), *surface, "--b-max", draw(_INT), *refined]
+    elif command == "sums":
+        family = draw(st.sampled_from(("A", "S", "B", "B0", "B1", "R", "R0", "R1")))
+        argv = ["--family", family, "--m", draw(_INT), *maybe("--n"), *maybe("--k-max")]
+    elif command == "oracle":
+        argv = [*maybe("--disc"), *maybe("--pants", lambda: entries(3)), *maybe("--arrows")]
+        argv += draw(st.sampled_from([[], ["--list"]]))
+    elif command == "series":
+        which = draw(st.sampled_from(("fN", "fG", "frakf", "fG01", "nope")))
+        argv = ["--which", which, *draw(st.sampled_from([[], surface])), "--order", draw(_INT)]
+        argv += maybe("--t") + maybe("--alpha-bound")
+    elif command == "fit":
+        argv = ["--mode", draw(st.sampled_from(("nhat", "nhat-t", "gpoly"))), *surface]
+        argv += maybe("--t") + maybe("--k")
+        argv += maybe("--parity", lambda: ",".join(draw(st.lists(st.sampled_from("eoz"), min_size=1, max_size=4))))
+        argv += draw(st.sampled_from([[], ["--json"]]))
+    else:  # psi
+        argv = surface
+    return [command, *argv]
+
+
+@given(_command_lines())
+@settings(max_examples=200, deadline=None)
+def test_every_command_line_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            rc = exc.code
+            assert rc == 2, argv
+        else:
+            assert rc in range(6), argv
+            assert (len(err.getvalue().splitlines()) == 1) == (rc != 0), (argv, err.getvalue())

@@ -449,17 +449,28 @@ def test_engine_sweep_is_frozen():
     assert digest == "213c3c0f2bbc969c817adfe9924b70b65b25e8b8ff1ec150dbda3132f640c7a9"
 
 
+class _CountingTable(engine._Table):
+    """A table that counts its reads on its memo."""
+
+    __slots__ = ("memo",)
+
+    def __getitem__(self, b):
+        self.memo.reads += 1
+        return super().__getitem__(b)
+
+
 class _CountingMemo(engine._Memo):
-    """A memo that counts its reads and records the keys read."""
+    """A memo whose tables count their reads."""
 
     def __init__(self):
         super().__init__()
-        self.reads, self.read = 0, set()
+        self.reads = 0
 
-    def __getitem__(self, key):
-        self.reads += 1
-        self.read.add(key)
-        return super().__getitem__(key)
+    def __missing__(self, head):
+        table = self[head] = _CountingTable(head)
+        table.memo = self
+        self.take(head)
+        return table
 
 
 @pytest.mark.parametrize(
@@ -489,7 +500,33 @@ def test_cold_memo_reads_are_pinned(monkeypatch, fn, args, reads, entries):
     memo = _CountingMemo()
     monkeypatch.setattr(engine, "_MEMO", memo)
     fn(*args)
-    assert (memo.reads, len(memo)) == (reads, entries)
+    assert (memo.reads, memo_size()) == (reads, entries)
+
+
+def _mixed_cold_ops():
+    """A cold mixed op list over every family: G, N, Gr, Nt and Gt."""
+    clear_memo()
+    count_N(2, 1, (16,))
+    count_N_t(1, 3, (8, 3, 1), 1)
+    count_G_r(1, 2, (6, 4), 3)
+    count_G_t(1, 2, (8, 6), 1)
+    count_G(1, 3, (6, 4, 2))
+
+
+def test_the_memo_holds_one_table_per_head_keyed_by_sorted_entries():
+    try:
+        _mixed_cold_ops()
+        tables = dict(engine._MEMO)
+    finally:
+        clear_memo()
+    assert {name for name, _, _ in tables} == {"G", "N", "Gr", "Nt", "Gt"}
+    for head, table in tables.items():
+        name, g, n = head
+        assert isinstance(head, tuple) and len(head) == 3 and isinstance(table, engine._Table)
+        assert all(type(b) is tuple and len(b) == n and list(b) == sorted(b, reverse=True) for b in table)
+        if name != "Gt":  # no base value is stored, so no pants key either
+            assert all(engine._FAMILIES[name].base(g, n, b) is None for b in table)
+    assert not any(tables.get((name, 0, 3)) for name in ("N", "Nt"))
 
 
 # shape-B keys met by every row kind: cuts (g >= 1), joins onto zero and
@@ -627,7 +664,7 @@ def test_pants_rows_compute_each_value_once(monkeypatch):
         rows = {
             key: row for key, row in engine._MEMO.rows.items() if (key[2], len(key[3]) + 1 + key[1]) == (0, 3)
         }
-        assert not any((key[1], key[2]) == (0, 3) for key in engine._MEMO)  # no pants key is stored
+        assert not any(table for (_, g, n), table in engine._MEMO.items() if (g, n) == (0, 3))  # no pants key
     finally:
         clear_memo()
     # one call per kept value of a pants value row; a pants cut row's value
@@ -743,6 +780,19 @@ def test_a_loaded_cache_parses_a_block_when_a_read_first_asks_for_its_head(tmp_p
         clear_memo()
 
 
+def test_a_saved_body_is_frozen(tmp_path):
+    # recorded from the flat memo keyed by (family, g, n, b); the header's
+    # fingerprint changes with any source edit, so only the body is hashed
+    path = tmp_path / "memo.cache"
+    try:
+        _mixed_cold_ops()
+        assert save_cache(str(path)) == 183
+    finally:
+        clear_memo()
+    body = path.read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == "f90a7e5f59ff93346fad5e15d5e91b9ee127bf1a49873fc3a83932cd4bc4f2aa"
+
+
 def test_a_save_right_after_a_load_writes_the_same_bytes(tmp_path):
     path, again = str(tmp_path / "memo.cache"), str(tmp_path / "again.cache")
     clear_memo()
@@ -781,7 +831,7 @@ def test_a_count_past_the_digit_limit_round_trips_through_the_cache(tmp_path, de
     want = catalan(8000)  # 4,811 digits
     clear_memo()
     try:
-        engine._MEMO[("G", 0, 1, (16000,))] = want  # too slow to recompute here
+        engine._MEMO["G", 0, 1][16000,] = want  # too slow to recompute here
         assert save_cache(path) == 1
         clear_memo()
         assert load_cache(path) == 1
@@ -805,8 +855,8 @@ def test_a_load_over_pending_blocks_counts_each_key_once(tmp_path, write_cache,
         assert load_cache(str(big)) == written + 1 == memo_size()
         # the earlier blocks parse, then merge
         assert load_cache(str(small)) == written
-        assert not engine._MEMO.pending and memo_size() == len(engine._MEMO) == written + 1
-        assert engine._MEMO[("G", 0, 1, (16000,))] == catalan(8000)
+        assert not engine._MEMO.pending and memo_size() == sum(map(len, engine._MEMO.values())) == written + 1
+        assert engine._MEMO["G", 0, 1][16000,] == catalan(8000)
     finally:
         clear_memo()
 

@@ -10,13 +10,13 @@ strings, never as native numbers.  Exit codes: 0 success, 1 verification
 failure (a fit that fails certification included), 2 usage error,
 3 unsupported request, 4 I/O error, 5 internal error (running out of
 memory included).  The subcommands that run the engine take the optional
-persistent memo cache, ``--cache [PATH]``; without an explicit path it
-falls back to the ``SURFCOUNT_CACHE`` environment variable.  Cached values
-never change any output: a file written by other source code is ignored,
-and the file is rewritten only when the command added records to the memo.
-The file writes its integers in hexadecimal, so it holds counts of any
-size under any int/str digit limit; ``main`` lifts that limit for the
-output alone.
+persistent memo cache, ``--cache [PATH]``, a directory of one file per
+``family g n`` head, or else ``$SURFCOUNT_CACHE``.  Cached values never
+change any output: a file written by other source code is ignored, and a
+successful command rewrites the files of the heads that gained records (or
+whose file was ignored).  The files write their integers in hexadecimal, so
+they hold counts of any size under any int/str digit limit; ``main`` lifts
+that limit for the output alone.
 
 Each subcommand imports the modules it runs when it runs: ``count`` and
 ``table`` load ``closed``, ``exact`` and ``engine`` alone, and ``fitlab``,
@@ -40,8 +40,8 @@ from .engine import (
     count_G_t,
     count_N,
     count_N_t,
+    detach_cache,
     load_cache,
-    memo_size,
     save_cache,
 )
 from .exact import EVEN, ODD, ZERO, FitInvalid, frac_str
@@ -407,10 +407,9 @@ def _main(argv) -> int:
             return EXIT_USAGE
     try:
         if cache_path:
-            loaded = load_cache(cache_path)
+            load_cache(cache_path)
         rc = args.fn(args)
-        # the memo holds every loaded record: the same size means the same records
-        if cache_path and rc == EXIT_OK and memo_size() != loaded:
+        if cache_path and rc == EXIT_OK:
             save_cache(cache_path)
         return rc
     except argparse.ArgumentTypeError as exc:
@@ -434,6 +433,9 @@ def _main(argv) -> int:
     except MemoryError:  # its message is empty, or names no request
         print("internal error: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:  # a later call in this process reads no cache files
+        if cache_path:
+            detach_cache()
 
 
 if __name__ == "__main__":

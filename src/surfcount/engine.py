@@ -58,10 +58,10 @@ recursion limit.  Every edge lowers ``(2g + n - 2, sum(b))``
 lexicographically; a key met again on its own stack raises RuntimeError.
 A key ``(family, g, n, b)`` lives only there, while its body runs.
 
-The memo persists in an optional cache file (``save_cache``, ``load_cache``)
-of one line per head ``family g n``, every integer in hexadecimal, which no
-int/str digit limit covers; a loaded line is parsed into its head's table
-when a read first fetches that table.
+The memo persists in an optional cache directory of one file per head
+``family g n``, every integer in hexadecimal, which no int/str digit limit
+covers: a table reads its head's file when a read first fetches it
+(``load_cache``), and ``save_cache`` rewrites the files of tables that grew.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ class _Table(dict):
     """The entries of one head (family, g, n), keyed by b.  A missing b
     answers with the family's base value, or None when its body has to run;
     base values are never stored.  ``Gt`` has no family and no base values:
-    ``count_G_t`` reads its tables with ``get``."""
+    ``count_G_t`` reads its tables with ``get``.  ``held``: see ``_Memo.read``."""
 
-    __slots__ = ("base",)
+    __slots__ = ("base", "held")
 
     def __init__(self, head: tuple):
         name, g, n = head
@@ -147,57 +147,50 @@ class _Table(dict):
 
 class _Memo(dict):
     """The memo: one ``_Table`` per head (family, g, n).  A missing head
-    answers with a new table, into which ``take`` first parses the head's
-    pending block, if there is one.
-
-    ``rows`` holds the rows that ``_grow`` creates, shape B's with their
-    ramps: derived from the entries, never saved, cleared with them.
-    ``pending`` holds the blocks of a loaded cache file that no read has
-    asked for yet, by head: the text of the records on the head's line,
-    which ``load_cache`` checked.  ``unparsed`` counts their records."""
+    answers with a new table, which first reads the head's file in the
+    attached cache directory ``cache``, if any.  ``rows`` holds the rows that
+    ``_grow`` creates, shape B's with their ramps: never saved, cleared with
+    the entries they derive from."""
 
     def __init__(self):
         super().__init__()
         self.rows = {}  # (family, cut, g, side) -> _Row
-        self.pending = {}  # (family, g, n) -> "b:v b:v ..."
-        self.unparsed = 0
+        self.cache = None
 
     def __missing__(self, head):
-        table = self[head] = _Table(head)
-        self.take(head)
+        self.read(head, table := _Table(head))  # stored only once its file is read
+        self[head] = table
         return table
 
-    def take(self, head: tuple) -> bool:
-        """Parse the pending block of ``head`` into its table, if there is one."""
-        block = self.pending.pop(head, None)
-        if block is None:
-            return False
-        read = _READ[head[0]]
-        fields = block.replace(":", " ").split(" ")  # b, v, b, v, ...
-        self.unparsed -= len(fields) // 2
-        self[head].update(
-            (tuple(map(_int, b.split(","))), read(v)) for b, v in zip(fields[::2], fields[1::2])
-        )
-        return True
-
-    def take_all(self) -> None:
-        for head in list(self.pending):
-            self.take(head)
+    def read(self, head: tuple, table: _Table) -> int:
+        """Read the file of ``head`` in the attached directory into ``table``:
+        ``held`` is its record count (returned), or -1 if refused (warned)."""
+        table.held = 0
+        if self.cache is not None:
+            path = os.path.join(self.cache, "%s-%x-%x" % head)
+            try:
+                with open(path, "rb") as fh:
+                    table.update(records := _records(head, fh.read()))
+                table.held = len(records)
+            except FileNotFoundError:
+                pass
+            except ValueError as exc:  # UnicodeDecodeError is a ValueError
+                print(f"warning: ignoring cache {path!r} ({exc})", file=sys.stderr)
+                table.held = -1
+        return max(table.held, 0)
 
 
 _MEMO = _Memo()
 
 
-def clear_memo() -> None:
+def clear_memo() -> None:  # detaching the cache directory too
     _MEMO.clear()
     _MEMO.rows.clear()
-    _MEMO.pending.clear()
-    _MEMO.unparsed = 0
+    detach_cache()
 
 
 def memo_size() -> int:
-    """The number of entries, the records of a loaded file not yet parsed included."""
-    return sum(map(len, _MEMO.values())) + _MEMO.unparsed
+    return sum(map(len, _MEMO.values()))
 
 
 def _canon(b) -> tuple[int, ...]:
@@ -595,12 +588,10 @@ def _hex(x) -> str:
     return format(x, "x") if isinstance(x, int) else ",".join(map(_hex, x)) or "-"
 
 
-# The body holds one line per head "family g n", "Gr 1 2 4,2:0,3,1 6,0:1,2\n":
-# each record the entries and value of one key, every integer in lowercase
-# hexadecimal with no leading zeros.  The patterns compile on first use, so
-# that a process loading no cache file never compiles them.
+# The file "family-g-n" of a head: a header, then one line of records (the
+# entries and value of a key each, "4,2:0,3,1 6,0:1,2" in Gr), every integer
+# lowercase hexadecimal without leading zeros.  Patterns compile on first use.
 _UINT, _SINT = "(?:0|[1-9a-f][0-9a-f]*)", "(?:0|-?[1-9a-f][0-9a-f]*)"
-_HEAD = rf"({'|'.join(_READ)}) (0|[1-9a-f][0-9a-f]{{0,7}}) ([1-9a-f][0-9a-f]{{0,7}}) "
 
 
 @cache
@@ -612,90 +603,61 @@ def _record_form(scalar: bool, n: int) -> re.Pattern:
     return re.compile(rf"{_UINT}(?:,{_UINT}){{{n - 1}}}:{v}(?: (?=.)|\Z)")
 
 
-def _blocks(text: str) -> dict:
-    """The body of a cache file as its blocks, the text of each line's
-    records, by head (family, g, n).  Every line is checked at C speed
-    against the form ``save_cache`` writes: deleting every record from a
-    line of records one space apart leaves nothing.  Each record is a
-    match of its own, so a long line does not grow the regex engine's
-    backtracking stack.  ValueError names the first line that breaks the
-    form or repeats the head of an earlier line."""
-    blocks, pos, heads = {}, 0, re.compile(_HEAD)
-    while pos < len(text):
-        end = text.find("\n", pos)
-        if head := end >= 0 and heads.match(text, pos, end):
-            key = (head[1], _int(head[2]), _int(head[3]))
-            line = text[head.end() : end]
-        form = head and line and key not in blocks and _record_form(_READ[key[0]] is _int, key[2])
-        if not form or form.sub("", line):
-            raise ValueError(f"malformed record on line {text.count(chr(10), 0, pos) + 2}")
-        blocks[key] = line
-        pos = end + 1
-    return blocks
+def _records(head: tuple, data: bytes) -> dict:
+    """The records of the file ``data`` of ``head``, by entries: its header
+    ``surfcount-cache <fingerprint> <sha256 of body>`` names this source and
+    the body, and deleting every record (a match each, so no backtracking
+    stack grows) from its line leaves nothing.  ValueError names the fault."""
+    header, _, body = data.partition(b"\n")
+    fields = header.decode("ascii").split(" ")
+    if len(fields) != 3 or fields[0] != "surfcount-cache":
+        raise ValueError("unknown version")
+    if fields[1] != _fingerprint():
+        raise ValueError("written by other source code")
+    if sha256(body).hexdigest() != fields[2]:
+        raise ValueError("digest mismatch")
+    line, read = body.decode("ascii"), _READ[head[0]]
+    if line[-1:] != "\n" or _record_form(read is _int, head[2]).sub("", line[:-1]):
+        raise ValueError("malformed record")
+    fields = line[:-1].replace(":", " ").split(" ")  # b, v, b, v, ...
+    return {tuple(map(_int, b.split(","))): read(v) for b, v in zip(fields[::2], fields[1::2])}
 
 
 def save_cache(path: str) -> int:
-    """Write the memo to a cache file, replacing it atomically: the header
-    ``surfcount-cache <fingerprint> <records> <sha256 of body>`` names the
-    source that computed the values, and the body holds one line per table
-    that holds records, in ascending head ``family g n``, its records in
-    ascending entries, every integer in hexadecimal (``_hex``).  Lines of a
-    loaded file that no read asked for are parsed first.  Returns the number
-    of records written."""
-    _MEMO.take_all()
-    body = "".join(
-        f"{name} {g:x} {n:x} {' '.join(f'{_hex(b)}:{_hex(v)}' for b, v in sorted(table.items()))}\n"
-        for (name, g, n), table in sorted(_MEMO.items())
-        if table
-    )
-    digest, records = sha256(body.encode("ascii")).hexdigest(), memo_size()
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(f"surfcount-cache {_fingerprint()} {records} {digest}\n{body}")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-    return records
+    """Write into the cache directory ``path`` (made if missing, not its
+    parents) the file of each table that holds more records than its file
+    there held (``_Memo.read``), each replaced atomically; if ``path`` is not
+    the attached directory, of each table that holds records.  Returns the
+    number of records written."""
+    attached = path == _MEMO.cache
+    grown = [(head, t) for head, t in _MEMO.items() if len(t) > (t.held if attached else 0)]
+    if grown and not os.path.isdir(path):
+        os.mkdir(path)
+    for head, table in grown:
+        body = " ".join(f"{_hex(b)}:{_hex(v)}" for b, v in sorted(table.items())) + "\n"
+        file = os.path.join(path, "%s-%x-%x" % head)
+        tmp, digest = f"{file}.{os.getpid()}.tmp", sha256(body.encode("ascii")).hexdigest()
+        try:
+            with open(tmp, "w", encoding="ascii") as fh:
+                fh.write(f"surfcount-cache {_fingerprint()} {digest}\n{body}")
+            os.replace(tmp, file)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        if attached:
+            table.held = len(table)
+    return sum(len(table) for _, table in grown)
 
 
 def load_cache(path: str) -> int:
-    """Load a cache file into the memo; a missing file loads nothing.
-    A file written by other source code (another fingerprint, or a header of
-    another format), or with a wrong digest, record count or line, is
-    ignored as a whole with a warning on stderr.  Every line is checked
-    here, but the records of a line, which share one ``family g n`` head,
-    are parsed into that head's table only when a read first fetches it
-    (``_Memo.take``).
-    Returns the number of records loaded: ``memo_size()`` counts them all
-    from here on, so a memo of that size holds exactly the file's records."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        return 0
-    try:
-        header, _, body = data.partition(b"\n")
-        fields = header.decode("ascii").split(" ")
-        if len(fields) != 4 or fields[0] != "surfcount-cache":
-            raise ValueError("unknown version")
-        if fields[1] != _fingerprint():
-            raise ValueError("written by other source code")
-        if sha256(body).hexdigest() != fields[3]:
-            raise ValueError("digest mismatch")
-        text, records = body.decode("ascii"), int(fields[2])
-        if text.count(":") != records:  # one colon per record
-            raise ValueError("record count mismatch")
-        blocks = _blocks(text)
-    except ValueError as exc:  # UnicodeDecodeError is a ValueError
-        print(f"warning: ignoring cache {path!r} ({exc})", file=sys.stderr)
-        return 0
-    merge = bool(_MEMO or _MEMO.pending)
-    _MEMO.take_all()  # an earlier file's blocks
-    _MEMO.pending, _MEMO.unparsed = blocks, records
-    # a table that exists never parses its block, and a key may now be held
-    # twice: parse every block, so that each is in its table and counts once
-    if merge:
-        _MEMO.take_all()
-    return records
+    """Attach the cache directory ``path`` (``detach_cache`` undoes it): a
+    table reads its head's file when a read first fetches it, and the tables
+    the memo holds read theirs now.  A missing file holds no records, and a
+    refused one (``_records``) none either.  Returns the number read now."""
+    _MEMO.cache = path
+    return sum(_MEMO.read(head, table) for head, table in _MEMO.items())
+
+
+def detach_cache() -> None:
+    """Detach the cache directory: from here on no table reads a file."""
+    _MEMO.cache = None

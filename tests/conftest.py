@@ -9,12 +9,15 @@ from surfcount import engine
 
 @pytest.fixture
 def write_cache():
-    """Write a cache file of ``body`` headed as this source heads one, with
-    the record count of the body (one colon per record) unless told another."""
+    """Write into the cache directory ``path`` the file of one head, given as
+    ``family g n body`` (g and n in hexadecimal), headed as this source heads
+    one.  The body is written as it is, newlines included."""
 
-    def write(path, body, records=None):
+    def write(path, line):
+        name, g, n, body = line.split(" ", 3)
+        path.mkdir(exist_ok=True)
         digest = hashlib.sha256(body.encode()).hexdigest()
-        records = body.count(":") if records is None else records
-        path.write_text(f"surfcount-cache {engine._fingerprint()} {records} {digest}\n{body}")
+        text = f"surfcount-cache {engine._fingerprint()} {digest}\n{body}"
+        (path / f"{name}-{g}-{n}").write_bytes(text.encode())
 
     return write

@@ -280,25 +280,25 @@ def test_verify_rejects_threads(capsys):
 
 
 def test_cache_flag(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "memo.cache"
+    path = tmp_path / "cache"
     rc, out, _ = run(
         capsys, "count", "--mode", "G", "--g", "1", "--n", "2", "--b", "4,2",
         "--cache", str(path),
     )
     assert rc == 0
     first = out
-    assert path.exists()
+    assert (path / "G-1-2").exists()
     rc, out, _ = run(
         capsys, "count", "--mode", "G", "--g", "1", "--n", "2", "--b", "4,2",
         "--cache", str(path),
     )
     assert out == first
     # env fallback
-    monkeypatch.setenv("SURFCOUNT_CACHE", str(tmp_path / "env.cache"))
+    monkeypatch.setenv("SURFCOUNT_CACHE", str(tmp_path / "env"))
     rc, out, _ = run(
         capsys, "count", "--mode", "G", "--g", "0", "--n", "1", "--b", "6", "--cache"
     )
-    assert rc == 0 and out.strip() == "5"
+    assert rc == 0 and out.strip() == "5" and (tmp_path / "env" / "G-0-1").exists()
     # no path anywhere is a usage error
     monkeypatch.delenv("SURFCOUNT_CACHE")
     rc, _, err = run(
@@ -307,8 +307,11 @@ def test_cache_flag(tmp_path, capsys, monkeypatch):
     assert rc == 2
 
 
+TORUS_40 = ("count", "--mode", "G", "--g", "1", "--n", "1", "--b", "40")
+
+
 def test_cache_io_error(tmp_path, capsys):
-    bad = tmp_path / "nodir" / "x.cache"
+    bad = tmp_path / "nodir" / "cache"  # a save makes the directory, not its parents
     rc, _, err = run(
         capsys, "count", "--mode", "G", "--g", "0", "--n", "1", "--b", "2",
         "--cache", str(bad),
@@ -316,18 +319,50 @@ def test_cache_io_error(tmp_path, capsys):
     assert rc == 4 and "i/o" in err
 
 
-TORUS_40 = ("count", "--mode", "G", "--g", "1", "--n", "1", "--b", "40")
+def test_an_old_single_file_cache_is_an_io_error(tmp_path, capsys):
+    path = tmp_path / "memo.cache"
+    path.write_text("surfcount-cache 0 1 0\nG 1 1 28:1\n")  # the single-file layout
+    clear_memo()
+    rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
+    assert (rc, out) == (4, "") and err.count("\n") == 1
+    assert err.startswith("i/o error:") and "Not a directory" in err and "G-1-1" in err
+
+
+def test_a_later_call_without_the_cache_reads_no_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cache"
+    monkeypatch.setattr(engine, "_MEMO", engine._Memo())
+    assert run(capsys, "count", "--mode", "G", "--g", "0", "--n", "1", "--b", "4", "--cache", str(path))[0] == 0
+    shutil.rmtree(path)
+    path.write_text("")  # a directory still attached would now fail every read
+    rc, out, err = run(capsys, "count", "--mode", "N", "--g", "1", "--n", "1", "--b", "4")
+    assert (rc, out, err) == (0, "3\n", "")
+    assert engine._MEMO.cache is None
+
+
+def test_a_warm_count_reads_only_its_own_heads_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cache"
+    clear_memo()
+    rc, first, _ = run(capsys, *TORUS_40, "--cache", str(path))
+    assert rc == 0 and len(os.listdir(path)) > 1
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        opened.append(os.path.relpath(file, path))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "open", spy, raising=False)
+    clear_memo()  # as in a fresh process
+    assert run(capsys, *TORUS_40, "--cache", str(path)) == (0, first, "")
+    assert opened == ["G-1-1"]
 
 
 def test_truncated_cache_line_cannot_change_the_output(tmp_path, capsys):
-    path = tmp_path / "memo.cache"
+    path = tmp_path / "cache"
     rc, out, _ = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"
-    lines = path.read_text().splitlines()
-    k = next(i for i, ln in enumerate(lines) if ln.startswith("G 1 1 "))
-    assert lines[k].endswith(f" 28:{5881451896320:x}")  # b = (40,) comes last on its line
-    lines[k] = lines[k][:-1]  # the value loses its last digit
-    path.write_text("\n".join(lines) + "\n")
+    text = (path / "G-1-1").read_text()
+    assert text.endswith(f" 28:{5881451896320:x}\n")  # b = (40,) comes last on its line
+    (path / "G-1-1").write_text(text[:-2] + "\n")  # the value loses its last digit
     clear_memo()
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"
@@ -335,7 +370,7 @@ def test_truncated_cache_line_cannot_change_the_output(tmp_path, capsys):
 
 
 def test_malformed_cache_record_is_not_a_usage_error(tmp_path, capsys, write_cache):
-    path = tmp_path / "memo.cache"
+    path = tmp_path / "cache"
     write_cache(path, f"G 1 1 28:{5881451896320:x} extra\n")
     clear_memo()
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
@@ -343,57 +378,65 @@ def test_malformed_cache_record_is_not_a_usage_error(tmp_path, capsys, write_cac
     assert "malformed record" in err
 
 
+def _stats(path) -> dict:
+    return {f: (s.st_ino, s.st_mtime_ns) for f in os.listdir(path) for s in [os.stat(path / f)]}
+
+
 def test_unchanged_cache_is_not_rewritten(tmp_path, capsys):
-    path = tmp_path / "memo.cache"
+    path = tmp_path / "cache"
     clear_memo()
     rc, first, _ = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0
-    before, text = path.stat(), path.read_bytes()
+    before, text = _stats(path), (path / "G-1-1").read_text()
     clear_memo()  # as in a fresh process
     rc, out, _ = run(capsys, *TORUS_40, "--cache", str(path))
-    after = path.stat()
     assert rc == 0 and out == first
-    assert path.read_bytes() == text
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert _stats(path) == before and (path / "G-1-1").read_text() == text
     rc, out, _ = run(capsys, "count", "--mode", "G", "--g", "1", "--n", "1", "--b", "42",
                      "--cache", str(path))
-    assert rc == 0 and path.stat().st_ino != after.st_ino
-    assert int(path.read_text().split(" ", 3)[2]) > int(text.split(b" ", 3)[2])
+    assert rc == 0 and _stats(path)["G-1-1"] != before["G-1-1"]
+    assert (path / "G-1-1").read_text().count(":") == text.count(":") + 1
 
 
 def test_ignored_cache_is_rewritten_without_new_records(tmp_path, capsys):
-    path = tmp_path / "memo.cache"
+    path = tmp_path / "cache"
     clear_memo()
     rc, first, _ = run(capsys, *TORUS_40, "--cache", str(path))
-    text, stamp = path.read_text(), path.stat()
-    assert f" 28:{5881451896320:x}\n" in text  # b = (40,)
-    path.write_text(text.replace(f" 28:{5881451896320:x}\n", f" 28:{5881451896321:x}\n"))
-    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))  # unchanged to os.stat
+    file = path / "G-1-1"
+    text, stamp = file.read_text(), file.stat()
+    assert text.endswith(f" 28:{5881451896320:x}\n")  # b = (40,)
+    file.write_text(text.replace(f" 28:{5881451896320:x}\n", f" 28:{5881451896321:x}\n"))
+    os.utime(file, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))  # unchanged to os.stat
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))  # the memo holds every key
     assert rc == 0 and out == first and "digest mismatch" in err
-    assert path.read_text() == text
+    assert file.read_text() == text
 
 
 def test_cache_grown_by_another_process_keeps_its_records(tmp_path, capsys, monkeypatch):
-    path, grown = tmp_path / "memo.cache", tmp_path / "grown.cache"
+    path, grown = tmp_path / "cache", tmp_path / "grown"
     clear_memo()
     assert run(capsys, *TORUS_40, "--cache", str(grown))[0] == 0
     assert run(capsys, "count", "--mode", "N", "--g", "1", "--n", "1", "--b", "20",
                "--cache", str(grown))[0] == 0
     clear_memo()
-    assert run(capsys, *TORUS_40, "--cache", str(path))[0] == 0
+    assert run(capsys, "count", "--mode", "G", "--g", "1", "--n", "1", "--b", "30",
+               "--cache", str(path))[0] == 0
     load = cli.load_cache
 
     def load_then_grown_elsewhere(where):
         loaded = load(where)
-        shutil.copy(grown, where)  # another process saves its larger memo
+        shutil.copytree(grown, where, dirs_exist_ok=True)  # another process saves its larger memo
         return loaded
 
     monkeypatch.setattr(cli, "load_cache", load_then_grown_elsewhere)
     clear_memo()
     rc, out, _ = run(capsys, *TORUS_40, "--cache", str(path))  # adds no record
     assert rc == 0 and out.strip() == "5881451896320"
-    assert path.read_bytes() == grown.read_bytes()
+    assert _files(path) == _files(grown)
+
+
+def _files(path) -> dict:
+    return {f: (path / f).read_bytes() for f in os.listdir(path)}
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -416,7 +459,7 @@ def test_cache_written_by_a_mutant_source_is_ignored(tmp_path, capsys, module, o
     text = source.read_text(encoding="utf-8")
     assert text.count(old) == 1
     source.write_text(text.replace(old, new), encoding="utf-8")
-    path = tmp_path / "memo.cache"
+    path = tmp_path / "cache"
     proc = subprocess.run(
         [sys.executable, "-m", "surfcount.cli", "count", *argv, "--cache", str(path)],
         capture_output=True, text=True, timeout=120, cwd=tmp_path,
@@ -448,15 +491,22 @@ def test_cache_is_a_usage_error_where_the_engine_does_not_run(tmp_path, argv):
 
 
 def test_cache_with_a_removed_family_is_ignored_and_rewritten(tmp_path, capsys, write_cache):
-    # a cache written while the lattice twin was an engine family of its own
-    path = tmp_path / "memo.cache"
-    write_cache(path, f"G 1 1 28:{5881451896320:x}\nLatticeN 1 1 4:1/4\n")
+    # a cache written while the lattice twin was an engine family of its own,
+    # so by other source code: the file the count reads is ignored and
+    # rewritten, and the removed family's file is never read
+    path = tmp_path / "cache"
+    write_cache(path, f"G 1 1 28:{5881451896320:x}\n")
+    write_cache(path, "LatticeN 1 1 4:1/4\n")
+    for file in path.iterdir():
+        file.write_text(file.read_text().replace(engine._fingerprint(), "0" * 64))
+    lattice = (path / "LatticeN-1-1").read_bytes()
     clear_memo()
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"
-    assert "ignoring cache" in err and "malformed record on line 3" in err
-    text = path.read_text()
-    assert f" 28:{5881451896320:x}\n" in text and "LatticeN" not in text
+    assert err.count("ignoring cache") == 1 and "G-1-1" in err and "written by other source code" in err
+    text = (path / "G-1-1").read_text()
+    assert text.startswith(f"surfcount-cache {engine._fingerprint()} ")
+    assert text.endswith(f" 28:{5881451896320:x}\n") and (path / "LatticeN-1-1").read_bytes() == lattice
 
 
 BIG_DISC = ("count", "--mode", "G", "--g", "0", "--n", "1", "--b", "16000")
@@ -494,12 +544,12 @@ class _CacheOnlyTable(engine._Table):
 class _CacheOnlyMemo(engine._Memo):
     def __missing__(self, head):
         table = self[head] = _CacheOnlyTable(head)
-        self.take(head)
+        self.read(head, table)
         return table
 
 
 def test_counts_of_any_size_round_trip_through_the_cache(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "memo.cache"
+    path = tmp_path / "cache"
     memo = engine._Memo()
     memo["G", 0, 1][16000,] = catalan(8000)  # too slow to recompute here
     monkeypatch.setattr(engine, "_MEMO", memo)

@@ -2,7 +2,6 @@
 
 import hashlib
 import os
-import shutil
 import subprocess
 import sys
 import textwrap
@@ -129,27 +128,50 @@ def test_lattice_values():
     assert count_lattice(0, 3, (2, 4, 2)) == 1
 
 
+def _heads(path) -> set:
+    """The heads (family, g, n) of the files in the cache directory ``path``."""
+    return {(name, int(g, 16), int(n, 16)) for name, g, n in (f.split("-") for f in os.listdir(path))}
+
+
+def _read(path, head):
+    """The table of ``head`` in a cold memo attached to the cache directory
+    ``path``: fetching it reads its file."""
+    clear_memo()
+    assert load_cache(str(path)) == 0  # an empty memo reads no file yet
+    return engine._MEMO[head]
+
+
 def test_cache_roundtrip(tmp_path):
-    path = tmp_path / "memo.cache"
-    count_G(1, 2, (4, 2))
+    path = tmp_path / "cache"
+    clear_memo()
+    want = count_G(1, 2, (4, 2))
     written = save_cache(str(path))
-    assert written == memo_size()
-    text = path.read_text()
+    assert written == memo_size() and _heads(path) == set(engine._MEMO)
+    text = (path / "G-1-2").read_text()
     head, body = text.split("\n", 1)
     digest = hashlib.sha256(body.encode()).hexdigest()
-    assert head == f"surfcount-cache {engine._fingerprint()} {written} {digest}"
-    clear_memo()
-    assert memo_size() == 0
-    loaded = load_cache(str(path))
-    assert loaded == written
-    assert count_G(1, 2, (4, 2)) == count_G(1, 2, (4, 2))
+    assert head == f"surfcount-cache {engine._fingerprint()} {digest}"
+    try:
+        table = _read(path, ("G", 1, 2))
+        assert table.held == len(table) == body.count(":") == memo_size()
+        assert count_G(1, 2, (4, 2)) == want
+    finally:
+        clear_memo()
 
 
 def test_cache_rejects_unknown_header(tmp_path, capsys):
-    path = tmp_path / "bad.cache"
-    path.write_text("surfcount-cache v99\nG 0 1 - 2 1\n")
-    assert load_cache(str(path)) == 0
-    assert "unknown version" in capsys.readouterr().err
+    path = tmp_path / "cache"
+    path.mkdir()
+    digest = hashlib.sha256(b"2:1\n").hexdigest()
+    # the last is the header of the single cache file this layout replaced
+    for header in ("surfcount-cache v99", "surfcount-cache v1", f"surfcount-cache {engine._fingerprint()} 1 {digest}"):
+        (path / "G-0-1").write_text(f"{header}\n2:1\n")
+        try:
+            assert _read(path, ("G", 0, 1)) == {}
+            assert count_G(0, 1, (2,)) == 1
+        finally:
+            clear_memo()
+        assert "unknown version" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -281,20 +303,19 @@ def test_deep_disc_needs_no_recursion_limit_or_asserts():
 
 
 def test_cache_with_a_truncated_line_is_ignored(tmp_path, capsys):
-    path = tmp_path / "memo.cache"
+    path = tmp_path / "cache"
     clear_memo()
     want = count_G(1, 1, (40,))
     save_cache(str(path))
-    lines = path.read_text().splitlines()
-    k = next(i for i, ln in enumerate(lines) if ln.startswith("G 1 1 "))
-    assert lines[k].endswith(f" 28:{5881451896320:x}")  # b = (40,) comes last on its line
-    lines[k] = lines[k][:-1]  # drop the last digit of the value
-    path.write_text("\n".join(lines) + "\n")
-    clear_memo()
-    assert load_cache(str(path)) == 0
-    assert "digest mismatch" in capsys.readouterr().err
-    assert memo_size() == 0
-    assert count_G(1, 1, (40,)) == want == 5881451896320
+    text = (path / "G-1-1").read_text()
+    assert text.endswith(f" 28:{5881451896320:x}\n")  # b = (40,) comes last on its line
+    (path / "G-1-1").write_text(text[:-2] + "\n")  # drop the last digit of the value
+    try:
+        assert _read(path, ("G", 1, 1)) == {} and memo_size() == 0
+        assert "digest mismatch" in capsys.readouterr().err
+        assert count_G(1, 1, (40,)) == want == 5881451896320
+    finally:
+        clear_memo()
 
 
 @pytest.mark.parametrize(
@@ -309,104 +330,127 @@ def test_cache_with_a_truncated_line_is_ignored(tmp_path, capsys):
     ],
 )
 def test_cache_with_a_malformed_record_is_ignored(tmp_path, capsys, write_cache, body):
-    path = tmp_path / "memo.cache"
-    write_cache(path, body)
+    # every family's table of the file's (g, n) is fetched: a file of a family
+    # the engine does not have is never read
+    write_cache(tmp_path, body)
+    name, g, n, _ = body.split(" ", 3)
     clear_memo()
-    assert load_cache(str(path)) == 0
-    assert "ignoring cache" in capsys.readouterr().err
-    assert memo_size() == 0
-
-
-def test_cache_record_count_and_old_version_are_checked(tmp_path, capsys, write_cache):
-    path = tmp_path / "memo.cache"
-    write_cache(path, "G 0 1 2:1\n", records=2)
-    assert load_cache(str(path)) == 0
-    assert "record count" in capsys.readouterr().err
-    path.write_text("surfcount-cache v1\nG 0 1 - 2 1\n")
-    assert load_cache(str(path)) == 0
-    assert "unknown version" in capsys.readouterr().err
+    try:
+        assert load_cache(str(tmp_path)) == 0
+        for family in engine._READ:
+            assert engine._MEMO[family, int(g, 16), int(n, 16)] == {}
+        assert memo_size() == 0
+    finally:
+        clear_memo()
+    assert ("ignoring cache" in capsys.readouterr().err) == (name in engine._READ)
 
 
 def test_cache_save_leaves_no_temporary_file(tmp_path):
-    path = tmp_path / "memo.cache"
+    path = tmp_path / "cache"
+    clear_memo()
     count_G_r(1, 2, (4, 2), 3)
     count_lattice(1, 2, (3, 1))
     written = save_cache(str(path))
-    assert os.listdir(tmp_path) == ["memo.cache"]
-    clear_memo()
-    assert load_cache(str(path)) == written
-    assert count_G_r(1, 2, (4, 2), 3) == 66
+    assert os.listdir(tmp_path) == ["cache"]
+    assert sorted(os.listdir(path)) == sorted("%s-%x-%x" % head for head, table in engine._MEMO.items() if table)
+    assert written == memo_size() == sum((path / f).read_text().count(":") for f in os.listdir(path))
+    try:
+        assert _read(path, ("Gr", 1, 2)) and count_G_r(1, 2, (4, 2), 3) == 66
+    finally:
+        clear_memo()
 
 
-def _rewrites(path, action) -> bool:
-    """Whether ``action()`` replaced the file: every write makes a new inode."""
-    before = os.stat(path).st_ino
-    action()
-    return os.stat(path).st_ino != before
+def _inodes(path) -> dict:
+    """The inode of each file in the cache directory ``path``: every write makes a new one."""
+    return {f: os.stat(path / f).st_ino for f in os.listdir(path)}
 
 
 def test_cache_load_into_a_nonempty_memo_saves_the_union(tmp_path):
-    path = str(tmp_path / "memo.cache")
+    path = tmp_path / "cache"
     clear_memo()
-    count_G(0, 1, (10,))
-    on_file = save_cache(path)
-    clear_memo()
-    count_N(1, 1, (8,))
-    assert load_cache(path) == on_file
-    union = memo_size()
-    assert union > on_file
-    assert _rewrites(path, lambda: save_cache(path))
-    clear_memo()
-    assert load_cache(path) == union
+    try:
+        count_G(0, 1, (10,))
+        on_file = save_cache(str(path))
+        clear_memo()
+        engine._MEMO["G", 0, 1][14,] = catalan(7)  # a key the file does not hold
+        count_N(1, 1, (8,))
+        assert load_cache(str(path)) == on_file  # a table the memo holds reads its file at once
+        union = memo_size()
+        assert len(engine._MEMO["G", 0, 1]) == on_file + 1
+        before = _inodes(path)
+        assert save_cache(str(path)) == union
+        assert _inodes(path)["G-0-1"] != before["G-0-1"]
+        clear_memo()
+        load_cache(str(path))
+        assert sum(len(engine._MEMO[head]) for head in _heads(path)) == union
+    finally:
+        clear_memo()
 
 
-def test_cache_save_always_writes(tmp_path):
-    # whether to save is the caller's call (the CLI saves only a grown memo)
-    path = str(tmp_path / "memo.cache")
+def test_cache_save_writes_only_the_tables_that_grew(tmp_path):
+    path = tmp_path / "cache"
     clear_memo()
-    count_G(1, 1, (10,))
-    written = save_cache(path)
-    assert _rewrites(path, lambda: save_cache(path))
-    clear_memo()
-    assert load_cache(path) == written == memo_size()
-    assert _rewrites(path, lambda: save_cache(path)) and save_cache(path) == written
-    count_G(1, 1, (12,))  # the memo grew
-    assert _rewrites(path, lambda: save_cache(path))
-    clear_memo()
-    assert load_cache(path) == memo_size() > written
+    try:
+        count_N(1, 1, (8,))
+        count_G(1, 1, (10,))
+        save_cache(str(path))
+        before = _inodes(path)
+        assert _read(path, ("N", 1, 1)) and count_N(1, 1, (8,)) == 14
+        assert save_cache(str(path)) == 0 and _inodes(path) == before  # read, not grown
+        count_G(1, 1, (12,))  # grows the G tables it reads
+        grown = {"%s-%x-%x" % head: len(table) for head, table in engine._MEMO.items() if len(table) > table.held}
+        assert set(grown) == {"G-1-1", "G-0-2", "G-0-1"}
+        assert save_cache(str(path)) == sum(grown.values())
+        after = _inodes(path)
+        assert {f for f in after if after[f] != before[f]} == set(grown)
+        assert save_cache(str(path)) == 0 and _inodes(path) == after
+    finally:
+        clear_memo()
 
 
 def test_cache_written_by_other_source_is_ignored(tmp_path, capsys, monkeypatch):
-    path = str(tmp_path / "memo.cache")
+    path = tmp_path / "cache"
     clear_memo()
     cold = count_N(2, 1, (4,))
-    written = save_cache(path)
-    clear_memo()
-    assert load_cache(path) == written
-    clear_memo()
-    monkeypatch.setattr(engine, "_fingerprint", lambda: "0" * 64)
-    assert load_cache(path) == 0
-    assert "ignoring cache" in capsys.readouterr().err
-    assert memo_size() == 0
-    assert count_N(2, 1, (4,)) == cold == 13
+    written = save_cache(str(path))
+    try:
+        assert _read(path, ("N", 2, 1)).held == len(engine._MEMO["N", 2, 1]) > 0
+        monkeypatch.setattr(engine, "_fingerprint", lambda: "0" * 64)
+        table = _read(path, ("N", 2, 1))
+        assert "ignoring cache" in capsys.readouterr().err
+        assert (table, table.held, memo_size()) == ({}, -1, 0)
+        assert count_N(2, 1, (4,)) == cold == 13
+        assert save_cache(str(path)) == memo_size() <= written  # each refused file it read is rewritten
+    finally:
+        clear_memo()
 
 
 def test_cache_changed_on_disk_after_a_load_is_written(tmp_path):
-    path = str(tmp_path / "memo.cache")
-    other = str(tmp_path / "other.cache")
+    # a file changed before its table reads it is read as it is then; one
+    # changed after is left as it is until its table grows
+    path = tmp_path / "cache"
     clear_memo()
-    count_G(1, 1, (10,))
-    written = save_cache(path)
-    shutil.copy(path, other)
-    clear_memo()
-    assert load_cache(path) == written
-    os.remove(path)
-    assert save_cache(path) == written and os.path.exists(path)
-    assert load_cache(path) == written
-    os.replace(other, path)  # the same bytes, another file
-    assert _rewrites(path, lambda: save_cache(path))
-    clear_memo()
-    assert load_cache(path) == written
+    try:
+        count_G(1, 1, (10,))
+        save_cache(str(path))
+        file = path / "G-1-1"
+        text = file.read_text()
+        clear_memo()
+        load_cache(str(path))
+        os.remove(file)  # after the load, before the read
+        assert engine._MEMO["G", 1, 1] == {} and save_cache(str(path)) == 0
+        file.write_text(text)
+        assert _read(path, ("G", 1, 1)).held == text.count(":")
+        os.remove(file)  # another process deletes the file, then writes the same bytes
+        assert save_cache(str(path)) == 0 and not file.exists()
+        file.write_text(text)
+        before = _inodes(path)
+        assert save_cache(str(path)) == 0 and _inodes(path) == before
+        count_G(1, 1, (12,))
+        assert save_cache(str(path)) > 0 and _inodes(path)["G-1-1"] != before["G-1-1"]
+        assert file.read_text().count(":") == text.count(":") + 1
+    finally:
+        clear_memo()
 
 
 # (g, n) -> largest entry of the frozen sweep; the sweep meets every fold's
@@ -469,7 +513,7 @@ class _CountingMemo(engine._Memo):
     def __missing__(self, head):
         table = self[head] = _CountingTable(head)
         table.memo = self
-        self.take(head)
+        self.read(head, table)
         return table
 
 
@@ -679,7 +723,7 @@ def test_pants_rows_compute_each_value_once(monkeypatch):
 
 
 def test_a_key_missing_from_a_loaded_cache_gets_the_cold_value(tmp_path):
-    path = str(tmp_path / "memo.cache")
+    path = str(tmp_path / "cache")
     clear_memo()
     count_N(3, 1, (20,))
     count_N_t(2, 2, (10, 4), 1)
@@ -687,7 +731,7 @@ def test_a_key_missing_from_a_loaded_cache_gets_the_cold_value(tmp_path):
     save_cache(path)
     clear_memo()
     try:
-        assert load_cache(path) > 0 and engine._MEMO.rows == {}
+        assert load_cache(path) == 0 and engine._MEMO.rows == {}
         warm = [
             count_N(3, 1, (26,)),
             count_N_t(2, 2, (14, 4), 1),
@@ -747,14 +791,9 @@ def test_a_row_that_holds_the_values_read_comes_back_without_a_generator():
         clear_memo()
 
 
-def _heads(path) -> set:
-    with open(path, encoding="ascii") as fh:
-        next(fh)
-        return {(name, int(g, 16), int(n, 16)) for name, g, n, _ in (line.split(" ", 3) for line in fh)}
-
-
 def test_a_loaded_cache_parses_a_block_when_a_read_first_asks_for_its_head(tmp_path):
-    path = str(tmp_path / "memo.cache")
+    # a block is the file of one head
+    path = str(tmp_path / "cache")
     clear_memo()
     try:
         want = count_G(1, 1, (10,)), count_N(1, 2, (6, 4)), count_G_t(1, 2, (4, 2), 1)
@@ -763,50 +802,59 @@ def test_a_loaded_cache_parses_a_block_when_a_read_first_asks_for_its_head(tmp_p
         heads = _heads(path)
         assert {("G", 1, 1), ("N", 1, 2), ("Gt", 1, 2), ("Gr", 0, 3)} <= heads
         clear_memo()
-        assert load_cache(path) == written == memo_size()
-        assert set(engine._MEMO.pending) == heads and len(engine._MEMO) == 0
-        assert count_G(1, 1, (10,)) == want[0]  # a key of the file: its block alone
-        assert set(engine._MEMO.pending) == heads - {("G", 1, 1)}
-        assert memo_size() == written
-        assert count_G_t(1, 2, (4, 2), 1) == want[2]  # Gt has no body: read straight from the memo
-        assert ("Gt", 1, 2) not in engine._MEMO.pending and memo_size() == written
+        assert load_cache(path) == 0 and len(engine._MEMO) == 0
+        assert count_G(1, 1, (10,)) == want[0]  # a key of the directory: its head's file alone
+        assert set(engine._MEMO) == {("G", 1, 1)}
+        assert count_G_t(1, 2, (4, 2), 1) == want[2]  # Gt has no body: read straight from its file
         assert count_N(1, 2, (6, 4)) == want[1]
-        assert memo_size() == written
-        count_G(1, 1, (12,))  # not on file: its body reads pieces from the blocks that hold them
-        assert ("G", 0, 2) not in engine._MEMO.pending
-        assert memo_size() == save_cache(path) > written  # every key counted once
-        assert load_cache(path) == memo_size()  # loaded over the same keys: still counted once
+        assert set(engine._MEMO) == {("G", 1, 1), ("Gt", 1, 2), ("N", 1, 2)}
+        assert all(table.held == len(table) > 0 for table in engine._MEMO.values())
+        count_G(1, 1, (12,))  # not on file: its body reads pieces from the files that hold them
+        assert engine._MEMO["G", 0, 2].held > 0
+        grown = sum(len(table) for table in engine._MEMO.values() if len(table) > table.held)
+        assert save_cache(path) == grown > 0
+        assert memo_size() < written + grown  # the heads no read asked for were never read
     finally:
         clear_memo()
 
 
 def test_a_saved_body_is_frozen(tmp_path):
-    # recorded from the flat memo keyed by (family, g, n, b); the header's
-    # fingerprint changes with any source edit, so only the body is hashed
-    path = tmp_path / "memo.cache"
+    # recorded from the flat memo keyed by (family, g, n, b) as the body of
+    # the single cache file this layout replaced: a line "family g n body"
+    # per head file, in ascending head order; the header's fingerprint
+    # changes with any source edit, so only the bodies are hashed
+    path = tmp_path / "cache"
     try:
         _mixed_cold_ops()
         assert save_cache(str(path)) == 183
     finally:
         clear_memo()
-    body = path.read_bytes().split(b"\n", 1)[1]
+    lines = [
+        f"{name} {g:x} {n:x} {(path / f'{name}-{g:x}-{n:x}').read_text().split(chr(10), 1)[1]}"
+        for name, g, n in sorted(_heads(path))
+    ]
+    body = "".join(lines).encode()
     assert hashlib.sha256(body).hexdigest() == "f90a7e5f59ff93346fad5e15d5e91b9ee127bf1a49873fc3a83932cd4bc4f2aa"
 
 
+def _files(path) -> dict:
+    return {f: (path / f).read_bytes() for f in os.listdir(path)}
+
+
 def test_a_save_right_after_a_load_writes_the_same_bytes(tmp_path):
-    path, again = str(tmp_path / "memo.cache"), str(tmp_path / "again.cache")
+    path, again = tmp_path / "cache", tmp_path / "again"
     clear_memo()
     try:
         count_N_t(2, 2, (10, 4), 1)
         count_G(1, 3, (6, 4, 2))
-        save_cache(path)
+        save_cache(str(path))
         clear_memo()
-        load_cache(path)
-        assert engine._MEMO.pending
-        save_cache(again)
-        assert not engine._MEMO.pending
-        with open(path, "rb") as a, open(again, "rb") as b:
-            assert a.read() == b.read()
+        load_cache(str(path))
+        for head in _heads(path):
+            engine._MEMO[head]  # every table reads its file
+        assert save_cache(str(path)) == 0  # none grew
+        save_cache(str(again))  # not the attached directory: every table
+        assert _files(again) == _files(path)
     finally:
         clear_memo()
 
@@ -827,60 +875,44 @@ def default_digit_limit():
 
 
 def test_a_count_past_the_digit_limit_round_trips_through_the_cache(tmp_path, default_digit_limit):
-    path = str(tmp_path / "memo.cache")
+    path = str(tmp_path / "cache")
     want = catalan(8000)  # 4,811 digits
     clear_memo()
     try:
         engine._MEMO["G", 0, 1][16000,] = want  # too slow to recompute here
         assert save_cache(path) == 1
         clear_memo()
-        assert load_cache(path) == 1
-        assert count_G(0, 1, (16000,)) == want
+        assert load_cache(path) == 0
+        assert count_G(0, 1, (16000,)) == want and engine._MEMO["G", 0, 1].held == 1
     finally:
         clear_memo()
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == default_digit_limit
 
 
-def test_a_load_over_pending_blocks_counts_each_key_once(tmp_path, write_cache,
-                                                       default_digit_limit):
-    big, small = tmp_path / "big.cache", tmp_path / "small.cache"
-    clear_memo()
-    try:
-        count_N(1, 2, (6, 4))
-        written = save_cache(str(small))
-        body = small.read_text().split("\n", 1)[1]
-        assert not body.startswith("G 0 1 ")
-        write_cache(big, f"G 0 1 3e80:{catalan(8000):x}\n{body}")  # b = (16000,)
-        clear_memo()
-        assert load_cache(str(big)) == written + 1 == memo_size()
-        # the earlier blocks parse, then merge
-        assert load_cache(str(small)) == written
-        assert not engine._MEMO.pending and memo_size() == sum(map(len, engine._MEMO.values())) == written + 1
-        assert engine._MEMO["G", 0, 1][16000,] == catalan(8000)
-    finally:
-        clear_memo()
-
-
 @pytest.mark.parametrize(
-    "body, records, fault",
+    "line, fault",
     [
-        ("G 0 1 2:1 4:2\nG 1 1 2:3 4\n", 3, "malformed record on line 3"),  # a record short of its value
-        ("G 0 1 2:1\nN 0 2 4,2,2:8\n", 2, "malformed record on line 3"),
-        ("G 0 1 2:1\nGr 0 1 4:0,x\n", 2, "malformed record on line 3"),
-        ("G 0 1 2:+1\n", 1, "malformed record on line 2"),  # int() reads it; save_cache never writes it
-        ("G 0 1 2:1\nG 1 1 4:d", 2, "malformed record on line 3"),  # no last newline
-        ("G 0 1 2:1\nG 1 1 4:d", 3, "record count mismatch"),
-        ("G 0 1 2:1\nG 1 1 4:d\xe9\n", 2, "'ascii' codec can't decode byte"),
-        ("G 0 1 2:1\nG 1 1 4:d\nG 0 1 4:2\n", 3, "malformed record on line 4"),  # a head on two lines
-        ("G 0 1 2:1\nG 1 1 4:D\n", 2, "malformed record on line 3"),  # an uppercase hex digit
-        ("G 0 1 2:1\nG 1 1 4:0d\n", 2, "malformed record on line 3"),  # a zero-padded value
-        ("G 0 1 2:1\nG 1 1 04:d\n", 2, "malformed record on line 3"),  # a zero-padded entry
+        ("G 1 1 2:3 4\n", "malformed record"),  # a record short of its value
+        ("N 0 2 4,2,2:8\n", "malformed record"),  # entries of the wrong length
+        ("Gr 0 1 4:0,x\n", "malformed record"),
+        ("G 0 1 2:+1\n", "malformed record"),  # int() reads it; save_cache never writes it
+        ("G 1 1 4:d", "malformed record"),  # no last newline
+        ("G 1 1 4:d\n2:3\n", "malformed record"),  # a second line
+        ("G 1 1 4:d \n", "malformed record"),  # a space after the last record
+        ("G 1 1 \n\n", "malformed record"),
+        ("G 1 1 4:d\xe9\n", "'ascii' codec can't decode byte"),
+        ("G 1 1 4:D\n", "malformed record"),  # an uppercase hex digit
+        ("G 1 1 4:0d\n", "malformed record"),  # a zero-padded value
+        ("G 1 1 04:d\n", "malformed record"),  # a zero-padded entry
     ],
 )
-def test_a_refused_cache_names_its_first_fault(tmp_path, capsys, write_cache, body, records, fault):
-    path = tmp_path / "memo.cache"
-    write_cache(path, body, records)
-    clear_memo()
-    assert load_cache(str(path)) == 0
-    assert fault in capsys.readouterr().err
-    assert memo_size() == 0
+def test_a_refused_cache_names_its_first_fault(tmp_path, capsys, write_cache, line, fault):
+    write_cache(tmp_path, line)
+    name, g, n, _ = line.split(" ", 3)
+    try:
+        table = _read(tmp_path, (name, int(g, 16), int(n, 16)))
+        assert (table, table.held, memo_size()) == ({}, -1, 0)
+    finally:
+        clear_memo()
+    err = capsys.readouterr().err
+    assert fault in err and err.count("\n") == 1

@@ -177,15 +177,22 @@ class PantsProfile(NamedTuple):
         )
 
     def admissible(self) -> bool:
-        if min(self.p1, self.p2, self.p3, self.t12, self.t23, self.t31) < 0:
-            return False
-        if self.p1 > 0 and (self.p2 or self.p3 or self.t23):
-            return False
-        if self.p2 > 0 and (self.p3 or self.p1 or self.t31):
-            return False
-        if self.p3 > 0 and (self.p1 or self.p2 or self.t12):
-            return False
-        return True
+        return pants_admissible(*self)
+
+
+def pants_admissible(p1: int, p2: int, p3: int, t12: int, t23: int, t31: int) -> bool:
+    """The exclusion rules of a pants profile: no count is negative, and arcs
+    returning to one boundary leave no arc returning to another and no arc
+    joining the other two."""
+    if min(p1, p2, p3, t12, t23, t31) < 0:
+        return False
+    if p1 > 0 and (p2 or p3 or t23):
+        return False
+    if p2 > 0 and (p3 or p1 or t31):
+        return False
+    if p3 > 0 and (p1 or p2 or t12):
+        return False
+    return True
 
 
 def pants_classify(b1: int, b2: int, b3: int) -> PantsProfile:

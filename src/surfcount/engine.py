@@ -53,7 +53,7 @@ other row.  The (0,3) base values use the same rule.  The separations of a
 body come from one index table per shape, genus and number of entries.
 
 Bodies are generators yielding each child key missing from the memo;
-``_eval`` runs them on an explicit stack, so no input meets Python's
+``_run`` runs them on an explicit stack, so no input meets Python's
 recursion limit.  Every edge lowers ``(2g + n - 2, sum(b))``
 lexicographically; a key met again on its own stack raises RuntimeError.
 A key ``(family, g, n, b)`` lives only there, while its body runs.
@@ -85,6 +85,7 @@ from .closed import bar, catalan, closed_N, closed_refined
 from .exact import _reject, binomial, ordered_splits
 
 _DISC_OR_ANNULUS = {(0, 1), (0, 2)}
+_INT = frozenset((int,))
 
 
 class _Grades(tuple):
@@ -199,14 +200,22 @@ def _canon(b) -> tuple[int, ...]:
 
 def _check(g: int, n: int, b, *grades: int) -> tuple[int, ...]:
     b = tuple(b)
-    _reject(int, (g, n, *b, *grades), "g, n, the boundary point counts, r and t")
+    if not _INT.issuperset(map(type, args := (g, n, *b, *grades))):  # plain ints pass at once
+        _reject(int, args, "g, n, the boundary point counts, r and t")
     if g < 0:
         raise ValueError("genus must be >= 0")
     if n < 1 or len(b) != n:
         raise ValueError("need n >= 1 boundary components and len(b) == n")
-    if any(x < 0 for x in b):
+    if min(b) < 0:
         raise ValueError("boundary point counts must be >= 0")
     return b
+
+
+def _count(name: str, g: int, n: int, b, *grades: int):
+    """A public count's entry: b checked and canonicalised, ``_run`` on a miss."""
+    b = _canon(_check(g, n, b, *grades))
+    value = _MEMO[name, g, n][b]
+    return _run((name, g, n, b)) if value is None else value
 
 
 # -- pants values and base values; None sends the key to its family's body ----
@@ -293,16 +302,18 @@ def _grow(fam: _Family, rkey: tuple, row: _Row | None, stop: int):
         if shape_b:
             row.ramp, row.run = [fam.zero], fam.zero
     for s in range(p + 2 * len(row), p + 2 * stop, 2):
-        have, terms = len(row), []
-        for runs in [(i, s - i) for i in range(s // 2 + 1)] if cut else [(s,)]:
+        have, value = len(row), None  # a single piece is kept as it is, shared with its table
+        for j in range(s, (s - 1) // 2, -1) if cut else (s,):  # a cut row's runs (j, s - j), j >= s - j
+            entries = (j, s - j, *side) if cut else (s, *side)
             if pants:
-                v = pants(*runs, *side)
-            elif (v := table[b := _canon(runs + side)]) is None:
+                v = pants(*entries)
+            elif (v := table[b := tuple(sorted(entries, reverse=True))]) is None:
                 v = yield name, g, n, b
                 if len(row) != have:
                     raise RuntimeError(f"engine row {rkey} grew while a body was extending it")
-            terms.append(v if runs[0] == runs[-1] else 2 * v)
-        row.append(value := sum(terms[1:], terms[0]))
+            v = 2 * v if cut and 2 * j != s else v  # (j, s - j) and (s - j, j) are one key
+            value = v if value is None else value + v
+        row.append(value)
         if shape_b:  # S_k = S_(k-1) + v_(k-1) and ramp_k = ramp_(k-1) + S_k
             row.run += value
             row.ramp.append(row.ramp[-1] + row.run)
@@ -438,15 +449,15 @@ def _body(key):
     return fam.body(fam, *key)
 
 
-def _eval(key):
-    """The value of one key: bodies of missing entries run on an explicit
-    stack, each resumed with the value of the child it yielded."""
-    name, g, n, b = key
-    value = _MEMO[name, g, n][b]
-    if value is not None:
-        return value
-    stack = [(key, _body(key))]
-    active = {key}
+def _eval(key):  # the value of one key: its table's entry, or on a miss _run's
+    value = _MEMO[key[:3]][key[3]]
+    return _run(key) if value is None else value
+
+
+def _run(key):
+    """The value of a key missing from the memo: bodies of missing entries run
+    on an explicit stack, each resumed with the value of the child it yielded."""
+    stack, active, value = [(key, _body(key))], {key}, None
     while stack:
         key, body = stack[-1]
         try:
@@ -469,22 +480,22 @@ def _eval(key):
 
 def count_G(g: int, n: int, b) -> int:
     """Number of arc diagrams, every arc type allowed."""
-    return _eval(("G", g, n, _canon(_check(g, n, b))))
+    return _count("G", g, n, b)
 
 
 def count_N(g: int, n: int, b) -> int:
     """Number of arc diagrams with no boundary-parallel arcs."""
-    return _eval(("N", g, n, _canon(_check(g, n, b))))
+    return _count("N", g, n, b)
 
 
 def count_G_r(g: int, n: int, b, r: int) -> int:
     """Arc diagrams whose complement has exactly r regions."""
-    return _eval(("Gr", g, n, _canon(_check(g, n, b, r)))).coeff(r)
+    return _count("Gr", g, n, b, r).coeff(r)
 
 
 def count_N_t(g: int, n: int, b, t: int) -> int:
     """Parallel-free arc diagrams with stable region parameter t."""
-    return _eval(("Nt", g, n, _canon(_check(g, n, b, t)))).coeff(t)
+    return _count("Nt", g, n, b, t).coeff(t)
 
 
 def _collars(b) -> dict:
@@ -516,9 +527,8 @@ def count_G_t(g: int, n: int, b, t: int) -> int:
 def count_G_t_via_r(g: int, n: int, b, t: int) -> int:
     """Independent route to the same refined count through the region-count
     recursion, via r = t + (2 - 2g - n) + half the boundary points."""
-    b = _check(g, n, b, t)
-    r = t + (2 - 2 * g - n) + sum(b) // 2
-    return _eval(("Gr", g, n, _canon(b))).coeff(r)
+    b = tuple(b)
+    return _count("Gr", g, n, b, t).coeff(t + (2 - 2 * g - n) + sum(b) // 2)  # r of grade t
 
 
 def count_lattice(g: int, n: int, b) -> Fraction:

@@ -73,11 +73,16 @@ class FitInvalid(ValueError):
     """Raised when a fitted polynomial fails held-out validation."""
 
 
+_KINDS: dict = {}  # kind -> the frozenset of its types, built on first use
+
+
 def _reject(kind: type | tuple[type, ...], items: Iterable, what: str) -> None:
     """Raise TypeError naming the first item that is a bool or not a ``kind``."""
     items = tuple(items)
+    if (kinds := _KINDS.get(kind)) is None:
+        kinds = _KINDS[kind] = frozenset(kind if isinstance(kind, tuple) else (kind,))
     # the fast test passes the kinds themselves; their subclasses other than bool pass the loop
-    if set(map(type, items)) <= set(kind if isinstance(kind, tuple) else (kind,)):
+    if kinds.issuperset(map(type, items)):
         return
     want = "an int" if kind is int else "exact"
     for x in items:

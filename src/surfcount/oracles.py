@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .closed import PantsProfile
+from .closed import PantsProfile, pants_admissible
 from .exact import _reject
 
 
@@ -138,8 +138,9 @@ def pants_search(b1: int, b2: int, b3: int) -> list[PantsProfile]:
     """Exhaustive scan for pants arc-type profiles fitting (b1, b2, b3).
 
     Scans every traversing triple compatible with the boundary equations
-    (values outside these ranges cannot satisfy them), derives the
-    returning-arc counts, and keeps profiles meeting the exclusion rules.
+    (values outside these ranges or of the other parity cannot satisfy
+    them), tests the exclusion rules on the six counts, and builds a
+    profile only for the triples that pass.
     Expected to be a singleton for every even-sum input.
     """
     _reject(int, (b1, b2, b3), "boundary point counts")
@@ -149,17 +150,12 @@ def pants_search(b1: int, b2: int, b3: int) -> list[PantsProfile]:
         raise ValueError("no diagram: odd total boundary count")
     found = []
     for t12 in range(0, min(b1, b2) + 1):
-        for t31 in range(0, min(b1 - t12, b3) + 1):
-            rem1 = b1 - t12 - t31
-            if rem1 % 2:
-                continue
-            p1 = rem1 // 2
-            for t23 in range(0, min(b2 - t12, b3 - t31) + 1):
-                rem2 = b2 - t12 - t23
-                rem3 = b3 - t31 - t23
-                if rem2 % 2 or rem3 % 2:
-                    continue
-                profile = PantsProfile(p1, rem2 // 2, rem3 // 2, t12, t23, t31)
-                if profile.admissible():
-                    found.append(profile)
+        # t31 and t23 step by 2 from the parities that leave b1 - t12 - t31
+        # and b2 - t12 - t23 even; an even total then leaves b3 - t31 - t23 even
+        for t31 in range((b1 - t12) % 2, min(b1 - t12, b3) + 1, 2):
+            p1 = (b1 - t12 - t31) // 2
+            for t23 in range((b2 - t12) % 2, min(b2 - t12, b3 - t31) + 1, 2):
+                counts = (p1, (b2 - t12 - t23) // 2, (b3 - t31 - t23) // 2, t12, t23, t31)
+                if pants_admissible(*counts):
+                    found.append(PantsProfile(*counts))
     return found

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -213,6 +214,74 @@ def test_check_takes_plain_ints_fast_and_keeps_its_rules():
     assert count_N_t(1, 1, (4,), _Int(1)) == count_N_t(1, 1, (4,), 1)
     with pytest.raises(ValueError, match="genus"):
         engine._check(-1, 1, (4,))
+
+
+# every public count, and whether it takes a grade (r or t)
+_PUBLIC_COUNTS = [
+    (count_G, False), (count_N, False), (count_lattice, False),
+    (count_G_r, True), (count_N_t, True), (count_G_t, True), (count_G_t_via_r, True),
+]
+_a_public_count = st.sampled_from(_PUBLIC_COUNTS)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@given(_a_public_count, st.integers(0, 2), st.integers(1, 3), st.data())
+@settings(max_examples=120, deadline=None)
+def test_a_public_count_takes_b_as_any_iterable_of_ints_in_any_order(count, g, n, data):
+    fn, graded = count
+    b = tuple(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+    grades = (data.draw(st.integers(0, 4)),) if graded else ()
+    want = _outcome(fn, g, n, b, *grades)
+    perm = tuple(data.draw(st.permutations(b)))
+    for form in (list(b), iter(b), (x for x in b), perm, tuple(map(_Int, b))):
+        assert _outcome(fn, g, n, form, *grades) == want
+    assert _outcome(fn, _Int(g), _Int(n), b, *map(_Int, grades)) == want
+
+
+@given(_a_public_count, st.data())
+@settings(max_examples=120, deadline=None)
+def test_a_bool_float_or_fraction_in_any_slot_is_not_an_int(count, data):
+    fn, graded = count
+    args = [1, 2, [4, 2], *([1] if graded else [])]
+    slot = data.draw(st.integers(0, 3 + graded))  # g, n, b[0], b[1], then the grade
+    bad = data.draw(st.booleans() | st.floats() | st.fractions())
+    if slot in (2, 3):
+        args[2][slot - 2] = bad
+    else:
+        args[slot - (slot > 3)] = bad
+    with pytest.raises(TypeError, match="must be an int"):
+        fn(*args)
+
+
+_GENUS, _SHAPE, _ENTRY = (
+    "genus must be >= 0",
+    "need n >= 1 boundary components and len(b) == n",
+    "boundary point counts must be >= 0",
+)
+
+
+@given(_a_public_count, st.integers(0, 2), st.integers(1, 3), st.sampled_from((_GENUS, _SHAPE, _ENTRY)), st.data())
+@settings(max_examples=120, deadline=None)
+def test_a_negative_genus_a_bad_shape_or_a_negative_entry_is_a_value_error(count, g, n, fault, data):
+    fn, graded = count
+    b = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    if fault == _GENUS:
+        g = data.draw(st.integers(-5, -1))
+    elif fault == _ENTRY:
+        b[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-5, -1))
+    elif data.draw(st.booleans()):  # n < 1, with as many entries or more
+        n = data.draw(st.integers(-2, 0))
+        b = b[: data.draw(st.integers(max(n, 0), len(b)))]
+    else:  # len(b) != n
+        b = data.draw(st.lists(st.integers(0, 6), max_size=4).filter(lambda x: len(x) != n))
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        fn(g, n, b, *([1] if graded else []))
 
 
 def test_lattice_rejects_disc_and_annulus():

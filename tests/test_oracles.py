@@ -2,14 +2,15 @@
 
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfcount.closed import catalan, pants_classify
+from surfcount.closed import PantsProfile, catalan, pants_classify
 from surfcount.engine import count_G_t
-from surfcount.exact import binomial
+from surfcount.exact import binomial, vectors_with_sum_at_most
 from surfcount.oracles import (
     all_arrow_labellings,
     arrows_to_arcs,
@@ -88,3 +89,27 @@ def test_pants_search_rejects_negative_entries(b):
         pants_search(*b)
     with pytest.raises(ValueError, match="negative"):
         pants_classify(*b)
+
+
+def _pants_search_unpruned(b1, b2, b3):
+    """Every traversing triple in 0..max(b), kept when the boundary equations
+    leave even nonnegative remainders and the profile is admissible."""
+    found = []
+    top = max(b1, b2, b3)
+    for t12, t23, t31 in product(range(top + 1), repeat=3):
+        rems = (b1 - t12 - t31, b2 - t12 - t23, b3 - t31 - t23)
+        if min(rems) < 0 or any(r % 2 for r in rems):
+            continue
+        profile = PantsProfile(*(r // 2 for r in rems), t12, t23, t31)
+        if profile.admissible():
+            found.append(profile)
+    return found
+
+
+def test_pruned_pants_search_equals_the_unpruned_loop():
+    cases = 0
+    for b in vectors_with_sum_at_most(3, 16):
+        if sum(b) % 2 == 0:
+            assert sorted(pants_search(*b)) == sorted(_pants_search_unpruned(*b)), b
+            cases += 1
+    assert cases == 525

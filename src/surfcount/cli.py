@@ -14,8 +14,8 @@ persistent memo cache, ``--cache [PATH]``, a directory of one file per
 ``family g n`` head, or else ``$SURFCOUNT_CACHE``.  Cached values never
 change any output: a file written by other source code is ignored, and a
 successful command rewrites the files of the heads that gained records (or
-whose file was ignored).  The files write their integers in hexadecimal, so
-they hold counts of any size under any int/str digit limit; ``main`` lifts
+whose file was ignored).  A file's body is ``marshal`` data, which no
+int/str digit limit covers, so it holds counts of any size; ``main`` lifts
 that limit for the output alone.
 
 Each subcommand imports the modules it runs when it runs: ``count`` and

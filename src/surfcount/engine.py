@@ -59,19 +59,20 @@ lexicographically; a key met again on its own stack raises RuntimeError.
 A key ``(family, g, n, b)`` lives only there, while its body runs.
 
 The memo persists in an optional cache directory of one file per head
-``family g n``, every integer in hexadecimal, which no int/str digit limit
-covers: a table reads its head's file when a read first fetches it
-(``load_cache``), and ``save_cache`` rewrites the files of tables that grew.
+``family g n``, whose body is the ``marshal`` form of the head's records,
+which no int/str digit limit covers: a table reads its head's file when a
+read first fetches it (``load_cache``), and ``save_cache`` rewrites the
+files of tables that grew.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
-import re
 import sys
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product, zip_longest
+from itertools import chain, product, zip_longest
 from math import prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -202,6 +203,7 @@ def _check(g: int, n: int, b, *grades: int) -> tuple[int, ...]:
     b = tuple(b)
     if not _INT.issuperset(map(type, args := (g, n, *b, *grades))):  # plain ints pass at once
         _reject(int, args, "g, n, the boundary point counts, r and t")
+        b = tuple(map(int, b))  # int subclasses as plain ints, the only ints a cache file holds
     if g < 0:
         raise ValueError("genus must be >= 0")
     if n < 1 or len(b) != n:
@@ -582,42 +584,17 @@ def _fingerprint() -> str:
     return digest.hexdigest()
 
 
-_int = partial(int, base=16)
-
-
-def _read_grades(text: str) -> _Grades:
-    return _Grades(() if text == "-" else map(_int, text.split(",")))
-
-
-_READ = dict(G=_int, N=_int, Gr=_read_grades, Nt=_read_grades, Gt=_read_grades)
-
-
-def _hex(x) -> str:
-    """An int, or a tuple of them (entries, grades) as a comma list, "-" if
-    empty, in lowercase hexadecimal, which no int/str digit limit covers."""
-    return format(x, "x") if isinstance(x, int) else ",".join(map(_hex, x)) or "-"
-
-
-# The file "family-g-n" of a head: a header, then one line of records (the
-# entries and value of a key each, "4,2:0,3,1 6,0:1,2" in Gr), every integer
-# lowercase hexadecimal without leading zeros.  Patterns compile on first use.
-_UINT, _SINT = "(?:0|[1-9a-f][0-9a-f]*)", "(?:0|-?[1-9a-f][0-9a-f]*)"
-
-
-@cache
-def _record_form(scalar: bool, n: int) -> re.Pattern:
-    """One record with n boundary entries, then the space before the next
-    record or the end of its line: unsigned entries, then a signed value
-    (``scalar``) or a comma list of signed grades or ``-``."""
-    v = _SINT if scalar else f"(?:-|{_SINT}(?:,{_SINT})*)"
-    return re.compile(rf"{_UINT}(?:,{_UINT}){{{n - 1}}}:{v}(?: (?=.)|\Z)")
+def _all(kind: type, items) -> bool:  # every item is of exactly the type kind
+    return set(map(type, items)) <= {kind}
 
 
 def _records(head: tuple, data: bytes) -> dict:
     """The records of the file ``data`` of ``head``, by entries: its header
     ``surfcount-cache <fingerprint> <sha256 of body>`` names this source and
-    the body, and deleting every record (a match each, so no backtracking
-    stack grows) from its line leaves nothing.  ValueError names the fault."""
+    the body, and only then does ``marshal`` load the body, which must be a
+    dict from tuples of n plain ints >= 0 to a plain int (``G``, ``N``) or a
+    tuple of them (the grades of ``Gr``, ``Nt`` and ``Gt``, returned as
+    ``_Grades``).  ValueError names the first fault."""
     header, _, body = data.partition(b"\n")
     fields = header.decode("ascii").split(" ")
     if len(fields) != 3 or fields[0] != "surfcount-cache":
@@ -626,30 +603,43 @@ def _records(head: tuple, data: bytes) -> dict:
         raise ValueError("written by other source code")
     if sha256(body).hexdigest() != fields[2]:
         raise ValueError("digest mismatch")
-    line, read = body.decode("ascii"), _READ[head[0]]
-    if line[-1:] != "\n" or _record_form(read is _int, head[2]).sub("", line[:-1]):
+    try:
+        records = marshal.loads(body)
+    except (EOFError, TypeError, ValueError):
+        records = None
+    scalar, n = head[0] in ("G", "N"), head[2]
+    if not (
+        type(records) is dict
+        and _all(tuple, records) and set(map(len, records)) <= {n}
+        and _all(int, entries := [*chain.from_iterable(records)]) and min(entries, default=0) >= 0
+        and _all(int if scalar else tuple, values := records.values())
+        and (scalar or _all(int, chain.from_iterable(values)))
+    ):
         raise ValueError("malformed record")
-    fields = line[:-1].replace(":", " ").split(" ")  # b, v, b, v, ...
-    return {tuple(map(_int, b.split(","))): read(v) for b, v in zip(fields[::2], fields[1::2])}
+    return records if scalar else {b: _Grades(v) for b, v in records.items()}
 
 
 def save_cache(path: str) -> int:
     """Write into the cache directory ``path`` (made if missing, not its
     parents) the file of each table that holds more records than its file
     there held (``_Memo.read``), each replaced atomically; if ``path`` is not
-    the attached directory, of each table that holds records.  Returns the
+    the attached directory, of each table that holds records.  A file is its
+    header line, then the body ``marshal.dumps(records, 2)``: the records
+    sorted by entries, grades as plain tuples.  Version 2 writes no
+    back-references, so the bytes depend on the records alone.  Returns the
     number of records written."""
     attached = path == _MEMO.cache
     grown = [(head, t) for head, t in _MEMO.items() if len(t) > (t.held if attached else 0)]
     if grown and not os.path.isdir(path):
         os.mkdir(path)
     for head, table in grown:
-        body = " ".join(f"{_hex(b)}:{_hex(v)}" for b, v in sorted(table.items())) + "\n"
+        body = marshal.dumps({b: v if type(v) is int else tuple(v) for b, v in sorted(table.items())}, 2)
         file = os.path.join(path, "%s-%x-%x" % head)
-        tmp, digest = f"{file}.{os.getpid()}.tmp", sha256(body.encode("ascii")).hexdigest()
+        tmp = f"{file}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w", encoding="ascii") as fh:
-                fh.write(f"surfcount-cache {_fingerprint()} {digest}\n{body}")
+            with open(tmp, "wb") as fh:
+                fh.write(f"surfcount-cache {_fingerprint()} {sha256(body).hexdigest()}\n".encode("ascii"))
+                fh.write(body)
             os.replace(tmp, file)
         finally:
             if os.path.exists(tmp):

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import hashlib
+import marshal
 
 import pytest
 
@@ -9,15 +10,26 @@ from surfcount import engine
 
 @pytest.fixture
 def write_cache():
-    """Write into the cache directory ``path`` the file of one head, given as
-    ``family g n body`` (g and n in hexadecimal), headed as this source heads
-    one.  The body is written as it is, newlines included."""
+    """Write into the cache directory ``path`` the file of ``head``, (family,
+    g, n), headed as this source heads one.  ``body`` is its records, written
+    as ``save_cache`` writes them, or raw bytes, written as they are."""
 
-    def write(path, line):
-        name, g, n, body = line.split(" ", 3)
+    def write(path, head, body):
+        if isinstance(body, dict):
+            body = marshal.dumps(body, 2)
         path.mkdir(exist_ok=True)
-        digest = hashlib.sha256(body.encode()).hexdigest()
-        text = f"surfcount-cache {engine._fingerprint()} {digest}\n{body}"
-        (path / f"{name}-{g}-{n}").write_bytes(text.encode())
+        header = f"surfcount-cache {engine._fingerprint()} {hashlib.sha256(body).hexdigest()}\n"
+        (path / ("%s-%x-%x" % head)).write_bytes(header.encode() + body)
 
     return write
+
+
+@pytest.fixture
+def cache_records():
+    """The records of the cache file ``file``, by entries: its body after the
+    header line, loaded with ``marshal`` (grades as plain tuples)."""
+
+    def read(file):
+        return marshal.loads(file.read_bytes().split(b"\n", 1)[1])
+
+    return read

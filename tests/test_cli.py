@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import marshal
 import os
 import shutil
 import subprocess
@@ -356,13 +357,13 @@ def test_a_warm_count_reads_only_its_own_heads_file(tmp_path, capsys, monkeypatc
     assert opened == ["G-1-1"]
 
 
-def test_truncated_cache_line_cannot_change_the_output(tmp_path, capsys):
+def test_truncated_cache_line_cannot_change_the_output(tmp_path, capsys, cache_records):
     path = tmp_path / "cache"
     rc, out, _ = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"
-    text = (path / "G-1-1").read_text()
-    assert text.endswith(f" 28:{5881451896320:x}\n")  # b = (40,) comes last on its line
-    (path / "G-1-1").write_text(text[:-2] + "\n")  # the value loses its last digit
+    assert list(cache_records(path / "G-1-1").items())[-1] == ((40,), 5881451896320)  # b = (40,) comes last
+    data = (path / "G-1-1").read_bytes()
+    (path / "G-1-1").write_bytes(data[:-1])  # the body loses its last byte
     clear_memo()
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"
@@ -371,7 +372,7 @@ def test_truncated_cache_line_cannot_change_the_output(tmp_path, capsys):
 
 def test_malformed_cache_record_is_not_a_usage_error(tmp_path, capsys, write_cache):
     path = tmp_path / "cache"
-    write_cache(path, f"G 1 1 28:{5881451896320:x} extra\n")
+    write_cache(path, ("G", 1, 1), {(40,): 5881451896320, (42,): "extra"})
     clear_memo()
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"
@@ -382,34 +383,36 @@ def _stats(path) -> dict:
     return {f: (s.st_ino, s.st_mtime_ns) for f in os.listdir(path) for s in [os.stat(path / f)]}
 
 
-def test_unchanged_cache_is_not_rewritten(tmp_path, capsys):
+def test_unchanged_cache_is_not_rewritten(tmp_path, capsys, cache_records):
     path = tmp_path / "cache"
     clear_memo()
     rc, first, _ = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0
-    before, text = _stats(path), (path / "G-1-1").read_text()
+    before, data = _stats(path), (path / "G-1-1").read_bytes()
     clear_memo()  # as in a fresh process
     rc, out, _ = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out == first
-    assert _stats(path) == before and (path / "G-1-1").read_text() == text
+    assert _stats(path) == before and (path / "G-1-1").read_bytes() == data
+    held = len(cache_records(path / "G-1-1"))
     rc, out, _ = run(capsys, "count", "--mode", "G", "--g", "1", "--n", "1", "--b", "42",
                      "--cache", str(path))
     assert rc == 0 and _stats(path)["G-1-1"] != before["G-1-1"]
-    assert (path / "G-1-1").read_text().count(":") == text.count(":") + 1
+    assert len(cache_records(path / "G-1-1")) == held + 1
 
 
-def test_ignored_cache_is_rewritten_without_new_records(tmp_path, capsys):
+def test_ignored_cache_is_rewritten_without_new_records(tmp_path, capsys, cache_records):
     path = tmp_path / "cache"
     clear_memo()
     rc, first, _ = run(capsys, *TORUS_40, "--cache", str(path))
     file = path / "G-1-1"
-    text, stamp = file.read_text(), file.stat()
-    assert text.endswith(f" 28:{5881451896320:x}\n")  # b = (40,)
-    file.write_text(text.replace(f" 28:{5881451896320:x}\n", f" 28:{5881451896321:x}\n"))
+    data, stamp, records = file.read_bytes(), file.stat(), cache_records(file)
+    assert records[40,] == 5881451896320
+    records[40,] += 1  # a body with the value off by one under the old header
+    file.write_bytes(data.split(b"\n", 1)[0] + b"\n" + marshal.dumps(records, 2))
     os.utime(file, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))  # unchanged to os.stat
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))  # the memo holds every key
     assert rc == 0 and out == first and "digest mismatch" in err
-    assert file.read_text() == text
+    assert file.read_bytes() == data
 
 
 def test_cache_grown_by_another_process_keeps_its_records(tmp_path, capsys, monkeypatch):
@@ -490,23 +493,24 @@ def test_cache_is_a_usage_error_where_the_engine_does_not_run(tmp_path, argv):
     assert not (tmp_path / "memo.cache").exists()
 
 
-def test_cache_with_a_removed_family_is_ignored_and_rewritten(tmp_path, capsys, write_cache):
+def test_cache_with_a_removed_family_is_ignored_and_rewritten(tmp_path, capsys, write_cache,
+                                                                cache_records):
     # a cache written while the lattice twin was an engine family of its own,
     # so by other source code: the file the count reads is ignored and
     # rewritten, and the removed family's file is never read
     path = tmp_path / "cache"
-    write_cache(path, f"G 1 1 28:{5881451896320:x}\n")
-    write_cache(path, "LatticeN 1 1 4:1/4\n")
+    write_cache(path, ("G", 1, 1), {(40,): 5881451896320})
+    write_cache(path, ("LatticeN", 1, 1), b"4:1/4\n")  # its records in the text form of then
     for file in path.iterdir():
-        file.write_text(file.read_text().replace(engine._fingerprint(), "0" * 64))
+        file.write_bytes(file.read_bytes().replace(engine._fingerprint().encode(), b"0" * 64))
     lattice = (path / "LatticeN-1-1").read_bytes()
     clear_memo()
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"
     assert err.count("ignoring cache") == 1 and "G-1-1" in err and "written by other source code" in err
-    text = (path / "G-1-1").read_text()
-    assert text.startswith(f"surfcount-cache {engine._fingerprint()} ")
-    assert text.endswith(f" 28:{5881451896320:x}\n") and (path / "LatticeN-1-1").read_bytes() == lattice
+    assert (path / "G-1-1").read_bytes().startswith(f"surfcount-cache {engine._fingerprint()} ".encode())
+    assert list(cache_records(path / "G-1-1").items())[-1] == ((40,), 5881451896320)
+    assert (path / "LatticeN-1-1").read_bytes() == lattice
 
 
 BIG_DISC = ("count", "--mode", "G", "--g", "0", "--n", "1", "--b", "16000")

@@ -1,6 +1,7 @@
 """Recursion engine: traces, symmetries, refinements, convolution, cache."""
 
 import hashlib
+import marshal
 import os
 import re
 import subprocess
@@ -142,19 +143,20 @@ def _read(path, head):
     return engine._MEMO[head]
 
 
-def test_cache_roundtrip(tmp_path):
+def test_cache_roundtrip(tmp_path, cache_records):
     path = tmp_path / "cache"
     clear_memo()
     want = count_G(1, 2, (4, 2))
     written = save_cache(str(path))
     assert written == memo_size() and _heads(path) == set(engine._MEMO)
-    text = (path / "G-1-2").read_text()
-    head, body = text.split("\n", 1)
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    assert head == f"surfcount-cache {engine._fingerprint()} {digest}"
+    head, body = (path / "G-1-2").read_bytes().split(b"\n", 1)
+    digest = hashlib.sha256(body).hexdigest()
+    assert head.decode() == f"surfcount-cache {engine._fingerprint()} {digest}"
+    records = cache_records(path / "G-1-2")
+    assert body == marshal.dumps(records, 2) and list(records) == sorted(records)
     try:
         table = _read(path, ("G", 1, 2))
-        assert table.held == len(table) == body.count(":") == memo_size()
+        assert table.held == len(table) == len(records) == memo_size()
         assert count_G(1, 2, (4, 2)) == want
     finally:
         clear_memo()
@@ -163,16 +165,30 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_rejects_unknown_header(tmp_path, capsys):
     path = tmp_path / "cache"
     path.mkdir()
-    digest = hashlib.sha256(b"2:1\n").hexdigest()
+    body = marshal.dumps({(2,): 1}, 2)
+    digest = hashlib.sha256(body).hexdigest()
     # the last is the header of the single cache file this layout replaced
     for header in ("surfcount-cache v99", "surfcount-cache v1", f"surfcount-cache {engine._fingerprint()} 1 {digest}"):
-        (path / "G-0-1").write_text(f"{header}\n2:1\n")
+        (path / "G-0-1").write_bytes(f"{header}\n".encode() + body)
         try:
             assert _read(path, ("G", 0, 1)) == {}
             assert count_G(0, 1, (2,)) == 1
         finally:
             clear_memo()
         assert "unknown version" in capsys.readouterr().err
+
+
+def test_a_header_that_is_not_ascii_is_refused(tmp_path, capsys):
+    path = tmp_path / "cache"
+    path.mkdir()
+    (path / "G-0-1").write_bytes(b"surfcount-cache \xe9\n" + marshal.dumps({(2,): 1}, 2))
+    try:
+        table = _read(path, ("G", 0, 1))
+        assert (table, table.held) == ({}, -1) and count_G(0, 1, (2,)) == 1
+    finally:
+        clear_memo()
+    err = capsys.readouterr().err
+    assert "'ascii' codec can't decode byte" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -371,14 +387,14 @@ def test_deep_disc_needs_no_recursion_limit_or_asserts():
     assert proc.stdout.split() == ["True"] * 4
 
 
-def test_cache_with_a_truncated_line_is_ignored(tmp_path, capsys):
+def test_cache_with_a_truncated_line_is_ignored(tmp_path, capsys, cache_records):
     path = tmp_path / "cache"
     clear_memo()
     want = count_G(1, 1, (40,))
     save_cache(str(path))
-    text = (path / "G-1-1").read_text()
-    assert text.endswith(f" 28:{5881451896320:x}\n")  # b = (40,) comes last on its line
-    (path / "G-1-1").write_text(text[:-2] + "\n")  # drop the last digit of the value
+    assert list(cache_records(path / "G-1-1").items())[-1] == ((40,), want)  # b = (40,) comes last
+    data = (path / "G-1-1").read_bytes()
+    (path / "G-1-1").write_bytes(data[:-1])  # the body loses its last byte
     try:
         assert _read(path, ("G", 1, 1)) == {} and memo_size() == 0
         assert "digest mismatch" in capsys.readouterr().err
@@ -387,9 +403,14 @@ def test_cache_with_a_truncated_line_is_ignored(tmp_path, capsys):
         clear_memo()
 
 
+FAMILIES = ("G", "N", "Gr", "Nt", "Gt")  # the heads of the memo: a file of any other family is never read
+
+
 @pytest.mark.parametrize(
     "body",
     [
+        # "family g n body", the body in the text form of older versions, one
+        # line of hexadecimal records: no marshal data, so a malformed record
         "G 0 1 2:1 4\n",  # a record short of a field
         "G 0 1 2:1 4:2:2\n",  # a record with a field too many
         "G 0 2 4:2\n",  # boundary vector of the wrong length
@@ -401,20 +422,20 @@ def test_cache_with_a_truncated_line_is_ignored(tmp_path, capsys):
 def test_cache_with_a_malformed_record_is_ignored(tmp_path, capsys, write_cache, body):
     # every family's table of the file's (g, n) is fetched: a file of a family
     # the engine does not have is never read
-    write_cache(tmp_path, body)
-    name, g, n, _ = body.split(" ", 3)
+    name, g, n, text = body.split(" ", 3)
+    write_cache(tmp_path, (name, int(g, 16), int(n, 16)), text.encode())
     clear_memo()
     try:
         assert load_cache(str(tmp_path)) == 0
-        for family in engine._READ:
+        for family in FAMILIES:
             assert engine._MEMO[family, int(g, 16), int(n, 16)] == {}
         assert memo_size() == 0
     finally:
         clear_memo()
-    assert ("ignoring cache" in capsys.readouterr().err) == (name in engine._READ)
+    assert ("ignoring cache" in capsys.readouterr().err) == (name in FAMILIES)
 
 
-def test_cache_save_leaves_no_temporary_file(tmp_path):
+def test_cache_save_leaves_no_temporary_file(tmp_path, cache_records):
     path = tmp_path / "cache"
     clear_memo()
     count_G_r(1, 2, (4, 2), 3)
@@ -422,7 +443,7 @@ def test_cache_save_leaves_no_temporary_file(tmp_path):
     written = save_cache(str(path))
     assert os.listdir(tmp_path) == ["cache"]
     assert sorted(os.listdir(path)) == sorted("%s-%x-%x" % head for head, table in engine._MEMO.items() if table)
-    assert written == memo_size() == sum((path / f).read_text().count(":") for f in os.listdir(path))
+    assert written == memo_size() == sum(len(cache_records(path / f)) for f in os.listdir(path))
     try:
         assert _read(path, ("Gr", 1, 2)) and count_G_r(1, 2, (4, 2), 3) == 66
     finally:
@@ -494,7 +515,7 @@ def test_cache_written_by_other_source_is_ignored(tmp_path, capsys, monkeypatch)
         clear_memo()
 
 
-def test_cache_changed_on_disk_after_a_load_is_written(tmp_path):
+def test_cache_changed_on_disk_after_a_load_is_written(tmp_path, cache_records):
     # a file changed before its table reads it is read as it is then; one
     # changed after is left as it is until its table grows
     path = tmp_path / "cache"
@@ -503,21 +524,21 @@ def test_cache_changed_on_disk_after_a_load_is_written(tmp_path):
         count_G(1, 1, (10,))
         save_cache(str(path))
         file = path / "G-1-1"
-        text = file.read_text()
+        data, held = file.read_bytes(), len(cache_records(file))
         clear_memo()
         load_cache(str(path))
         os.remove(file)  # after the load, before the read
         assert engine._MEMO["G", 1, 1] == {} and save_cache(str(path)) == 0
-        file.write_text(text)
-        assert _read(path, ("G", 1, 1)).held == text.count(":")
+        file.write_bytes(data)
+        assert _read(path, ("G", 1, 1)).held == held
         os.remove(file)  # another process deletes the file, then writes the same bytes
         assert save_cache(str(path)) == 0 and not file.exists()
-        file.write_text(text)
+        file.write_bytes(data)
         before = _inodes(path)
         assert save_cache(str(path)) == 0 and _inodes(path) == before
         count_G(1, 1, (12,))
         assert save_cache(str(path)) > 0 and _inodes(path)["G-1-1"] != before["G-1-1"]
-        assert file.read_text().count(":") == text.count(":") + 1
+        assert len(cache_records(file)) == held + 1
     finally:
         clear_memo()
 
@@ -887,11 +908,18 @@ def test_a_loaded_cache_parses_a_block_when_a_read_first_asks_for_its_head(tmp_p
         clear_memo()
 
 
-def test_a_saved_body_is_frozen(tmp_path):
+def _hex(x) -> str:
+    """An int, or a tuple of them as a comma list ("-" if empty), in lowercase
+    hexadecimal: the text form of a record in the bodies of older versions."""
+    return format(x, "x") if isinstance(x, int) else ",".join(map(_hex, x)) or "-"
+
+
+def test_a_saved_body_is_frozen(tmp_path, cache_records):
     # recorded from the flat memo keyed by (family, g, n, b) as the body of
     # the single cache file this layout replaced: a line "family g n body"
-    # per head file, in ascending head order; the header's fingerprint
-    # changes with any source edit, so only the bodies are hashed
+    # per head file, in ascending head order, the body one line of records
+    # "b:value" in hexadecimal, the text form bodies had then; each file's
+    # records are rendered in that form here, since only they are hashed
     path = tmp_path / "cache"
     try:
         _mixed_cold_ops()
@@ -899,7 +927,9 @@ def test_a_saved_body_is_frozen(tmp_path):
     finally:
         clear_memo()
     lines = [
-        f"{name} {g:x} {n:x} {(path / f'{name}-{g:x}-{n:x}').read_text().split(chr(10), 1)[1]}"
+        f"{name} {g:x} {n:x} "
+        + " ".join(f"{_hex(b)}:{_hex(v)}" for b, v in cache_records(path / f"{name}-{g:x}-{n:x}").items())
+        + "\n"
         for name, g, n in sorted(_heads(path))
     ]
     body = "".join(lines).encode()
@@ -961,27 +991,84 @@ def test_a_count_past_the_digit_limit_round_trips_through_the_cache(tmp_path, de
 @pytest.mark.parametrize(
     "line, fault",
     [
+        # "family g n body", the body in the text form of older versions (a
+        # line of hexadecimal records "b:value"), damaged or not: under this
+        # source's header it is no marshal data, so a malformed record
         ("G 1 1 2:3 4\n", "malformed record"),  # a record short of its value
         ("N 0 2 4,2,2:8\n", "malformed record"),  # entries of the wrong length
         ("Gr 0 1 4:0,x\n", "malformed record"),
-        ("G 0 1 2:+1\n", "malformed record"),  # int() reads it; save_cache never writes it
+        ("G 0 1 2:+1\n", "malformed record"),
         ("G 1 1 4:d", "malformed record"),  # no last newline
         ("G 1 1 4:d\n2:3\n", "malformed record"),  # a second line
         ("G 1 1 4:d \n", "malformed record"),  # a space after the last record
         ("G 1 1 \n\n", "malformed record"),
-        ("G 1 1 4:d\xe9\n", "'ascii' codec can't decode byte"),
-        ("G 1 1 4:D\n", "malformed record"),  # an uppercase hex digit
-        ("G 1 1 4:0d\n", "malformed record"),  # a zero-padded value
-        ("G 1 1 04:d\n", "malformed record"),  # a zero-padded entry
+        ("G 1 1 4:d\xe9\n", "malformed record"),  # no ASCII
+        ("G 1 1 4:D\n", "malformed record"),
+        ("G 1 1 4:0d\n", "malformed record"),
+        ("G 1 1 04:d\n", "malformed record"),  # a zero: marshal's NULL object
     ],
 )
 def test_a_refused_cache_names_its_first_fault(tmp_path, capsys, write_cache, line, fault):
-    write_cache(tmp_path, line)
-    name, g, n, _ = line.split(" ", 3)
+    name, g, n, text = line.split(" ", 3)
+    write_cache(tmp_path, head := (name, int(g, 16), int(n, 16)), text.encode())
     try:
-        table = _read(tmp_path, (name, int(g, 16), int(n, 16)))
+        table = _read(tmp_path, head)
         assert (table, table.held, memo_size()) == ({}, -1, 0)
     finally:
         clear_memo()
     err = capsys.readouterr().err
     assert fault in err and err.count("\n") == 1
+
+
+def _marshal_dict(key: bytes, value: bytes) -> bytes:
+    """A marshal dict of one record, key and value given as marshal data."""
+    return b"{" + key + value + b"0"
+
+
+@pytest.mark.parametrize(
+    "head, body",
+    [
+        pytest.param(("G", 1, 1), marshal.dumps([((4,), 13)], 2), id="a list, not a dict"),
+        pytest.param(("G", 1, 1), _marshal_dict(marshal.dumps([4], 2), marshal.dumps(13, 2)), id="a list as a key"),
+        pytest.param(("G", 1, 1), {frozenset((4,)): 13}, id="a frozenset as a key"),
+        pytest.param(("G", 1, 1), {(4, 2): 13}, id="entries of the wrong length"),
+        pytest.param(("G", 1, 1), {(-4,): 13}, id="a negative entry"),
+        pytest.param(("G", 1, 1), {(True,): 13}, id="a True entry"),
+        pytest.param(("G", 1, 1), {(4,): 13.0}, id="a float G value"),
+        pytest.param(("N", 1, 1), {(4,): True}, id="a bool N value"),
+        pytest.param(("Gr", 1, 1), {(4,): [0, 1, 6, 6]}, id="a list as Gr grades"),
+        pytest.param(("Gr", 1, 1), {(4,): (0, True, 6, 6)}, id="a bool Gr grade"),
+        pytest.param(("Nt", 1, 1), {(4,): 3}, id="an int as Nt grades"),
+        pytest.param(("G", 1, 1), marshal.dumps(compile("13", "<cache>", "eval"), 2), id="a code object"),
+        pytest.param(("G", 1, 1), b"\x00\xffsurfcount\n", id="garbage bytes"),
+    ],
+)
+def test_a_body_of_the_wrong_shape_is_a_malformed_record(tmp_path, capsys, write_cache, head, body):
+    # marshal refuses the list key and the garbage; the type check refuses each other body
+    key = (*head, (4,))
+    clear_memo()
+    cold = engine._eval(key)
+    clear_memo()
+    write_cache(tmp_path, head, body)
+    try:
+        table = _read(tmp_path, head)
+        assert (table, table.held, memo_size()) == ({}, -1, 0)
+        assert engine._eval(key) == cold
+    finally:
+        clear_memo()
+    err = capsys.readouterr().err
+    assert "malformed record" in err and err.count("\n") == 1
+
+
+def test_int_subclass_inputs_save_plain_ints(tmp_path, cache_records):
+    # marshal writes plain ints alone: a public count stores int subclasses as plain ints
+    path = tmp_path / "cache"
+    clear_memo()
+    try:
+        want = count_G(_Int(1), _Int(2), [_Int(4), _Int(2)])
+        assert save_cache(str(path)) == memo_size() > 0
+        records = cache_records(path / "G-1-2")
+        assert records[4, 2] == want and {type(x) for b in records for x in b} == {int}
+        assert _read(path, ("G", 1, 2)).held == len(records) and count_G(1, 2, (4, 2)) == want
+    finally:
+        clear_memo()

@@ -8,10 +8,11 @@ oracles (``oracle``), and the verification suites (``verify``).
 Conventions: every count is exact; big integers appear in JSON as decimal
 strings, never as native numbers.  Exit codes: 0 success, 1 verification
 failure (a fit that fails certification included), 2 usage error,
-3 unsupported request, 4 I/O error, 5 internal error (running out of
-memory included).  The subcommands that run the engine take the optional
-persistent memo cache, ``--cache [PATH]``, a directory of one file per
-``family g n`` head, or else ``$SURFCOUNT_CACHE``.  Cached values never
+3 unsupported request, 4 I/O error (a closed stdout included), 5 internal
+error (running out of memory, and any exception without a code of its own),
+130 interrupted (SIGINT).  The subcommands that run the engine take the
+optional persistent memo cache, ``--cache [PATH]``, a directory of one file
+per ``family g n`` head, or else ``$SURFCOUNT_CACHE``.  Cached values never
 change any output: a file written by other source code is ignored, and a
 successful command rewrites the files of the heads that gained records (or
 whose file was ignored).  A file's body is ``marshal`` data, which no
@@ -265,11 +266,13 @@ def _cmd_oracle(args) -> int:
             print(_dumps(profile._asdict()))
         return EXIT_OK
     m = args.arrows
-    labellings = list(all_arrow_labellings(m))
-    images = {arrows_to_arcs(lab) for lab in labellings}
-    print(f"{len(labellings)} labellings, {len(images)} distinct arc structures")
+    count, images = 0, set()
+    for lab in all_arrow_labellings(m):  # streamed: only the images are kept
+        images.add(arrows_to_arcs(lab))
+        count += 1
+    print(f"{count} labellings, {len(images)} distinct arc structures")
     if args.list:
-        for lab in labellings:
+        for lab in all_arrow_labellings(m):
             arcs = arrows_to_arcs(lab)
             print(_dumps({"labels": list(lab), "arcs": [list(a) for a in arcs.arcs]}))
     return EXIT_OK
@@ -397,6 +400,9 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
+    if sys.stdout is None:  # the process started with its stdout closed
+        print("i/o error: stdout is closed", file=sys.stderr)
+        return EXIT_IO
     parser = _build_parser()
     args = parser.parse_args(argv)
     cache_path = None
@@ -433,6 +439,12 @@ def _main(argv) -> int:
     except MemoryError:  # its message is empty, or names no request
         print("internal error: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as exc:  # any other exception is a fault of the program
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, the status a shell gives a process that signal ended
     finally:  # a later call in this process reads no cache files
         if cache_path:
             detach_cache()

@@ -1,7 +1,7 @@
 """Brute-force combinatorial oracles.
 
 Independent constructions that never touch the recursion engine: exhaustive
-noncrossing matchings on the disc (with a genuine region count), the
+noncrossing matchings on the disc (regions counted by tracing faces), the
 arrow-labelling-to-arc-structure scan on the annulus with one marked
 boundary, and an exhaustive search for pants arc-type profiles.  The test
 suite uses these as ground truth for the closed forms and the engine.
@@ -29,7 +29,8 @@ def _matchings(points: tuple[int, ...]):
     """All noncrossing matchings of a linearly ordered point set.
 
     The smallest point pairs with each candidate at odd distance; the two
-    resulting segments match independently.  Deterministic order.
+    resulting segments match independently.  Deterministic order; the pairs
+    come as (a, b) with a < b, ascending in a.
     """
     if not points:
         yield ()
@@ -42,37 +43,41 @@ def _matchings(points: tuple[int, ...]):
                 yield ((a, b),) + left + right
 
 
-def _count_regions(m: int, pairs: tuple[tuple[int, int], ...]) -> int:
-    """Complementary regions of a noncrossing chord diagram on the disc.
+def _count_faces(mate: list[int]) -> int:
+    """Regions of a noncrossing chord diagram on the disc, by tracing faces.
 
-    Each chord {a, b} (a < b) cuts the disc in two; a region is determined
-    by its side of every chord.  For noncrossing diagrams every region
-    touches the boundary circle, so the regions are exactly the distinct
-    side-vectors of the 2m boundary gaps (gap i sits between points i and
-    i+1 mod 2m, and lies inside chord {a, b} iff a <= i < b).
+    Every region touches the boundary.  From the gap after point p, walk to
+    point p + 1 and cross its chord: the regions are the cycles of the gaps
+    under p -> mate[(p + 1) % 2m].  A disc with no points is one region.
     """
-    if m == 0:
-        return 1
-    chords = [tuple(sorted(p)) for p in pairs]
-    sides = set()
-    for gap in range(2 * m):
-        sides.add(tuple(a <= gap < b for a, b in chords))
-    return len(sides)
+    size = len(mate)
+    seen = [False] * size
+    faces = 0
+    for start in range(size):
+        if not seen[start]:
+            faces += 1
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                p = mate[(p + 1) % size]
+    return faces or 1
 
 
 def enumerate_disc(m: int) -> list[DiscDiagram]:
     """All arc diagrams on a disc with 2m boundary points, exhaustively.
 
     Each diagram is a noncrossing perfect matching; the region count is
-    computed from the chord arrangement, not assumed.
+    traced from the chords, not assumed.
     """
     _reject(int, (m,), "m")
     if m < 0:
         raise ValueError("m must be >= 0")
     out = []
+    mate = [0] * (2 * m)  # every diagram rewrites each entry
     for pairs in _matchings(tuple(range(2 * m))):
-        canon = tuple(sorted(tuple(sorted(p)) for p in pairs))
-        out.append(DiscDiagram(m, canon, _count_regions(m, canon)))
+        for a, b in pairs:
+            mate[a], mate[b] = b, a
+        out.append(DiscDiagram(m, pairs, _count_faces(mate)))
     return out
 
 
@@ -87,11 +92,11 @@ class ArcStructure:
 def arrows_to_arcs(labels) -> ArcStructure:
     """Resolve an in/out labelling on one marked boundary into arcs.
 
-    Positions are 1..2m anticlockwise.  Walk the boundary cyclically:
-    an "in" opens an arc; an "out" closes the most recently opened arc if
-    one is open, and otherwise waits for a later lap.  Every passage of the
-    basepoint while an arc is open adds a wrap to it when it closes.  The
-    scan must pair everything — a failure is an implementation bug.
+    Positions are 1..2m anticlockwise.  On the first lap an "in" opens an
+    arc and an "out" closes the latest open arc, or waits if none is open;
+    on the second lap, past the basepoint, each waiting out closes the
+    latest open arc with one wrap.  The scan must pair everything — a
+    failure is an implementation bug.
     """
     labels = tuple(labels)
     size = len(labels)
@@ -100,23 +105,17 @@ def arrows_to_arcs(labels) -> ArcStructure:
     m = size // 2
     if sum(1 for x in labels if x == "in") != m:
         raise ValueError("need equal numbers of in and out labels")
-    opened: list[tuple[int, int]] = []  # (position, lap when opened)
-    matched_out = [False] * size
-    arcs = []
-    max_laps = 3
-    for lap in range(max_laps):
-        for pos in range(size):
-            if labels[pos] == "in":
-                if lap == 0:
-                    opened.append((pos + 1, lap))
-            elif not matched_out[pos] and opened:
-                start, start_lap = opened.pop()
-                matched_out[pos] = True
-                arcs.append((start, pos + 1, lap - start_lap))
-        if not opened and all(
-            matched_out[i] for i in range(size) if labels[i] == "out"
-        ):
-            break
+    opened: list[int] = []  # positions of the ins not yet closed, latest last
+    waiting, arcs = [], []  # waiting: the outs met on lap 0 while no arc was open
+    for pos, label in enumerate(labels, 1):
+        if label == "in":
+            opened.append(pos)
+        elif opened:
+            arcs.append((opened.pop(), pos, 0))
+        else:
+            waiting.append(pos)
+    for pos in waiting[:len(opened)]:  # lap 1: as many arcs are open as outs wait
+        arcs.append((opened.pop(), pos, 1))
     if opened or len(arcs) != m:
         raise RuntimeError("scan failed to pair all labels")
     return ArcStructure(tuple(sorted(arcs)))

@@ -637,13 +637,15 @@ def check_pants_oracle() -> str:
 def check_arrows_oracle() -> str:
     total = 0
     for m in range(7):
-        labellings = list(all_arrow_labellings(m))
-        if len(labellings) != binomial(2 * m, m):
-            _fail(f"arrow labellings at m={m}: {len(labellings)}")
-        images = {arrows_to_arcs(lab) for lab in labellings}
-        if len(images) != len(labellings):
+        count, images = 0, set()
+        for lab in all_arrow_labellings(m):
+            images.add(arrows_to_arcs(lab))
+            count += 1
+        if count != binomial(2 * m, m):
+            _fail(f"arrow labellings at m={m}: {count}")
+        if len(images) != count:
             _fail(f"arrow decoding not injective at m={m}")
-        total += len(labellings)
+        total += count
     return f"{total} arrow labellings decoded, total and injective"
 
 

@@ -131,6 +131,32 @@ def test_internal_error_exits_5_without_traceback(capsys, monkeypatch, exc):
     assert err == f"internal error: {exc}\n"
 
 
+@pytest.mark.parametrize("exc", [TypeError("t"), IndexError("i"), AttributeError("a")])
+def test_an_unexpected_exception_exits_5_with_its_type(capsys, monkeypatch, exc):
+    def broken(g, n, b):
+        raise exc
+
+    monkeypatch.setattr(cli, "count_G", broken)
+    rc, out, err = run(capsys, "count", "--mode", "G", "--g", "1", "--n", "1", "--b", "4")
+    assert (rc, out) == (5, "")
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def test_an_interrupt_exits_130_with_one_line(capsys, monkeypatch):
+    def interrupted(g, n, b):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "count_G", interrupted)
+    rc, out, err = run(capsys, "count", "--mode", "G", "--g", "1", "--n", "1", "--b", "4")
+    assert (rc, out, err) == (130, "", "interrupted\n")
+
+
+def test_a_closed_stdout_is_an_io_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)  # what Python sets when fd 1 is closed
+    rc = main(["count", "--mode", "G", "--g", "1", "--n", "1", "--b", "4"])
+    assert (rc, capsys.readouterr().err) == (4, "i/o error: stdout is closed\n")
+
+
 def test_table_csv(capsys):
     rc, out, _ = run(capsys, "table", "--mode", "G", "--g", "0", "--n", "1", "--b-max", "6")
     assert rc == 0
@@ -258,6 +284,20 @@ def test_oracle_commands(capsys):
     assert "6 labellings, 6 distinct" in out
     rc, _, _ = run(capsys, "oracle", "--disc", "1", "--pants", "0,0,0")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--disc", "6"), "1f320991331cc0f35c340e02c22326e06b1c3886d26e29e55de575fcc57fd66a"),
+        (("--arrows", "5"), "11c8355f1a44a9bf2dc3356483b27d77760a4b6dc9cde2872f8055cb7c4821d1"),
+    ],
+    ids=["disc-6", "arrows-5"],
+)
+def test_an_oracle_listing_is_frozen(capsys, argv, digest):
+    rc, out, err = run(capsys, "oracle", *argv, "--list")
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("value", ["1,1", "x"])

@@ -113,3 +113,35 @@ def test_pruned_pants_search_equals_the_unpruned_loop():
             assert sorted(pants_search(*b)) == sorted(_pants_search_unpruned(*b)), b
             cases += 1
     assert cases == 525
+
+
+def _regions_by_side_vectors(m, pairs):
+    """Reference region count: a region of a noncrossing diagram touches the
+    boundary, and it is fixed by its side of every chord, so the regions are
+    the distinct side vectors of the 2m boundary gaps (gap i, between points
+    i and i + 1 mod 2m, lies inside chord (a, b) iff a <= i < b)."""
+    if m == 0:
+        return 1
+    return len({tuple(a <= gap < b for a, b in pairs) for gap in range(2 * m)})
+
+
+def test_traced_regions_equal_the_side_vector_count():
+    diagrams = [d for m in range(9) for d in enumerate_disc(m)]
+    assert len(diagrams) == sum(catalan(m) for m in range(9)) == 2056
+    for d in diagrams:
+        assert d.regions == _regions_by_side_vectors(d.m, d.pairs) == d.m + 1, d
+
+
+def test_disc_pairs_come_sorted_with_the_smaller_point_first():
+    for m in range(9):
+        for d in enumerate_disc(m):
+            assert d.pairs == tuple(sorted(d.pairs))
+            assert all(a < b for a, b in d.pairs)
+
+
+def test_an_arc_wraps_exactly_when_its_out_comes_before_its_in():
+    for m in range(8):
+        for labels in all_arrow_labellings(m):
+            for start, end, wraps in arrows_to_arcs(labels).arcs:
+                assert labels[start - 1] == "in" and labels[end - 1] == "out"
+                assert wraps == (end < start), (labels, start, end, wraps)

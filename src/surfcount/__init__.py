@@ -31,13 +31,13 @@ _LAZY = {
         ("engine", ("clear_memo", "convolve_G_from_N", "count_G", "count_G_r", "count_G_t",
                     "count_G_t_via_r", "count_lattice", "count_N", "count_N_t", "dilaton_reduce",
                     "load_cache", "save_cache")),
-        ("exact", ("DegenerateGridError", "FitInvalid", "MultiPoly", "QuasiPoly", "binomial",
-                   "frac_str", "interpolate_tensor", "parse_frac")),
+        ("exact", ("DegenerateGridError", "FitInvalid", "MultiPoly", "QuasiPoly", "SeriesIdentityError",
+                   "binomial", "frac_str", "interpolate_tensor", "parse_frac")),
         ("fitlab", ("FitReport", "compare_top_degree", "extract_psi", "fit_G_poly", "fit_Nhat",
                     "fit_Nhat_refined")),
         ("oracles", ("ArcStructure", "DiscDiagram", "all_arrow_labellings", "arrows_to_arcs",
                      "enumerate_disc", "pants_search")),
-        ("series", ("CLOSED_FORM_NAMES", "SeriesIdentityError", "TruncSeries", "build_fG",
+        ("series", ("CLOSED_FORM_NAMES", "TruncSeries", "build_fG",
                     "build_fN", "build_bold_fN", "build_frak_f", "closed_form_reference",
                     "diff_recursion_residual", "expand_closed_form", "first_diff_residual",
                     "pullback_check", "scaling_check")),

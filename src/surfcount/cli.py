@@ -9,10 +9,12 @@ Conventions: every count is exact; big integers appear in JSON as decimal
 strings, never as native numbers.  Exit codes: 0 success, 1 verification
 failure (a fit that fails certification included), 2 usage error,
 3 unsupported request, 4 I/O error (a closed stdout included), 5 internal
-error (running out of memory, and any exception without a code of its own),
-130 interrupted (SIGINT).  The subcommands that run the engine take the
-optional persistent memo cache, ``--cache [PATH]``, a directory of one file
-per ``family g n`` head, or else ``$SURFCOUNT_CACHE``.  Cached values never
+error (running out of memory, a failed series identity, a degenerate
+interpolation grid, and any exception without a code of its own),
+130 interrupted (SIGINT).  A stderr line that cannot be written is dropped.
+The subcommands that run the engine take the optional persistent memo
+cache, ``--cache [PATH]``, a directory of one file per ``family g n`` head,
+or else ``$SURFCOUNT_CACHE``.  Cached values never
 change any output: a file written by other source code is ignored, and a
 successful command rewrites the files of the heads that gained records (or
 whose file was ignored).  A file's body is ``marshal`` data, which no
@@ -45,7 +47,7 @@ from .engine import (
     load_cache,
     save_cache,
 )
-from .exact import EVEN, ODD, ZERO, FitInvalid, frac_str
+from .exact import EVEN, ODD, ZERO, DegenerateGridError, FitInvalid, SeriesIdentityError, frac_str
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -399,9 +401,20 @@ def main(argv=None) -> int:
         set_limit(limit)
 
 
+def _say(line: str) -> None:
+    """Write one line to stderr.  A stderr that is missing (None) or cannot
+    be written takes nothing: the line never lands on stdout, and the exit
+    code stays the one it goes with."""
+    try:
+        if sys.stderr is not None:
+            print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _main(argv) -> int:
     if sys.stdout is None:  # the process started with its stdout closed
-        print("i/o error: stdout is closed", file=sys.stderr)
+        _say("i/o error: stdout is closed")
         return EXIT_IO
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -409,7 +422,7 @@ def _main(argv) -> int:
     if getattr(args, "cache", None) is not None:  # only the engine's subcommands take --cache
         cache_path = args.cache or os.environ.get("SURFCOUNT_CACHE", "")
         if not cache_path:
-            print("error: --cache given but no path and no SURFCOUNT_CACHE", file=sys.stderr)
+            _say("error: --cache given but no path and no SURFCOUNT_CACHE")
             return EXIT_USAGE
     try:
         if cache_path:
@@ -419,31 +432,34 @@ def _main(argv) -> int:
             save_cache(cache_path)
         return rc
     except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_USAGE
     except (NoClosedForm, Unsupported) as exc:  # NoClosedForm is a ValueError
-        print(f"unsupported: {exc}", file=sys.stderr)
+        _say(f"unsupported: {exc}")
         return EXIT_UNSUPPORTED
     except FitInvalid as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
+        _say(f"verification failed: {exc}")
         return EXIT_VERIFY
+    except (SeriesIdentityError, DegenerateGridError) as exc:  # ValueErrors that are faults of the program
+        _say(f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_USAGE
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        _say(f"i/o error: {exc}")
         return EXIT_IO
     except (RuntimeError, ArithmeticError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _say(f"internal error: {exc}")
         return EXIT_INTERNAL
     except MemoryError:  # its message is empty, or names no request
-        print("internal error: out of memory", file=sys.stderr)
+        _say("internal error: out of memory")
         return EXIT_INTERNAL
     except Exception as exc:  # any other exception is a fault of the program
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _say(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
     except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
+        _say("interrupted")
         return 130  # 128 + SIGINT, the status a shell gives a process that signal ended
     finally:  # a later call in this process reads no cache files
         if cache_path:

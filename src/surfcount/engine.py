@@ -52,11 +52,16 @@ from the family's ``pants`` rule (no key, no memo read) and keep it like any
 other row.  The (0,3) base values use the same rule.  The separations of a
 body come from one index table per shape, genus and number of entries.
 
-Bodies are generators yielding each child key missing from the memo;
-``_run`` runs them on an explicit stack, so no input meets Python's
-recursion limit.  Every edge lowers ``(2g + n - 2, sum(b))``
-lexicographically; a key met again on its own stack raises RuntimeError.
-A key ``(family, g, n, b)`` lives only there, while its body runs.
+Bodies are plain functions: a piece missing from the memo runs its body
+through ``_fill``, which stores its value.  Every edge lowers
+``(2g + n - 2, sum(b))`` lexicographically, and a key met again while its
+body runs raises RuntimeError.  A key ``(family, g, n, b)`` lives only
+there, while its body runs.  Bodies nest at most 2g + n + 2 deep, so no
+input meets Python's recursion limit: every shape-B piece lowers 2g + n;
+in shape A only the disc separation's same-head piece keeps it, and that
+piece is a value of a row; rows grow in ascending order, so such a
+piece's body finds the smaller pieces of its head that it reads already
+stored, and the nesting at one head stays shallow.
 
 The memo persists in an optional cache directory of one file per head
 ``family g n``, whose body is the ``marshal`` form of the head's records,
@@ -214,10 +219,10 @@ def _check(g: int, n: int, b, *grades: int) -> tuple[int, ...]:
 
 
 def _count(name: str, g: int, n: int, b, *grades: int):
-    """A public count's entry: b checked and canonicalised, ``_run`` on a miss."""
+    """A public count's entry: b checked and canonicalised, ``_fill`` on a miss."""
     b = _canon(_check(g, n, b, *grades))
     value = _MEMO[name, g, n][b]
-    return _run((name, g, n, b)) if value is None else value
+    return _fill((name, g, n, b)) if value is None else value
 
 
 # -- pants values and base values; None sends the key to its family's body ----
@@ -269,30 +274,24 @@ def _base_Nt(g, n, b):
 
 # -- the two recursion shapes -------------------------------------------------
 
-def _row(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], stop: int):
+def _row(fam: _Family, name: str, cut: bool, g: int, side: tuple[int, ...], stop: int) -> _Row:
     """The row of (g, side), p = sum(side) % 2 (odd totals are empty), grown
     to at least stop values.  Value t of a value row is the piece
     (g, (s,) + side) at s = p + 2t; of a cut row it is Q(s), the sum of the
     pieces (g, (i, j) + side) left by a cut with runs i + j = s, where (i, j)
     and (j, i) are one key, read once and counted twice.  A row that already
-    holds stop values is returned as it is; otherwise the result is a
-    generator for the driver that grows the row and returns it (``_grow``),
-    so a body reads a row with
-
-        if type(row := _row(...)) is not _Row:
-            row = yield from row
-    """
+    holds stop values is returned as it is; any other is grown (``_grow``)."""
     if (row := _MEMO.rows.get(rkey := (name, cut, g, side))) is not None and len(row) >= stop:
         return row
     return _grow(fam, rkey, row, stop)
 
 
-def _grow(fam: _Family, rkey: tuple, row: _Row | None, stop: int):
+def _grow(fam: _Family, rkey: tuple, row: _Row | None, stop: int) -> _Row:
     """Grow ``row``, the row of ``rkey``, to stop values, creating it if it
     is None.  The row grows one value at a time, each appended as soon as
     its pieces are read, and a shape-B row appends its ramp entry in the
-    same step, so len(row.ramp) == len(row) + 1.  A row that grew while a
-    piece was yielded to the driver raises RuntimeError (``_shape_a`` and
+    same step, so len(row.ramp) == len(row) + 1.  A row that grew while the
+    body of one of its pieces ran raises RuntimeError (``_shape_a`` and
     ``_shape_b`` say why none can).  A pants row keeps its values too, each
     taken from its family's ``pants`` rule, not the memo."""
     name, cut, g, side = rkey
@@ -310,7 +309,7 @@ def _grow(fam: _Family, rkey: tuple, row: _Row | None, stop: int):
             if pants:
                 v = pants(*entries)
             elif (v := table[b := tuple(sorted(entries, reverse=True))]) is None:
-                v = yield name, g, n, b
+                v = _fill((name, g, n, b))
                 if len(row) != have:
                     raise RuntimeError(f"engine row {rkey} grew while a body was extending it")
             v = 2 * v if cut and 2 * j != s else v  # (j, s - j) and (s - j, j) are one key
@@ -364,27 +363,23 @@ def _shape_a(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
         for i in range(b1 // 2):
             j = b1 - 2 - i
             if (v := table[pair := _canon((i, j) + rest)]) is None:
-                v = yield name, g - 1, n + 1, pair
+                v = _fill((name, g - 1, n + 1, pair))
             acc += v if i == j else 2 * v
     for idx, bk in enumerate(rest):  # the arc runs to another boundary, leaving b1 + bk - 2 points
         if bk:
             other = rest[:idx] + rest[idx + 1 :]
-            if type(row := _row(fam, name, False, g, other, (b1 + bk) // 2)) is not _Row:
-                row = yield from row
-            acc += bk * row[(b1 + bk - 2) // 2]
+            acc += bk * _row(fam, name, False, g, other, (b1 + bk) // 2)[(b1 + bk - 2) // 2]
     for g1, left, right, own in _halves(g, rest, False):  # the arc separates, runs i + j = b1 - 2
         k = (b1 - sum(left) % 2) // 2  # both sides have k runs of the pieces' parity
         # rows may hold more than k values
-        if type(U := _row(fam, name, False, g1, left, k)) is not _Row:
-            U = yield from U
+        U = _row(fam, name, False, g1, left, k)
         if own:  # fold i <-> j as well; the middle run pairs with itself once
             half, middle = divmod(k, 2)
             if middle:
                 acc += U[half] * U[half]
             acc += 2 * sum(map(mul, U[:half], reversed(U[:k])), fam.zero)
         else:
-            if type(V := _row(fam, name, False, g - g1, right, k)) is not _Row:
-                V = yield from V
+            V = _row(fam, name, False, g - g1, right, k)
             acc += 2 * sum(map(mul, U, reversed(V[:k])), fam.zero)
     return acc
 
@@ -404,27 +399,22 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
     b1, rest = b[0], b[1:]
     acc = fam.zero
     if g:  # the arc and its run are cut away: the genus drops
-        if type(row := _row(fam, name, True, g - 1, rest, b1 // 2)) is not _Row:
-            row = yield from row
-        acc += row.ramp[b1 // 2]
+        acc += _row(fam, name, True, g - 1, rest, b1 // 2).ramp[b1 // 2]
     for idx, bj in enumerate(rest):  # the arc joins boundary j: sum and difference
         other = rest[:idx] + rest[idx + 1 :]
-        if type(row := _row(fam, name, False, g, other, (b1 + bj) // 2)) is not _Row:
-            row = yield from row
+        row = _row(fam, name, False, g, other, (b1 + bj) // 2)
         term = bar(bj) * (row.ramp[(b1 + bj) // 2] + row.ramp[(b1 - bj) // 2])
         acc += term if bj else term * fam.region  # joining an empty boundary creates a region
     for g1, left, right, own in _halves(g, rest, True):  # the arc separates, leaving no disc or annulus
         # runs i | m | j along b1 with i + m + j = b1, i = sum(left) % 2 + 2p and
         # j = sum(right) % 2 + 2q (pieces with odd totals are empty)
         k = (b1 - sum(left) % 2 - sum(right) % 2) // 2
-        if type(U := _row(fam, name, False, g1, left, k)) is not _Row:
-            U = yield from U
+        U = _row(fam, name, False, g1, left, k)
         # the arc takes m = 2(k - p - q) points; the sum over q < k - p of
         # (k - p - q) V[q] over the other piece's values V is its ramp's entry
         # k - p; with one boundary and equal genera (own) the two pieces share
         # a row, and the double sum holds both (i, j) and its mirror (j, i)
-        if type(V := _row(fam, name, False, g - g1, right, k)) is not _Row:
-            V = yield from V
+        V = _row(fam, name, False, g - g1, right, k)
         sep = sum(map(mul, U, V.ramp[k:0:-1]), fam.zero)
         acc += sep if own else 2 * sep
     return acc
@@ -451,30 +441,26 @@ def _body(key):
     return fam.body(fam, *key)
 
 
-def _eval(key):  # the value of one key: its table's entry, or on a miss _run's
+def _eval(key):  # the value of one key: its table's entry, or on a miss _fill's
     value = _MEMO[key[:3]][key[3]]
-    return _run(key) if value is None else value
+    return _fill(key) if value is None else value
 
 
-def _run(key):
-    """The value of a key missing from the memo: bodies of missing entries run
-    on an explicit stack, each resumed with the value of the child it yielded."""
-    stack, active, value = [(key, _body(key))], {key}, None
-    while stack:
-        key, body = stack[-1]
-        try:
-            child = body.send(value)
-        except StopIteration as done:
-            name, g, n, b = key
-            value = _MEMO[name, g, n][b] = done.value
-            stack.pop()
-            active.discard(key)
-            continue
-        if child in active:
-            raise RuntimeError(f"engine recursion revisits {child} on its own stack")
-        stack.append((child, _body(child)))
-        active.add(child)
-        value = None
+_RUNNING = set()  # the keys whose bodies are running
+
+
+def _fill(key):
+    """The value of a key missing from the memo: its body's, stored in its
+    table.  A key met again while its body runs raises RuntimeError."""
+    if key in _RUNNING:
+        raise RuntimeError(f"engine recursion revisits {key} while its body runs")
+    _RUNNING.add(key)
+    try:
+        value = _body(key)
+    finally:
+        _RUNNING.discard(key)
+    name, g, n, b = key
+    _MEMO[name, g, n][b] = value
     return value
 
 

@@ -69,6 +69,10 @@ class DegenerateGridError(ValueError):
     """Raised when an interpolation grid is not a usable tensor product."""
 
 
+class SeriesIdentityError(ValueError):
+    """An identity between series failed at some coefficient."""
+
+
 class FitInvalid(ValueError):
     """Raised when a fitted polynomial fails held-out validation."""
 

@@ -18,11 +18,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .engine import count_G, count_G_r, count_G_t, count_N, count_N_t
+from .exact import SeriesIdentityError  # defined in exact, so the CLI catches it without importing series
 from .exact import _collect, _reject, binomial, frac_str, ordered_splits, vectors_with_sum_at_most
-
-
-class SeriesIdentityError(ValueError):
-    """An identity between series failed at some coefficient."""
 
 
 def _graded_lex(key, nvars):

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfcount import cli, engine, fitlab
+import surfcount
+from surfcount import cli, engine, exact, fitlab, series
 from surfcount.cli import main
 from surfcount.closed import catalan
 from surfcount.engine import clear_memo, count_N
+from surfcount.exact import DegenerateGridError, SeriesIdentityError
 
 
 def run(capsys, *argv):
@@ -155,6 +157,42 @@ def test_a_closed_stdout_is_an_io_error(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", None)  # what Python sets when fd 1 is closed
     rc = main(["count", "--mode", "G", "--g", "1", "--n", "1", "--b", "4"])
     assert (rc, capsys.readouterr().err) == (4, "i/o error: stdout is closed\n")
+
+
+def test_a_missing_stderr_takes_no_line_and_keeps_the_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stderr", None)  # what Python sets when fd 2 is closed at start-up
+    rc = main(["sums", "--family", "A", "--m", "0", "--n", "3"])
+    assert (rc, capsys.readouterr().out) == (2, "")
+
+
+def test_a_closed_stderr_keeps_the_exit_code():
+    # fd 2 closed in the child: writing the error line fails, and nothing lands on stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "surfcount.cli", "sums", "--family", "A", "--m", "0", "--n", "3"],
+        stdout=subprocess.PIPE, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=lambda: os.close(2),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "module, name, argv, exc",
+    [
+        (series, "expand_closed_form", ("series", "--which", "fG02", "--order", "4"),
+         SeriesIdentityError("fG02 differs at x^2")),
+        (fitlab, "fit_Nhat", ("fit", "--mode", "nhat", "--g", "0", "--n", "3"),
+         DegenerateGridError("degenerate grid: ragged keys")),
+    ],
+    ids=["series-identity", "degenerate-grid"],
+)
+def test_a_failed_identity_or_a_degenerate_grid_is_an_internal_error(capsys, monkeypatch, module, name, argv, exc):
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(module, name, broken)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (5, "", f"internal error: {type(exc).__name__}: {exc}\n")
+    assert series.SeriesIdentityError is surfcount.SeriesIdentityError is exact.SeriesIdentityError
 
 
 def test_table_csv(capsys):

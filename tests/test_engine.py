@@ -9,7 +9,6 @@ import sys
 import textwrap
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings
@@ -307,18 +306,17 @@ def test_lattice_rejects_disc_and_annulus():
 
 
 def test_every_edge_lowers_the_termination_measure(monkeypatch):
-    edges = []
+    edges, running = [], []
     real_body = engine._body
 
     def spy(key):
-        body, value = real_body(key), None
-        while True:
-            try:
-                child = body.send(value)
-            except StopIteration as done:
-                return done.value
-            edges.append((key, child))
-            value = yield child
+        if running:
+            edges.append((running[-1], key))
+        running.append(key)
+        try:
+            return real_body(key)
+        finally:
+            running.pop()
 
     def measure(key):
         _, g, n, b = key
@@ -350,7 +348,7 @@ def test_driver_rejects_a_cycle(monkeypatch):
         bodies.append(key)
         if len(bodies) > 50:  # the driver followed the cycle
             raise AssertionError("cycle not detected")
-        yield key
+        return engine._fill(key)
 
     monkeypatch.setattr(engine, "_body", looping)
     clear_memo()
@@ -360,13 +358,49 @@ def test_driver_rejects_a_cycle(monkeypatch):
     assert memo_size() == 0
 
 
+@st.composite
+def _small_keys(draw):
+    """A key of any family with g <= 2, n <= 4 - g and entries <= 8 of an even total."""
+    g = draw(st.integers(0, 2))
+    b = draw(st.lists(st.integers(0, 8), min_size=1, max_size=4 - g))
+    b[0] += sum(b) % 2
+    return draw(st.sampled_from(("G", "Gr", "N", "Nt"))), g, len(b), tuple(sorted(b, reverse=True))
+
+
+@given(st.lists(_small_keys(), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_bodies_nest_at_most_2g_plus_n_plus_2_deep(keys):
+    # the keys before each one leave the memo in a random state: entries and partly grown rows
+    real_body, running, deepest = engine._body, [0], [0]
+
+    def spy(key):
+        running[0] += 1
+        deepest[0] = max(deepest[0], running[0])
+        try:
+            return real_body(key)
+        finally:
+            running[0] -= 1
+
+    clear_memo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_body", spy)
+        try:
+            for key in keys:
+                _, g, n, _ = key
+                deepest[0] = 0
+                engine._eval(key)
+                assert deepest[0] <= 2 * g + n + 2, key
+        finally:
+            clear_memo()
+
+
 def test_deep_disc_needs_no_recursion_limit_or_asserts():
     # python -O strips assert statements, so the child prints its checks
     code = textwrap.dedent(
         """
         import sys
         sys.setrecursionlimit(200)
-        from surfcount import catalan, count_G, count_G_r, count_lattice
+        from surfcount import catalan, convolve_G_from_N, count_G, count_G_r, count_lattice
         want = catalan(300)
         print(count_G(0, 1, (600,)) == want)
         print(sum(count_G_r(0, 1, (600,), r) for r in range(303)) == want)
@@ -375,6 +409,9 @@ def test_deep_disc_needs_no_recursion_limit_or_asserts():
                 count_lattice(0, len(b), b)
             except ValueError:
                 print(True)
+        # the deepest nesting met, 9 bodies: both shapes, checked one against the other
+        for g, n, b in ((1, 7, (3, 3, 3, 3, 3, 3, 2)), (0, 8, (4,) * 8), (4, 3, (10, 10, 10)), (6, 1, (30,))):
+            print(count_G(g, n, b) == convolve_G_from_N(g, n, b) > 0)
         """
     )
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -384,7 +421,7 @@ def test_deep_disc_needs_no_recursion_limit_or_asserts():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 4
+    assert proc.stdout.split() == ["True"] * 8
 
 
 def test_cache_with_a_truncated_line_is_ignored(tmp_path, capsys, cache_records):
@@ -848,35 +885,42 @@ def test_a_key_missing_from_a_loaded_cache_gets_the_cold_value(tmp_path):
     assert proc.stdout.split() == [str(v) for v in warm]
 
 
-def _extend_a_row_grown_meanwhile(name, cut, grow):
+def _extend_a_row_grown_meanwhile(monkeypatch, name, cut, grow):
+    real_body, bodies = engine._body, []
+
+    def body(key):
+        bodies.append(key)
+        value = real_body(key)
+        if key == bodies[0]:  # the row's first missing piece: stored, then the row grows meanwhile
+            engine._MEMO[key[:3]][key[3]] = value
+            grow()
+        return value
+
+    monkeypatch.setattr(engine, "_body", body)
     clear_memo()
     try:
-        ext = engine._row(engine._FAMILIES[name], name, cut, 1, (), 6)
-        child = next(ext)  # cold memo: the row waits for its second value
-        grow()  # a body that extends the same row meanwhile
         with pytest.raises(RuntimeError, match="grew while"):
-            while True:
-                child = ext.send(engine._eval(child))
+            engine._row(engine._FAMILIES[name], name, cut, 1, (), 6)
+        assert bodies[0] == (name, 1, 2 if cut else 1, (2, 0) if cut else (2,))
     finally:
         clear_memo()
 
 
-def test_a_value_row_grown_under_its_extension_raises():
-    _extend_a_row_grown_meanwhile("G", False, lambda: count_G(1, 1, (12,)))
+def test_a_value_row_grown_under_its_extension_raises(monkeypatch):
+    _extend_a_row_grown_meanwhile(monkeypatch, "G", False, lambda: count_G(1, 1, (12,)))
 
 
-def test_a_cut_row_grown_under_its_extension_raises():
-    _extend_a_row_grown_meanwhile("N", True, lambda: count_N(2, 1, (12,)))
+def test_a_cut_row_grown_under_its_extension_raises(monkeypatch):
+    _extend_a_row_grown_meanwhile(monkeypatch, "N", True, lambda: count_N(2, 1, (12,)))
 
 
-def test_a_row_that_holds_the_values_read_comes_back_without_a_generator():
+def test_a_row_that_holds_the_values_read_comes_back_as_it_is():
     clear_memo()
     try:
         count_N(2, 1, (12,))
         fam = engine._FAMILIES["N"]
         for (name, cut, g, side), row in engine._MEMO.rows.items():
             assert engine._row(fam, name, cut, g, side, len(row)) is row
-            assert isinstance(engine._row(fam, name, cut, g, side, len(row) + 1), GeneratorType)
     finally:
         clear_memo()
 

@@ -47,7 +47,7 @@ from .engine import (
     load_cache,
     save_cache,
 )
-from .exact import EVEN, ODD, ZERO, DegenerateGridError, FitInvalid, SeriesIdentityError, frac_str
+from .exact import EVEN, ODD, ZERO, DegenerateGridError, FitInvalid, SeriesIdentityError, _say, frac_str
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -401,17 +401,6 @@ def main(argv=None) -> int:
         set_limit(limit)
 
 
-def _say(line: str) -> None:
-    """Write one line to stderr.  A stderr that is missing (None) or cannot
-    be written takes nothing: the line never lands on stdout, and the exit
-    code stays the one it goes with."""
-    try:
-        if sys.stderr is not None:
-            print(line, file=sys.stderr)
-    except OSError:
-        pass
-
-
 def _main(argv) -> int:
     if sys.stdout is None:  # the process started with its stdout closed
         _say("i/o error: stdout is closed")
@@ -443,7 +432,7 @@ def _main(argv) -> int:
     except (SeriesIdentityError, DegenerateGridError) as exc:  # ValueErrors that are faults of the program
         _say(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         _say(f"error: {exc}")
         return EXIT_USAGE
     except OSError as exc:

@@ -46,11 +46,13 @@ difference of the two boundaries) and a separation's sum over the runs
 beyond the arc from value rows.  Shape A's rows keep no ramp, and its cut
 reads its pieces directly.
 
-Every parallel-free count bottoms out in pair-of-pants pieces, (0,3), whose
-value is a product of bar factors.  Shape B's rows of them take each value
-from the family's ``pants`` rule (no key, no memo read) and keep it like any
-other row.  The (0,3) base values use the same rule.  The separations of a
-body come from one index table per shape, genus and number of entries.
+A family is one record of ``_FAMILIES``: its shape, zero, empty diagram and
+the heads it answers by formula (``rules``), in shape B the disc and annulus
+closed forms and the pants (0,3), a product of bar factors.  ``_base`` reads
+every value no body computes from that record, and a shape-B row of a head
+with a rule takes each value from it (no key, no memo read) and keeps it like
+any other row.  The separations of a body come from one index table per
+shape, genus and number of entries.
 
 Bodies are plain functions: a piece missing from the memo runs its body
 through ``_fill``, which stores its value.  Every edge lowers
@@ -74,10 +76,9 @@ from __future__ import annotations
 
 import marshal
 import os
-import sys
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, product, zip_longest
+from itertools import chain, zip_longest
 from math import prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -88,7 +89,7 @@ except ImportError:
     from hashlib import sha256
 
 from .closed import bar, catalan, closed_N, closed_refined
-from .exact import _reject, binomial, ordered_splits
+from .exact import _reject, _say, binomial, ordered_splits
 
 _DISC_OR_ANNULUS = {(0, 1), (0, 2)}
 _INT = frozenset((int,))
@@ -137,7 +138,7 @@ class _Row(list):
 
 class _Table(dict):
     """The entries of one head (family, g, n), keyed by b.  A missing b
-    answers with the family's base value, or None when its body has to run;
+    answers with ``_base``: its base value, or None when its body has to run;
     base values are never stored.  ``Gt`` has no family and no base values:
     ``count_G_t`` reads its tables with ``get``.  ``held``: see ``_Memo.read``."""
 
@@ -146,7 +147,7 @@ class _Table(dict):
     def __init__(self, head: tuple):
         name, g, n = head
         fam = _FAMILIES.get(name)
-        self.base = fam and partial(fam.base, g, n)
+        self.base = fam and partial(_base, fam, g, n)
 
     def __missing__(self, b):
         return self.base(b)
@@ -182,7 +183,7 @@ class _Memo(dict):
             except FileNotFoundError:
                 pass
             except ValueError as exc:  # UnicodeDecodeError is a ValueError
-                print(f"warning: ignoring cache {path!r} ({exc})", file=sys.stderr)
+                _say(f"warning: ignoring cache {path!r} ({exc})")
                 table.held = -1
         return max(table.held, 0)
 
@@ -225,51 +226,35 @@ def _count(name: str, g: int, n: int, b, *grades: int):
     return _fill((name, g, n, b)) if value is None else value
 
 
-# -- pants values and base values; None sends the key to its family's body ----
+# -- rules and base values; None sends the key to its family's body ----------
 
-# The (0,3) value of each shape-B family, symmetric in three entries of an
-# even total: the bar product, graded at t = 0/1/2/2 for 0/1/2/3 zero entries
-# in Nt.
+# The heads a shape-B family answers by formula: the disc and annulus values
+# from ``closed``, and the (0,3) value, symmetric in three entries of an even
+# total: the bar product, graded at t = 0/1/2/2 for 0/1/2/3 zero entries in Nt.
 
-def _pants_N(x, y, z):
+def _pants_N(b):
+    x, y, z = b
     return (x or 1) * (y or 1) * (z or 1)  # bar(x) * bar(y) * bar(z): entries >= 0
 
 
-def _pants_Nt(x, y, z):
-    zeros = (not x) + (not y) + (not z)
-    return _Grades((0,) * min(zeros, 2) + (_pants_N(x, y, z),))
+def _pants_Nt(b):
+    return _Grades((0,) * min(b.count(0), 2) + (_pants_N(b),))
 
 
-def _base_G(g, n, b):
+def _closed_Nt(g, n, b):
+    return _trim([closed_refined("N", g, n, b, t) for t in range(2 * g + n)])
+
+
+def _base(fam: _Family, g: int, n: int, b: tuple[int, ...]):
+    """The value of a key that no body computes, or None when its body has
+    to run: zero at a negative genus or an odd total, the rule's value at a
+    head the family answers by formula, the empty diagram's when every entry
+    is zero."""
     if g < 0 or sum(b) % 2:
-        return 0
-    return None if b[0] else 1  # all entries zero: the empty diagram
-
-
-def _base_Gr(g, n, b):
-    if g < 0 or sum(b) % 2:
-        return _Grades()
-    return None if b[0] else _Grades((0, 1))  # one region
-
-
-def _base_N(g, n, b):
-    if g < 0 or sum(b) % 2:
-        return 0
-    if (g, n) == (0, 3):
-        return _pants_N(*b)
-    if (g, n) in _DISC_OR_ANNULUS:
-        return closed_N(g, n, b)
-    return None if b[0] else 1
-
-
-def _base_Nt(g, n, b):
-    if g < 0 or sum(b) % 2:
-        return _Grades()
-    if (g, n) == (0, 3):
-        return _pants_Nt(*b)
-    if (g, n) in _DISC_OR_ANNULUS:
-        return _trim([closed_refined("N", g, n, b, t) for t in range(2 * g + n)])
-    return None if b[0] else _Grades((0,) * (2 * g + n - 1) + (1,))
+        return fam.zero
+    if (rule := fam.rules.get((g, n))) is not None:
+        return rule(b)
+    return None if b[0] else fam.empty(g, n)
 
 
 # -- the two recursion shapes -------------------------------------------------
@@ -292,12 +277,13 @@ def _grow(fam: _Family, rkey: tuple, row: _Row | None, stop: int) -> _Row:
     its pieces are read, and a shape-B row appends its ramp entry in the
     same step, so len(row.ramp) == len(row) + 1.  A row that grew while the
     body of one of its pieces ran raises RuntimeError (``_shape_a`` and
-    ``_shape_b`` say why none can).  A pants row keeps its values too, each
-    taken from its family's ``pants`` rule, not the memo."""
+    ``_shape_b`` say why none can).  A row of a head that the family
+    answers by formula keeps its values too, each taken from the rule, not
+    the memo."""
     name, cut, g, side = rkey
     p, n = sum(side) % 2, len(side) + 1 + cut
-    pants = (g, n) == (0, 3) and fam.pants
-    table, shape_b = None if pants else _MEMO[name, g, n], fam.body is _shape_b
+    rule = fam.rules.get((g, n))
+    table, shape_b = None if rule else _MEMO[name, g, n], fam.body is _shape_b
     if row is None:
         row = _MEMO.rows[rkey] = _Row()
         if shape_b:
@@ -306,8 +292,8 @@ def _grow(fam: _Family, rkey: tuple, row: _Row | None, stop: int) -> _Row:
         have, value = len(row), None  # a single piece is kept as it is, shared with its table
         for j in range(s, (s - 1) // 2, -1) if cut else (s,):  # a cut row's runs (j, s - j), j >= s - j
             entries = (j, s - j, *side) if cut else (s, *side)
-            if pants:
-                v = pants(*entries)
+            if rule:
+                v = rule(entries)
             elif (v := table[b := tuple(sorted(entries, reverse=True))]) is None:
                 v = _fill((name, g, n, b))
                 if len(row) != have:
@@ -422,17 +408,23 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
 
 class _Family(NamedTuple):
     body: Callable  # _shape_a or _shape_b
-    base: Callable  # (g, n, b) -> base value, or None
     zero: object  # the value of an empty sum
+    empty: Callable  # (g, n) -> the value of the empty diagram
     region: object = 1  # the factor for one more region: the grading variable
-    pants: Callable | None = None  # shape B: the (0,3) value of three entries
+    rules: dict = {}  # (g, n) -> the value of entries b in any order, at a head answered by formula
 
 
 _FAMILIES = {
-    "G": _Family(_shape_a, _base_G, 0),
-    "Gr": _Family(_shape_a, _base_Gr, _Grades()),
-    "N": _Family(_shape_b, _base_N, 0, 1, pants=_pants_N),
-    "Nt": _Family(_shape_b, _base_Nt, _Grades(), _Grades((0, 1)), pants=_pants_Nt),
+    "G": _Family(_shape_a, 0, lambda g, n: 1),
+    "Gr": _Family(_shape_a, _Grades(), lambda g, n: _Grades((0, 1))),  # one region
+    "N": _Family(
+        _shape_b, 0, lambda g, n: 1, 1,
+        {(0, 1): partial(closed_N, 0, 1), (0, 2): partial(closed_N, 0, 2), (0, 3): _pants_N},
+    ),
+    "Nt": _Family(  # the empty diagram has t = 2g + n - 1
+        _shape_b, _Grades(), lambda g, n: _Grades((0,) * (2 * g + n - 1) + (1,)), _Grades((0, 1)),
+        {(0, 1): partial(_closed_Nt, 0, 1), (0, 2): partial(_closed_Nt, 0, 2), (0, 3): _pants_Nt},
+    ),
 }
 
 
@@ -488,12 +480,18 @@ def count_N_t(g: int, n: int, b, t: int) -> int:
 
 def _collars(b) -> dict:
     """The collar weight of each canonical core: the ways to fill the
-    boundary collars around it, summed over the fillings that sort to it."""
-    weights = {}
-    for fill in product(*([(y, binomial(x, (x - y) // 2)) for y in range(x % 2, x + 1, 2)] for x in b)):
-        core, ws = zip(*fill)
-        core = _canon(core)
-        weights[core] = weights.get(core, 0) + prod(ws)
+    boundary collars around it, summed over the fillings that sort to it.
+    Built one entry at a time: after each, partial cores that sort alike
+    merge, so no filling is enumerated on its own."""
+    weights = {(): 1}
+    for x in b:
+        step = {}
+        for y in range(x % 2, x + 1, 2):  # the collar of x keeps y points of the core
+            w = binomial(x, (x - y) // 2)
+            for core, v in weights.items():
+                core = _canon((*core, y))
+                step[core] = step.get(core, 0) + w * v
+        weights = step
     return weights
 
 

@@ -7,14 +7,15 @@ basis per axis, in integers over one common denominator), and
 ``certify``, the held-out check every fit and every claimed zero branch
 goes through (integer coefficients over the lcm of the polynomial's
 denominators).  Interpolation and certification build a ``Fraction`` only
-for their output coefficients.  Everything in this module is pure and
-exact; no floating point enters the computation path anywhere in the
-package.
+for their output coefficients.  Everything in this module but ``_say``, the
+one writer of a stderr line, is pure and exact; no floating point enters
+the computation path anywhere in the package.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -75,6 +76,17 @@ class SeriesIdentityError(ValueError):
 
 class FitInvalid(ValueError):
     """Raised when a fitted polynomial fails held-out validation."""
+
+
+def _say(line: str) -> None:
+    """Write one line to stderr.  A stderr that is missing (None) or cannot
+    be written takes nothing: the line never lands on stdout, and the exit
+    code stays the one it goes with."""
+    try:
+        if sys.stderr is not None:
+            print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 _KINDS: dict = {}  # kind -> the frozenset of its types, built on first use

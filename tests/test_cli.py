@@ -182,8 +182,10 @@ def test_a_closed_stderr_keeps_the_exit_code():
          SeriesIdentityError("fG02 differs at x^2")),
         (fitlab, "fit_Nhat", ("fit", "--mode", "nhat", "--g", "0", "--n", "3"),
          DegenerateGridError("degenerate grid: ragged keys")),
+        # no source line raises KeyError on purpose: one that escapes is a fault, not a usage error
+        (cli, "count_G", ("count", "--mode", "G", "--g", "1", "--n", "1", "--b", "4"), KeyError("fam")),
     ],
-    ids=["series-identity", "degenerate-grid"],
+    ids=["series-identity", "degenerate-grid", "key-error"],
 )
 def test_a_failed_identity_or_a_degenerate_grid_is_an_internal_error(capsys, monkeypatch, module, name, argv, exc):
     def broken(*args):
@@ -455,6 +457,29 @@ def test_malformed_cache_record_is_not_a_usage_error(tmp_path, capsys, write_cac
     rc, out, err = run(capsys, *TORUS_40, "--cache", str(path))
     assert rc == 0 and out.strip() == "5881451896320"
     assert "malformed record" in err
+
+
+def test_a_cache_warning_with_a_missing_stderr_leaves_stdout_the_count(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cache"
+    path.mkdir()
+    (path / "G-1-1").write_text("garbage")
+    monkeypatch.setattr(sys, "stderr", None)  # what Python sets when fd 2 is closed at start-up
+    clear_memo()
+    rc = main(["count", "--mode", "G", "--g", "1", "--n", "1", "--b", "4", "--cache", str(path)])
+    assert (rc, capsys.readouterr().out) == (0, "13\n")
+
+
+def test_a_cache_warning_with_a_closed_stderr_leaves_stdout_the_count(tmp_path):
+    path = tmp_path / "cache"
+    path.mkdir()
+    (path / "G-1-1").write_text("garbage")
+    proc = subprocess.run(
+        [sys.executable, "-m", "surfcount.cli", "count", "--mode", "G", "--g", "1", "--n", "1", "--b", "4",
+         "--cache", str(path)],
+        stdout=subprocess.PIPE, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=lambda: os.close(2),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "13\n")
 
 
 def _stats(path) -> dict:

@@ -8,14 +8,15 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfcount import engine
-from surfcount.closed import catalan, closed_G, closed_N
+from surfcount.closed import catalan, closed_G, closed_N, closed_refined
 from surfcount.engine import (
     clear_memo,
     convolve_G_from_N,
@@ -31,6 +32,7 @@ from surfcount.engine import (
     memo_size,
     save_cache,
 )
+from surfcount.exact import binomial, vectors_with_sum_at_most
 
 # Values worked out by hand from the recursion's first steps.
 TRACES_G = {
@@ -97,10 +99,22 @@ def test_refinement_sums_small():
             assert sum(count_G_t(g, n, b, t) for t in range(tmax + 1)) == count_G(g, n, b)
 
 
+def _collar_inputs():
+    """Every b with sum(b) <= 10 on heads past verify's sweep: the collar
+    route and the dual refined route where verify never reaches."""
+    for g, n in ((1, 3), (2, 1), (2, 2), (0, 5)):
+        for b in vectors_with_sum_at_most(n, 10):
+            yield g, n, b
+
+
 def test_refined_dual_routes_agree():
     for b in ((2, 2), (4, 2), (6, 0)):
         for t in range(4):
             assert count_G_t(1, 2, b, t) == count_G_t_via_r(1, 2, b, t)
+    for g, n, b in _collar_inputs():
+        grades = [count_G_t(g, n, b, t) for t in range(2 * g + n)]
+        assert sum(grades) == count_G(g, n, b), (g, n, b)
+        assert grades == [count_G_t_via_r(g, n, b, t) for t in range(2 * g + n)], (g, n, b)
 
 
 def test_convolution_reproduces_G():
@@ -109,8 +123,26 @@ def test_convolution_reproduces_G():
         (0, 3, (2, 2, 2)),
         (1, 1, (6,)),
         (1, 2, (2, 2)),
+        *_collar_inputs(),
     ):
-        assert convolve_G_from_N(g, n, b) == count_G(g, n, b)
+        assert convolve_G_from_N(g, n, b) == count_G(g, n, b), (g, n, b)
+
+
+def _collars_by_filling(b):
+    """The collar weights the way they were first written: every filling
+    enumerated, each core sorted."""
+    weights = {}
+    for fill in product(*([(y, binomial(x, (x - y) // 2)) for y in range(x % 2, x + 1, 2)] for x in b)):
+        core, ws = zip(*fill)
+        core = tuple(sorted(core, reverse=True))
+        weights[core] = weights.get(core, 0) + prod(ws)
+    return weights
+
+
+def test_collar_weights_merge_cores_entry_by_entry():
+    for n in range(1, 5):
+        for b in vectors_with_sum_at_most(n, 14):
+            assert engine._collars(b) == _collars_by_filling(b), b
 
 
 def test_closed_agree_spot():
@@ -660,11 +692,14 @@ class _CountingMemo(engine._Memo):
         # once per memo through a value row shared by all bodies: the rows
         # read 7,949, 20,101, 45,641 and 440 before; the entries did not move.
         # Shape A's joins then read their pieces through the same value rows:
-        # the G row read 7,218 before; the entries did not move.
-        pytest.param(count_N, (3, 1, (30,)), 4011, 1322, id="count_N(3,1,(30,))"),
+        # the G row read 7,218 before; the entries did not move.  Shape B's
+        # rows then took their disc and annulus values from the family's
+        # rules, as they took their pants values: the N and Nt rows read
+        # 4,011 and 421 before; the entries did not move.
+        pytest.param(count_N, (3, 1, (30,)), 3906, 1322, id="count_N(3,1,(30,))"),
         pytest.param(count_G, (0, 1, (400,)), 201, 200, id="count_G(0,1,(400,))"),
         pytest.param(count_G, (2, 2, (16, 16)), 4662, 1452, id="count_G(2,2,(16,16))"),
-        pytest.param(count_N_t, (2, 1, (40,), 0), 421, 229, id="count_N_t(2,1,(40,),0)"),
+        pytest.param(count_N_t, (2, 1, (40,), 0), 231, 229, id="count_N_t(2,1,(40,),0)"),
     ],
 )
 def test_cold_memo_reads_are_pinned(monkeypatch, fn, args, reads, entries):
@@ -696,7 +731,7 @@ def test_the_memo_holds_one_table_per_head_keyed_by_sorted_entries():
         assert isinstance(head, tuple) and len(head) == 3 and isinstance(table, engine._Table)
         assert all(type(b) is tuple and len(b) == n and list(b) == sorted(b, reverse=True) for b in table)
         if name != "Gt":  # no base value is stored, so no pants key either
-            assert all(engine._FAMILIES[name].base(g, n, b) is None for b in table)
+            assert all(engine._base(engine._FAMILIES[name], g, n, b) is None for b in table)
     assert not any(tables.get((name, 0, 3)) for name in ("N", "Nt"))
 
 
@@ -823,12 +858,12 @@ def test_every_ramp_entry_is_its_weighted_sum():
 def test_pants_rows_compute_each_value_once(monkeypatch):
     rule, calls = engine._pants_N, []
 
-    def counted(*b):
+    def counted(b):
         calls.append(b)
-        return rule(*b)
+        return rule(b)
 
-    monkeypatch.setattr(engine, "_pants_N", counted)
-    monkeypatch.setitem(engine._FAMILIES, "N", engine._FAMILIES["N"]._replace(pants=counted))
+    fam = engine._FAMILIES["N"]
+    monkeypatch.setitem(engine._FAMILIES, "N", fam._replace(rules={**fam.rules, (0, 3): counted}))
     clear_memo()
     try:
         assert count_N(1, 3, (20, 8, 4)) == 23970080
@@ -847,6 +882,63 @@ def test_pants_rows_compute_each_value_once(monkeypatch):
     ]
     assert any(cut for _, cut, _, _ in rows) and sum(map(len, rows.values())) > 0
     assert len(calls) == sum(per_value)
+
+
+# The base values as four functions, one per family, the way they were first
+# written: the reference for ``engine._base`` and the family table it reads.
+
+def _ref_pants_N(x, y, z):
+    return (x or 1) * (y or 1) * (z or 1)
+
+
+def _ref_pants_Nt(x, y, z):
+    zeros = (not x) + (not y) + (not z)
+    return engine._Grades((0,) * min(zeros, 2) + (_ref_pants_N(x, y, z),))
+
+
+def _ref_base_G(g, n, b):
+    if g < 0 or sum(b) % 2:
+        return 0
+    return None if b[0] else 1
+
+
+def _ref_base_Gr(g, n, b):
+    if g < 0 or sum(b) % 2:
+        return engine._Grades()
+    return None if b[0] else engine._Grades((0, 1))
+
+
+def _ref_base_N(g, n, b):
+    if g < 0 or sum(b) % 2:
+        return 0
+    if (g, n) == (0, 3):
+        return _ref_pants_N(*b)
+    if (g, n) in {(0, 1), (0, 2)}:
+        return closed_N(g, n, b)
+    return None if b[0] else 1
+
+
+def _ref_base_Nt(g, n, b):
+    if g < 0 or sum(b) % 2:
+        return engine._Grades()
+    if (g, n) == (0, 3):
+        return _ref_pants_Nt(*b)
+    if (g, n) in {(0, 1), (0, 2)}:
+        return engine._trim([closed_refined("N", g, n, b, t) for t in range(2 * g + n)])
+    return None if b[0] else engine._Grades((0,) * (2 * g + n - 1) + (1,))
+
+
+def test_the_base_rule_reads_each_family_table_as_the_four_base_functions_did():
+    refs = {"G": _ref_base_G, "Gr": _ref_base_Gr, "N": _ref_base_N, "Nt": _ref_base_Nt}
+    assert set(refs) == set(engine._FAMILIES)
+    for name, ref in refs.items():
+        fam = engine._FAMILIES[name]
+        for g in range(-1, 4):
+            for n in range(1, 5):
+                for b in vectors_with_sum_at_most(n, 10):
+                    if list(b) == sorted(b, reverse=True):
+                        want, got = ref(g, n, b), engine._base(fam, g, n, b)
+                        assert (type(got), got) == (type(want), want), (name, g, n, b)
 
 
 def test_a_key_missing_from_a_loaded_cache_gets_the_cold_value(tmp_path):

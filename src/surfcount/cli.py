@@ -438,9 +438,6 @@ def _main(argv) -> int:
     except OSError as exc:
         _say(f"i/o error: {exc}")
         return EXIT_IO
-    except (RuntimeError, ArithmeticError) as exc:
-        _say(f"internal error: {exc}")
-        return EXIT_INTERNAL
     except MemoryError:  # its message is empty, or names no request
         _say("internal error: out of memory")
         return EXIT_INTERNAL

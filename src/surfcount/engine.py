@@ -2,10 +2,10 @@
 
 The memo holds one table per head ``(family, g, n)``, keyed by ``b``
 sorted decreasingly, since every count is symmetric in the boundary labels.
-Families: ``G`` (all diagrams), ``N`` (no boundary-parallel arcs), ``Gr``
-(all diagrams by number r of complementary regions), ``Nt`` (parallel-free
-diagrams by the stable region parameter t = r - (2 - 2g - n) - half the
-boundary points), and ``Gt``, which ``count_G_t`` assembles from ``Nt``.
+Five families: ``G`` (all diagrams), ``N`` (no boundary-parallel arcs),
+``Gr`` (all diagrams by number r of complementary regions), ``Nt``
+(parallel-free diagrams by the stable region parameter t = r - (2 - 2g - n)
+- half the boundary points) and ``Gt`` (all diagrams by t).
 The lattice-count twin is no family of its own: ``count_lattice`` reads
 the t = 0 grade of ``Nt`` and divides by the product of the entries.
 
@@ -46,24 +46,25 @@ difference of the two boundaries) and a separation's sum over the runs
 beyond the arc from value rows.  Shape A's rows keep no ramp, and its cut
 reads its pieces directly.
 
-A family is one record of ``_FAMILIES``: its shape, zero, empty diagram and
-the heads it answers by formula (``rules``), in shape B the disc and annulus
-closed forms and the pants (0,3), a product of bar factors.  ``_base`` reads
-every value no body computes from that record, and a shape-B row of a head
-with a rule takes each value from it (no key, no memo read) and keeps it like
-any other row.  The separations of a body come from one index table per
-shape, genus and number of entries.
+A family is one record of ``_FAMILIES``: its body, zero, empty diagram and the
+heads it answers by formula (``rules``), in shape B the disc and annulus
+closed forms and the pants (0,3), a product of bar factors.  ``Gt``'s body
+fills the boundary collars around its ``Nt`` cores (``_collar_sum``), its rule
+is the disc (Catalan numbers at t = 0).  ``_base`` reads every value no body
+computes from that record, and a shape-B row of a head with a rule takes each
+value from it (no key, no memo read) and keeps it like any other row.  The
+separations of a body come from one index table per shape, g and n.
 
 Bodies are plain functions: a piece missing from the memo runs its body
-through ``_fill``, which stores its value.  Every edge lowers
-``(2g + n - 2, sum(b))`` lexicographically, and a key met again while its
-body runs raises RuntimeError.  A key ``(family, g, n, b)`` lives only
-there, while its body runs.  Bodies nest at most 2g + n + 2 deep, so no
-input meets Python's recursion limit: every shape-B piece lowers 2g + n;
-in shape A only the disc separation's same-head piece keeps it, and that
-piece is a value of a row; rows grow in ascending order, so such a
-piece's body finds the smaller pieces of its head that it reads already
-stored, and the nesting at one head stays shallow.
+through ``_fill``, which stores its value.  Every edge of a shape lowers
+``(2g + n - 2, sum(b))`` lexicographically, every edge of ``Gt`` ends in
+``Nt``, and a key met again while its body runs raises RuntimeError.  A key
+``(family, g, n, b)`` lives only there, while its body runs.  Bodies nest at
+most 2g + n + 2 deep, so no input meets Python's recursion limit: every
+shape-B piece lowers 2g + n; in shape A only the disc separation's same-head
+piece keeps it, and that piece is a value of a row; rows grow in ascending
+order, so such a piece's body finds the smaller pieces of its head that it
+reads already stored, and the nesting at one head stays shallow.
 
 The memo persists in an optional cache directory of one file per head
 ``family g n``, whose body is the ``marshal`` form of the head's records,
@@ -78,7 +79,7 @@ import marshal
 import os
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, zip_longest
+from itertools import chain
 from math import prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -102,8 +103,11 @@ class _Grades(tuple):
 
     __slots__ = ()
 
-    def __add__(self, other: _Grades) -> _Grades:
-        return _trim([a + c for a, c in zip_longest(self, other, fillvalue=0)])
+    def __add__(self, other: _Grades) -> _Grades:  # the longer copied, the shorter added in
+        out, other = (list(self), other) if len(self) >= len(other) else (list(other), self)
+        for i, c in enumerate(other):
+            out[i] += c
+        return _trim(out)
 
     def __mul__(self, other) -> _Grades:
         if not isinstance(other, _Grades):
@@ -139,15 +143,13 @@ class _Row(list):
 class _Table(dict):
     """The entries of one head (family, g, n), keyed by b.  A missing b
     answers with ``_base``: its base value, or None when its body has to run;
-    base values are never stored.  ``Gt`` has no family and no base values:
-    ``count_G_t`` reads its tables with ``get``.  ``held``: see ``_Memo.read``."""
+    base values are never stored.  ``held``: see ``_Memo.read``."""
 
     __slots__ = ("base", "held")
 
     def __init__(self, head: tuple):
         name, g, n = head
-        fam = _FAMILIES.get(name)
-        self.base = fam and partial(_base, fam, g, n)
+        self.base = partial(_base, _FAMILIES[name], g, n)
 
     def __missing__(self, b):
         return self.base(b)
@@ -220,10 +222,8 @@ def _check(g: int, n: int, b, *grades: int) -> tuple[int, ...]:
 
 
 def _count(name: str, g: int, n: int, b, *grades: int):
-    """A public count's entry: b checked and canonicalised, ``_fill`` on a miss."""
-    b = _canon(_check(g, n, b, *grades))
-    value = _MEMO[name, g, n][b]
-    return _fill((name, g, n, b)) if value is None else value
+    """A public count's entry: b checked and canonicalised, then ``_eval``."""
+    return _eval((name, g, n, _canon(_check(g, n, b, *grades))))
 
 
 # -- rules and base values; None sends the key to its family's body ----------
@@ -407,7 +407,7 @@ def _shape_b(fam: _Family, name: str, g: int, n: int, b: tuple[int, ...]):
 
 
 class _Family(NamedTuple):
-    body: Callable  # _shape_a or _shape_b
+    body: Callable  # _shape_a, _shape_b or Gt's collar sum
     zero: object  # the value of an empty sum
     empty: Callable  # (g, n) -> the value of the empty diagram
     region: object = 1  # the factor for one more region: the grading variable
@@ -426,6 +426,10 @@ _FAMILIES = {
         {(0, 1): partial(_closed_Nt, 0, 1), (0, 2): partial(_closed_Nt, 0, 2), (0, 3): _pants_Nt},
     ),
 }
+_FAMILIES["Gt"] = _FAMILIES["Nt"]._replace(  # Nt's zero, empty diagram and grading variable
+    body=lambda fam, name, g, n, b: _collar_sum("Nt", g, n, b),
+    rules={(0, 1): lambda b: _Grades((catalan(b[0] // 2),))},  # every disc diagram has t = 0
+)
 
 
 def _body(key):
@@ -495,19 +499,15 @@ def _collars(b) -> dict:
     return weights
 
 
+def _collar_sum(core: str, g: int, n: int, b):
+    """The sum over the parallel-free cores a of b of the collar weight times
+    the value of a in the family ``core`` (``N``, or ``Nt``: filling keeps t)."""
+    return sum((w * _eval((core, g, n, a)) for a, w in _collars(b).items()), _FAMILIES[core].zero)
+
+
 def count_G_t(g: int, n: int, b, t: int) -> int:
-    """All-diagram counts refined by t, assembled from the parallel-free
-    refined counts by filling boundary collars (collar filling preserves t).
-    """
-    b = _check(g, n, b, t)
-    if sum(b) % 2:
-        return 0
-    if (g, n) == (0, 1):  # every disc diagram has t = 0
-        return catalan(b[0] // 2) if t == 0 else 0
-    table, b = _MEMO["Gt", g, n], _canon(b)
-    if (vec := table.get(b)) is None:
-        vec = table[b] = sum((w * _eval(("Nt", g, n, a)) for a, w in _collars(b).items()), _Grades())
-    return vec.coeff(t)
+    """All-diagram counts refined by t: boundary collars filled around ``Nt``."""
+    return _count("Gt", g, n, b, t).coeff(t)
 
 
 def count_G_t_via_r(g: int, n: int, b, t: int) -> int:
@@ -534,12 +534,11 @@ def count_lattice(g: int, n: int, b) -> Fraction:
 
 def convolve_G_from_N(g: int, n: int, b) -> int:
     """Assemble the all-diagram count by filling boundary collars around
-    every parallel-free core: sum over admissible core boundary vectors a of
-    the product of collar binomials times the core count."""
+    every parallel-free core: the collar sum over the cores' ``N`` counts."""
     b = _check(g, n, b)
     if (g, n) == (0, 1):
         raise ValueError("collar convolution does not apply to the disc")
-    return sum(w * _eval(("N", g, n, a)) for a, w in _collars(b).items())
+    return _collar_sum("N", g, n, b)
 
 
 def dilaton_reduce(g: int, n: int, b, r: int) -> int:

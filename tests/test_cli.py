@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import marshal
@@ -130,18 +131,41 @@ def test_internal_error_exits_5_without_traceback(capsys, monkeypatch, exc):
     monkeypatch.setattr(cli, "count_G", broken)
     rc, out, err = run(capsys, "count", "--mode", "G", "--g", "1", "--n", "1", "--b", "4")
     assert rc == 5 and out == ""
-    assert err == f"internal error: {exc}\n"
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
-@pytest.mark.parametrize("exc", [TypeError("t"), IndexError("i"), AttributeError("a")])
-def test_an_unexpected_exception_exits_5_with_its_type(capsys, monkeypatch, exc):
-    def broken(g, n, b):
+# one function each subcommand calls before it writes a line, patched to raise, and a
+# command line that reaches it
+_SUBCOMMAND_CALLS = {
+    "count": ("cli", "count_G", ("count", "--mode", "G", "--g", "1", "--n", "1", "--b", "4")),
+    "table": ("cli", "count_G", ("table", "--mode", "G", "--g", "0", "--n", "2", "--b-max", "2")),
+    "fit": ("fitlab", "fit_Nhat", ("fit", "--mode", "nhat", "--g", "0", "--n", "3")),
+    "psi": ("fitlab", "extract_psi", ("psi", "--g", "1", "--n", "1")),
+    "sums": ("sums", "SumFamily", ("sums", "--family", "A", "--m", "1")),
+    "series": ("series", "expand_closed_form", ("series", "--which", "fG02", "--order", "4")),
+    "oracle": ("oracles", "enumerate_disc", ("oracle", "--disc", "4")),
+    "verify": ("cli", "run_suite", ("verify", "--suite", "all")),
+}
+
+# ValueError is left out: an internal one still exits 2, as a usage error does,
+# until the checks of caller input raise a class of their own
+_INTERNAL_FAULTS = [
+    TypeError("t"), IndexError("i"), AttributeError("a"), ZeroDivisionError("z"), KeyError("k"),
+    SeriesIdentityError("s"),
+]
+
+
+@pytest.mark.parametrize("exc", _INTERNAL_FAULTS, ids=lambda exc: type(exc).__name__)
+@pytest.mark.parametrize("command", _SUBCOMMAND_CALLS)
+def test_an_internal_fault_in_any_subcommand_exits_5_with_one_line(capsys, monkeypatch, command, exc):
+    module, name, argv = _SUBCOMMAND_CALLS[command]
+
+    def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "count_G", broken)
-    rc, out, err = run(capsys, "count", "--mode", "G", "--g", "1", "--n", "1", "--b", "4")
-    assert (rc, out) == (5, "")
-    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+    monkeypatch.setattr(importlib.import_module(f"surfcount.{module}"), name, broken)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (5, "", f"internal error: {type(exc).__name__}: {exc}\n")
 
 
 def test_an_interrupt_exits_130_with_one_line(capsys, monkeypatch):

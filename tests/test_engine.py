@@ -118,14 +118,42 @@ def test_refined_dual_routes_agree():
 
 
 def test_convolution_reproduces_G():
+    # every b, sorted or not, up to a total per (g, n): the formula heads of N
+    # against the G recursion beyond the verify sweep
+    wide = [(0, n, b) for n, top in ((2, 40), (3, 24), (4, 14)) for b in vectors_with_sum_at_most(n, top)]
+    assert len(wide) == 861 + 2925 + 3060
     for g, n, b in (
         (0, 2, (4, 2)),
         (0, 3, (2, 2, 2)),
         (1, 1, (6,)),
         (1, 2, (2, 2)),
         *_collar_inputs(),
+        *wide,
     ):
         assert convolve_G_from_N(g, n, b) == count_G(g, n, b), (g, n, b)
+
+
+def _ref_G_t(g, n, b, t):
+    """The refined all-diagram count as ``count_G_t`` assembled it before
+    ``Gt`` was a family: zero on odd totals, Catalan at the disc for t = 0,
+    otherwise the collar weights times the parallel-free refined counts."""
+    if sum(b) % 2:
+        return 0
+    if (g, n) == (0, 1):
+        return catalan(b[0] // 2) if t == 0 else 0
+    return sum(w * count_N_t(g, n, a, t) for a, w in engine._collars(b).items())
+
+
+@pytest.mark.parametrize("g, n", [(0, 1), (0, 2), (0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+def test_the_Gt_family_gives_the_collar_assembly(g, n):
+    clear_memo()
+    try:
+        for b in vectors_with_sum_at_most(n, 10):
+            if list(b) == sorted(b, reverse=True):
+                for t in range(2 * g + n):
+                    assert count_G_t(g, n, b, t) == _ref_G_t(g, n, b, t), (g, n, b, t)
+    finally:
+        clear_memo()
 
 
 def _collars_by_filling(b):
@@ -396,7 +424,7 @@ def _small_keys(draw):
     g = draw(st.integers(0, 2))
     b = draw(st.lists(st.integers(0, 8), min_size=1, max_size=4 - g))
     b[0] += sum(b) % 2
-    return draw(st.sampled_from(("G", "Gr", "N", "Nt"))), g, len(b), tuple(sorted(b, reverse=True))
+    return draw(st.sampled_from(("G", "Gr", "N", "Nt", "Gt"))), g, len(b), tuple(sorted(b, reverse=True))
 
 
 @given(st.lists(_small_keys(), min_size=1, max_size=6))
@@ -730,8 +758,8 @@ def test_the_memo_holds_one_table_per_head_keyed_by_sorted_entries():
         name, g, n = head
         assert isinstance(head, tuple) and len(head) == 3 and isinstance(table, engine._Table)
         assert all(type(b) is tuple and len(b) == n and list(b) == sorted(b, reverse=True) for b in table)
-        if name != "Gt":  # no base value is stored, so no pants key either
-            assert all(engine._base(engine._FAMILIES[name], g, n, b) is None for b in table)
+        # no base value is stored, so no pants key either
+        assert all(engine._base(engine._FAMILIES[name], g, n, b) is None for b in table)
     assert not any(tables.get((name, 0, 3)) for name in ("N", "Nt"))
 
 
@@ -928,8 +956,16 @@ def _ref_base_Nt(g, n, b):
     return None if b[0] else engine._Grades((0,) * (2 * g + n - 1) + (1,))
 
 
+def _ref_base_Gt(g, n, b):  # what count_G_t answered without the collar sum
+    if g < 0 or sum(b) % 2:
+        return engine._Grades()
+    if (g, n) == (0, 1):
+        return engine._Grades((catalan(b[0] // 2),))
+    return None if b[0] else engine._Grades((0,) * (2 * g + n - 1) + (1,))
+
+
 def test_the_base_rule_reads_each_family_table_as_the_four_base_functions_did():
-    refs = {"G": _ref_base_G, "Gr": _ref_base_Gr, "N": _ref_base_N, "Nt": _ref_base_Nt}
+    refs = {"G": _ref_base_G, "Gr": _ref_base_Gr, "N": _ref_base_N, "Nt": _ref_base_Nt, "Gt": _ref_base_Gt}
     assert set(refs) == set(engine._FAMILIES)
     for name, ref in refs.items():
         fam = engine._FAMILIES[name]
@@ -1031,7 +1067,7 @@ def test_a_loaded_cache_parses_a_block_when_a_read_first_asks_for_its_head(tmp_p
         assert load_cache(path) == 0 and len(engine._MEMO) == 0
         assert count_G(1, 1, (10,)) == want[0]  # a key of the directory: its head's file alone
         assert set(engine._MEMO) == {("G", 1, 1)}
-        assert count_G_t(1, 2, (4, 2), 1) == want[2]  # Gt has no body: read straight from its file
+        assert count_G_t(1, 2, (4, 2), 1) == want[2]  # read straight from its file: no body runs
         assert count_N(1, 2, (6, 4)) == want[1]
         assert set(engine._MEMO) == {("G", 1, 1), ("Gt", 1, 2), ("N", 1, 2)}
         assert all(table.held == len(table) > 0 for table in engine._MEMO.values())
